@@ -6,20 +6,20 @@ Exit codes: 0 success, 1 validation inequality, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 from pathlib import Path
 
-from . import invariants
 from .fileformat import ParseError, parse, render
 from .invariants import (classical_tutte, corpus, cross_validate, krushkal,
                          pst_delcon, pst_quasitree, pst_state_sum,
                          surface_tutte, underlying_multigraph)
 from .packaged import PackagedRibbonGraph, PackagingError, packaged_dual
-from .poly import HalfExpPoly, MultiPoly
+from .poly import MultiPoly
 from .ribbon import (RibbonGraphError, activities, enumerate_quasi_trees,
-                     partial_dual, trace_boundaries)
+                     partial_dual)
 
 
 def _load(path: str) -> PackagedRibbonGraph:
@@ -176,7 +176,10 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    :func:`main` call (each parse makes a fresh namespace)."""
     ap = argparse.ArgumentParser(
         prog="ribbonpoly",
         description="Polynomial invariants of (packaged) ribbon graphs.")

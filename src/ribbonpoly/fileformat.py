@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .packaged import (PackagedRibbonGraph, PackagingError, WeightedPartition)
-from .ribbon import RibbonGraph, RibbonGraphError, trace_boundaries
+from .ribbon import RibbonGraph, RibbonGraphError
 
 
 class ParseError(ValueError):
@@ -29,37 +29,62 @@ class ParseError(ValueError):
 _EDGE_DECL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)([+-])$")
 _END_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\.([12])$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_FIELD = re.compile(r"\S+")
+
+# a vblock/bblock directive: its line, the column of each id, its weight
+Block = tuple[int, dict[str, int], int]
+
+
+def _partition(kind: str, ground: list[str],
+               directives: list[Block]) -> WeightedPartition:
+    """The weighted partition of one side; a fault inside one block points
+    at that block's directive and id, an element left out of every block at
+    the side's first directive."""
+    try:
+        return (WeightedPartition.build(
+                    ground, [(set(ids), w) for _, ids, w in directives])
+                if directives else WeightedPartition.discrete(ground))
+    except PackagingError as ex:
+        msg = str(ex)
+        prefix = f"unknown {kind} id" if "unknown id" in msg else "partition error"
+        if ex.block is None:
+            line, column = directives[0][0], 1
+        else:
+            line, columns, _ = directives[ex.block]
+            column = columns.get(ex.element, 1)
+        raise ParseError(f"{prefix}: {msg}", line, column) from ex
 
 
 def parse(text: str) -> PackagedRibbonGraph:
     sign: dict[str, int] = {}
     vertices: list[str] = []
     rotation: dict[str, tuple] = {}
-    vblocks: list[tuple[set, int]] = []
-    bblocks: list[tuple[set, int]] = []
-    edge_decl_line: dict[str, int] = {}
+    vblocks: list[Block] = []
+    bblocks: list[Block] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
-        head, sep, rest = line.partition(":")
+        head, sep, _ = line.partition(":")
         if not sep:
             raise ParseError(f"syntax error: expected ':' in {line!r}", lineno)
         head = head.strip()
-        fields = rest.split()
+        fields = [(m.group(), m.start() + 1)
+                  for m in _FIELD.finditer(code, code.index(":") + 1)]
         if head == "edges":
-            for pos, tok in enumerate(fields):
+            for tok, col in fields:
                 m = _EDGE_DECL.match(tok)
                 if not m:
                     raise ParseError(
                         f"syntax error: bad edge declaration {tok!r}",
-                        lineno, raw.find(tok) + 1)
+                        lineno, col)
                 name = m.group(1)
                 if name in sign:
-                    raise ParseError(f"edge {name} declared twice", lineno)
+                    raise ParseError(f"edge {name} declared twice", lineno,
+                                     col)
                 sign[name] = 1 if m.group(2) == "+" else -1
-                edge_decl_line[name] = lineno
         elif head.startswith("vertex"):
             parts = head.split()
             if len(parts) != 2 or not _NAME.match(parts[1]):
@@ -69,12 +94,11 @@ def parse(text: str) -> PackagedRibbonGraph:
             if vname in rotation:
                 raise ParseError(f"vertex {vname} declared twice", lineno)
             ends = []
-            for tok in fields:
+            for tok, col in fields:
                 m = _END_REF.match(tok)
                 if not m:
                     raise ParseError(
-                        f"syntax error: bad edge end {tok!r}", lineno,
-                        raw.find(tok) + 1)
+                        f"syntax error: bad edge end {tok!r}", lineno, col)
                 ends.append((m.group(1), int(m.group(2))))
             vertices.append(vname)
             rotation[vname] = tuple(ends)
@@ -85,16 +109,20 @@ def parse(text: str) -> PackagedRibbonGraph:
                     f"syntax error: bad block header {head!r} "
                     "(expected weight)", lineno)
             weight = int(parts[1])
-            members = set()
-            for tok in fields:
+            columns: dict[str, int] = {}
+            for tok, col in fields:
                 if not _NAME.match(tok):
                     raise ParseError(f"syntax error: bad id {tok!r}", lineno,
-                                     raw.find(tok) + 1)
-                members.add(tok)
-            if not members:
+                                     col)
+                if tok in columns:
+                    raise ParseError(
+                        f"partition error: element {tok} listed twice in "
+                        "one block", lineno, col)
+                columns[tok] = col
+            if not columns:
                 raise ParseError("partition error: empty block", lineno)
             (vblocks if head.startswith("vblock") else bblocks).append(
-                (members, weight))
+                (lineno, columns, weight))
         else:
             raise ParseError(f"syntax error: unknown directive {head!r}",
                              lineno)
@@ -107,22 +135,9 @@ def parse(text: str) -> PackagedRibbonGraph:
     except RibbonGraphError as ex:
         raise ParseError(f"invalid ribbon graph: {ex}", 1) from ex
 
-    bids = [c.id for c in trace_boundaries(graph)]
-    try:
-        vparts = (WeightedPartition.build(vertices, vblocks) if vblocks
-                  else WeightedPartition.discrete(vertices))
-    except PackagingError as ex:
-        msg = str(ex)
-        prefix = "unknown vertex id" if "unknown id" in msg else "partition error"
-        raise ParseError(f"{prefix}: {msg}", 1) from ex
-    try:
-        bparts = (WeightedPartition.build(bids, bblocks) if bblocks
-                  else WeightedPartition.discrete(bids))
-    except PackagingError as ex:
-        msg = str(ex)
-        prefix = ("unknown boundary id" if "unknown id" in msg
-                  else "partition error")
-        raise ParseError(f"{prefix}: {msg}", 1) from ex
+    bids = [c.id for c in graph.boundaries]
+    vparts = _partition("vertex", vertices, vblocks)
+    bparts = _partition("boundary", bids, bblocks)
     return PackagedRibbonGraph.build(graph, vparts, bparts)
 
 

@@ -13,23 +13,23 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .packaged import (PackagedRibbonGraph, PackagingGraph, WeightedPartition,
-                       component_gamma_values, nullity, packaged_contract,
-                       packaged_delete, quotient)
+from .packaged import (PackagedRibbonGraph, WeightedPartition,
+                       _side_components, component_gamma_values, nullity,
+                       packaged_contract, packaged_delete, quotient)
 from .poly import HalfExpPoly, MultiPoly
-from .ribbon import (RibbonGraph, RibbonGraphError, activities, certificate,
-                     classify_edge, connected_components, delete_edge,
-                     dual_correspondences, enumerate_quasi_trees, euler_genus,
-                     EdgeKind, orientable, restrict, trace_boundaries)
+from .ribbon import (ActivityReport, RibbonGraph, RibbonGraphError, activities,
+                     certificate, classify_edge, connected_components,
+                     enumerate_quasi_trees, euler_genus, EdgeKind, orientable,
+                     restrict)
 
 
 # ---------------------------------------------------------------------------
 # state sum
 
 def _dual_setup(pg: PackagedRibbonGraph):
-    gd, b_to_v, _ = dual_correspondences(pg.graph)
+    gd, b_to_v, _ = pg.graph.duality
     elem = {v: b for b, v in b_to_v.items()}
     return gd, elem
 
@@ -93,7 +93,6 @@ def pst_delcon(pg: PackagedRibbonGraph, pivot_rule="first",
         return _terminal(pg)
     e = _pivot(pg, pivot_rule)
 
-    from .packaged import _side_components
     s_a, s_b, _ = _side_components(g, e)
     alpha = 1 if pg.bparts.block_index(s_a) == pg.bparts.block_index(s_b) else 0
     u, w = g.endpoints(e)
@@ -157,9 +156,12 @@ def minor_shape_check(pg: PackagedRibbonGraph, q: Iterable[str],
                       order: Iterable[str]) -> bool:
     """In the activity minor, internal live orientable edges must be bridges
     and external live orientable edges plane loops."""
-    g = pg.graph
-    act = activities(g, frozenset(q), list(order))
+    act = activities(pg.graph, frozenset(q), list(order))
     minor = _quasitree_minor(pg, act.deleted_part(), act.contracted_part())
+    return _minor_shape_ok(act, minor)
+
+
+def _minor_shape_ok(act: ActivityReport, minor: PackagedRibbonGraph) -> bool:
     mg = minor.graph
     for e in act.internal_live_orientable:
         if classify_edge(mg, e) != EdgeKind.BRIDGE:
@@ -183,7 +185,7 @@ def surface_tutte(g: RibbonGraph) -> MultiPoly:
 
 
 def _krushkal_direct(g: RibbonGraph) -> HalfExpPoly:
-    gd, _, _ = dual_correspondences(g)
+    gd, _, _ = g.duality
     k = len(connected_components(g))
     kd = len(connected_components(gd))
     edges = g.edges
@@ -286,7 +288,7 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     order = list(order)
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
-    gd, _, _ = dual_correspondences(g)
+    gd, _, _ = g.duality
     alpha_p1 = HalfExpPoly.alpha() + 1
     beta_p1 = HalfExpPoly.beta() + 1
     a_p1 = HalfExpPoly.a_half(2) + 1
@@ -408,7 +410,7 @@ def corpus(max_edges: int, seed: int,
     rng = random.Random(seed)
     for g in enumerate_connected(max_edges, max_vertices):
         yield g, PackagedRibbonGraph.discrete(g)
-        bids = [c.id for c in trace_boundaries(g)]
+        bids = [c.id for c in g.boundaries]
         for _ in range(random_packagings):
             pg = PackagedRibbonGraph.build(
                 g, _random_partition(rng, list(g.vertices)),
@@ -451,7 +453,7 @@ def cross_validate(pg: PackagedRibbonGraph,
             contrib = pre * pst_delcon(minor)
             total = total + contrib
             rows.append((tuple(sorted(q)), act, contrib))
-            if not minor_shape_check(pg, q, order):
+            if not _minor_shape_ok(act, minor):
                 shapes_ok = False
         qt[order] = total
         breakdown[order] = rows

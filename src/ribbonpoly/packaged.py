@@ -13,14 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ribbon import (Dart, RibbonGraph, RibbonGraphError, connected_components,
-                     contract_edge, delete_edge, dual_correspondences,
-                     induced_subgraph, isomorphisms, restrict,
+from .ribbon import (RibbonGraph, RibbonGraphError, contract_edge,
+                     delete_edge, induced_subgraph, isomorphisms, restrict,
                      trace_boundaries)
 
 
 class PackagingError(ValueError):
-    pass
+    """``block`` (an index into the blocks given to
+    :meth:`WeightedPartition.build`) and ``element`` locate the fault when
+    one block holds it."""
+
+    def __init__(self, message: str, block: int | None = None,
+                 element: str | None = None):
+        super().__init__(message)
+        self.block = block
+        self.element = element
 
 
 @dataclass(frozen=True)
@@ -35,17 +42,18 @@ class WeightedPartition:
         ground = set(ground)
         items = [(frozenset(b), int(w)) for b, w in blocks]
         seen: set[str] = set()
-        for b, w in items:
+        for i, (b, w) in enumerate(items):
             if not b:
-                raise PackagingError("empty block")
+                raise PackagingError("empty block", i)
             if w < 0:
-                raise PackagingError(f"negative weight {w}")
+                raise PackagingError(f"negative weight {w}", i)
             unknown = b - ground
             if unknown:
-                raise PackagingError(f"unknown id {sorted(unknown)[0]}")
+                x = sorted(unknown)[0]
+                raise PackagingError(f"unknown id {x}", i, x)
             if b & seen:
-                raise PackagingError(
-                    f"element {sorted(b & seen)[0]} in two blocks")
+                x = sorted(b & seen)[0]
+                raise PackagingError(f"element {x} in two blocks", i, x)
             seen |= b
         missing = ground - seen
         if missing:
@@ -95,7 +103,7 @@ class PackagedRibbonGraph:
               bparts: WeightedPartition) -> "PackagedRibbonGraph":
         if vparts.ground != frozenset(graph.vertices):
             raise PackagingError("vertex partition does not cover the vertices")
-        bids = frozenset(c.id for c in trace_boundaries(graph))
+        bids = frozenset(c.id for c in graph.boundaries)
         if bparts.ground != bids:
             raise PackagingError(
                 "boundary partition does not cover the boundary components")
@@ -106,7 +114,7 @@ class PackagedRibbonGraph:
         return PackagedRibbonGraph(
             graph,
             WeightedPartition.discrete(graph.vertices),
-            WeightedPartition.discrete(c.id for c in trace_boundaries(graph)))
+            WeightedPartition.discrete(c.id for c in graph.boundaries))
 
 
 @dataclass(frozen=True)
@@ -190,7 +198,7 @@ def component_gamma(pg: PackagedRibbonGraph, side: str,
         parts = pg.vparts
         elem = {v: v for v in g.vertices}
     elif side == "boundary":
-        gd, b_to_v, _ = dual_correspondences(pg.graph)
+        gd, b_to_v, _ = pg.graph.duality
         g = gd
         parts = pg.bparts
         elem = {v: b for b, v in b_to_v.items()}
@@ -211,7 +219,7 @@ def restricted_packagings(pg: PackagedRibbonGraph,
     aset = set(a)
     g = pg.graph
     first = quotient(restrict(g, aset), pg.vparts, {v: v for v in g.vertices})
-    gd, b_to_v, _ = dual_correspondences(g)
+    gd, b_to_v, _ = g.duality
     elem = {v: b for b, v in b_to_v.items()}
     second = quotient(restrict(gd, set(g.sign) - aset), pg.bparts, elem)
     return first, second
@@ -219,7 +227,7 @@ def restricted_packagings(pg: PackagedRibbonGraph,
 
 def packaged_dual(pg: PackagedRibbonGraph) -> PackagedRibbonGraph:
     """Dual graph with both partitions transported across the duality."""
-    gd, b_to_v, v_to_b = dual_correspondences(pg.graph)
+    gd, b_to_v, v_to_b = pg.graph.duality
     return PackagedRibbonGraph.build(gd, pg.bparts.relabel(b_to_v),
                                      pg.vparts.relabel(v_to_b))
 
@@ -229,11 +237,7 @@ def packaged_dual(pg: PackagedRibbonGraph) -> PackagedRibbonGraph:
 
 def _side_components(g: RibbonGraph, e: str) -> tuple[str, str, dict]:
     """Boundary ids visited by the two free sides of the band of ``e``."""
-    comps = trace_boundaries(g)
-    of: dict[Dart, str] = {}
-    for c in comps:
-        for d in c.visits:
-            of[d] = c.id
+    of = g.boundary_of_dart
     return of[(e, 1, "L")], of[(e, 1, "R")], of
 
 
@@ -252,9 +256,9 @@ def _packaged_delete_case(pg: PackagedRibbonGraph,
     s_a, s_b, _ = _side_components(g, e)
     res = delete_edge(g, e)
 
-    old = trace_boundaries(g)
-    new = trace_boundaries(res)
-    new_by_dart = {d: c.id for c in new for d in c.visits}
+    old = g.boundaries
+    new = res.boundaries
+    new_by_dart = res.boundary_of_dart
     match: dict[str, str] = {}
     for comp in old:
         if comp.id in (s_a, s_b):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable
 
 
 class PolyError(ValueError):
@@ -37,6 +37,21 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(self.ex + other.ex, self.ey + other.ey,
                         _merge(self.exg, other.exg), _merge(self.eyg, other.eyg))
+
+    def sort_key(self):
+        return (self.degree(), self.ex, self.ey, self.exg, self.eyg)
+
+    def render_factors(self) -> list[str]:
+        out = []
+        if self.ex:
+            out.append("x" if self.ex == 1 else f"x^{self.ex}")
+        if self.ey:
+            out.append("y" if self.ey == 1 else f"y^{self.ey}")
+        for g, e in self.exg:
+            out.append(f"x_{g}" if e == 1 else f"x_{g}^{e}")
+        for g, e in self.eyg:
+            out.append(f"y_{g}" if e == 1 else f"y_{g}^{e}")
+        return out
 
 
 def _merge(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]):
@@ -142,14 +157,6 @@ class _PolyBase:
         return "".join(parts)
 
 
-class MonomialM(Monomial):
-    pass
-
-
-def _fam_key(items):
-    return tuple(sorted(items))
-
-
 class MultiPoly(_PolyBase):
     """Polynomial in x, y, x_g, y_g with integer coefficients."""
 
@@ -223,27 +230,6 @@ class MultiPoly(_PolyBase):
                 term = term * (yg(g) ** e)
             out = out + term
         return out
-
-
-def _render_multi(m: Monomial) -> list[str]:
-    out = []
-    if m.ex:
-        out.append("x" if m.ex == 1 else f"x^{m.ex}")
-    if m.ey:
-        out.append("y" if m.ey == 1 else f"y^{m.ey}")
-    for g, e in m.exg:
-        out.append(f"x_{g}" if e == 1 else f"x_{g}^{e}")
-    for g, e in m.eyg:
-        out.append(f"y_{g}" if e == 1 else f"y_{g}^{e}")
-    return out
-
-
-def _multi_sort_key(m: Monomial):
-    return (m.degree(), m.ex, m.ey, m.exg, m.eyg)
-
-
-Monomial.render_factors = _render_multi
-Monomial.sort_key = _multi_sort_key
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 End = tuple[str, int]
 Dart = tuple[str, int, str]
+Flags = tuple[dict[Dart, Dart], dict[Dart, Dart]]  # the pairings (t0, t1)
 
 
 class RibbonGraphError(ValueError):
@@ -38,6 +40,13 @@ class RibbonGraphError(ValueError):
 
 @dataclass(frozen=True)
 class RibbonGraph:
+    """A signed rotation system.
+
+    Instances are never mutated after construction, so derived kernel data
+    (end -> vertex index, flag pairings, boundary trace, dual) is computed on
+    first use and kept on the instance.  Cached dicts are shared: callers
+    must not mutate them.
+    """
     vertices: tuple[str, ...]
     rotation: dict[str, tuple[End, ...]]
     sign: dict[str, int]
@@ -58,11 +67,31 @@ class RibbonGraph:
     def edges(self) -> tuple[str, ...]:
         return tuple(sorted(self.sign))
 
+    @cached_property
+    def end_vertex(self) -> dict[End, str]:
+        """End -> the vertex whose rotation holds it."""
+        return {end: v for v, rot in self.rotation.items() for end in rot}
+
+    @cached_property
+    def flags(self) -> Flags:
+        return _tau0(self), _tau1(self)
+
+    @cached_property
+    def boundaries(self) -> tuple[BoundaryComponent, ...]:
+        """The boundary components, as :func:`trace_boundaries` lists them."""
+        return tuple(trace_boundaries(self, self.flags))
+
+    @cached_property
+    def boundary_of_dart(self) -> dict[Dart, str]:
+        return {d: c.id for c in self.boundaries for d in c.visits}
+
+    @cached_property
+    def duality(self) -> tuple[RibbonGraph, dict[str, str], dict[str, str]]:
+        """:func:`dual_correspondences` of this graph."""
+        return dual_correspondences(self)
+
     def vertex_of_end(self, end: End) -> str:
-        for v, rot in self.rotation.items():
-            if end in rot:
-                return v
-        raise KeyError(end)
+        return self.end_vertex[end]
 
     def endpoints(self, e: str) -> tuple[str, str]:
         """Vertices of the two ends of ``e`` (equal for a loop)."""
@@ -152,14 +181,16 @@ class BoundaryComponent:
         return frozenset(self.visits)
 
 
-def trace_boundaries(g: RibbonGraph) -> list[BoundaryComponent]:
+def trace_boundaries(g: RibbonGraph,
+                     flags: Flags | None = None) -> list[BoundaryComponent]:
     """All boundary components, canonically ordered and labelled b1, b2, ...
 
     Each walk starts at its minimal unused dart; walks with edges come first,
-    then one empty component per isolated vertex, in vertex order.
+    then one empty component per isolated vertex, in vertex order.  ``flags``
+    are the pairings (t0, t1) of ``g`` when the caller holds them; otherwise
+    they are built here and not cached, which keeps one-off subgraphs cheap.
     """
-    t0 = _tau0(g)
-    t1 = _tau1(g)
+    t0, t1 = flags or (_tau0(g), _tau1(g))
     unused = set(t0)
     comps = []
     while unused:
@@ -313,7 +344,7 @@ def _rebuild_from_flags(g: RibbonGraph, t0: dict[Dart, Dart],
     rebuilt graph), since end indices and sides on fresh vertices may be
     renamed.
     """
-    t1 = _tau1(g)
+    t1 = g.flags[1]
     old_orbit = {v: frozenset((e, i, s) for (e, i) in g.rotation.get(v, ())
                               for s in "LR") for v in g.vertices}
     orbit_of = {fs: v for v, fs in old_orbit.items() if fs}
@@ -414,7 +445,7 @@ def partial_dual_with_map(g: RibbonGraph,
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
     if not a:
         return g, {d: d for d in g.darts()}
-    t0 = _tau0(g)
+    t0 = dict(g.flags[0])
     t2 = _tau2(g)
     for e in a:
         for i, s in itertools.product((1, 2), "LR"):
@@ -442,7 +473,7 @@ def dual_correspondences(g: RibbonGraph) -> tuple[RibbonGraph, dict[str, str],
     flags_of = {v: frozenset((e, i, s) for (e, i) in gd.rotation.get(v, ())
                              for s in "LR") for v in gd.vertices}
     b_to_v = {}
-    for comp in trace_boundaries(g):
+    for comp in g.boundaries:
         if comp.vertex is not None:
             b_to_v[comp.id] = comp.vertex
             continue
@@ -458,7 +489,7 @@ def dual_correspondences(g: RibbonGraph) -> tuple[RibbonGraph, dict[str, str],
     old_flags = {v: frozenset((e, i, s) for (e, i) in g.rotation.get(v, ())
                               for s in "LR") for v in g.vertices}
     v_to_b = {}
-    for comp in trace_boundaries(gd):
+    for comp in gd.boundaries:
         if comp.vertex is not None:
             v_to_b[comp.vertex] = comp.id
             continue
@@ -488,13 +519,10 @@ def contract_edge(g: RibbonGraph, e: str) -> tuple[RibbonGraph, dict[str, str]]:
     pd, dart_map = partial_dual_with_map(g, {e})
     res = delete_edge(pd, e)
 
-    old = trace_boundaries(g)
-    new = trace_boundaries(res)
+    old = g.boundaries
+    new = res.boundaries
+    new_by_dart = res.boundary_of_dart
     corr: dict[str, str] = {}
-    new_by_dart: dict[Dart, str] = {}
-    for comp in new:
-        for d in comp.visits:
-            new_by_dart[d] = comp.id
     matched_new = set()
     leftover_old = []
     for comp in old:
@@ -748,7 +776,7 @@ def certificate(g: RibbonGraph) -> tuple:
     """
     if not g.sign:
         return ("vertices", len(g.vertices))
-    t = (_tau0(g), _tau1(g), _tau2(g))
+    t = (*g.flags, _tau2(g))
     darts = sorted(t[0])
     best = None
     for start in darts:

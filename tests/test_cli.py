@@ -165,3 +165,14 @@ def test_missing_file_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "compute")[0] == 2
     assert run(capsys, "specialize", "x.rg", "--target", "nope")[0] == 2
+
+
+def test_parser_is_shared_and_options_do_not_leak(theta_file, capsys):
+    from ribbonpoly.cli import build_parser
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "compute", theta_file, "--method", "delcon",
+                       "--format", "structured")
+    assert code == 0 and json.loads(out)["method"] == "delcon"
+    code, out, _ = run(capsys, "compute", theta_file)
+    assert code == 0
+    assert out.strip() == THETA_TEXT

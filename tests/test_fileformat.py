@@ -90,3 +90,27 @@ def test_round_trip_over_corpus_sample():
         again = parse(render(pg))
         assert packaged_isomorphic(again, pg)
         assert render(again) == render(pg)
+
+
+ANNULUS_RG = "edges: e+\nvertex v1: e.1 e.2\n"  # boundaries b1, b2
+
+
+@pytest.mark.parametrize("text, where, words", [
+    # an id repeated inside one directive, on line 5
+    (ANNULUS_RG + "# blocks\nvblock 0: v1\nbblock 0: b1 b1\n", (5, 14),
+     "b1 listed twice"),
+    (THETA_EXAMPLE_RG + "vblock 0: v1 v3\n", (4, 14), "unknown vertex id"),
+    (THETA_EXAMPLE_RG + "bblock 0: b1\nbblock 1: b2  # typo\n", (5, 11),
+     "unknown boundary id"),
+    (THETA_EXAMPLE_RG + "vblock 0: v1\nvblock 0: v2 v1\n", (5, 14),
+     "v1 in two blocks"),
+    # an element of no block: the side's first directive
+    (ANNULUS_RG + "vblock 1: v1\nbblock 0: b2\n", (4, 1),
+     "b1 not in any block"),
+], ids=["repeated", "unknown-vertex", "unknown-boundary", "two-blocks",
+        "in-no-block"])
+def test_partition_errors_point_at_the_directive(text, where, words):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == where
+    assert words in str(exc.value)
