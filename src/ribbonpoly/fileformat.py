@@ -57,6 +57,8 @@ def _partition(kind: str, ground: list[str],
 
 def parse(text: str) -> PackagedRibbonGraph:
     sign: dict[str, int] = {}
+    declared: dict[str, tuple[int, int]] = {}   # edge -> (line, column)
+    placed: dict[tuple[str, int], tuple[int, int]] = {}  # end -> (line, column)
     vertices: list[str] = []
     rotation: dict[str, tuple] = {}
     vblocks: list[Block] = []
@@ -85,6 +87,7 @@ def parse(text: str) -> PackagedRibbonGraph:
                     raise ParseError(f"edge {name} declared twice", lineno,
                                      col)
                 sign[name] = 1 if m.group(2) == "+" else -1
+                declared[name] = (lineno, col)
         elif head.startswith("vertex"):
             parts = head.split()
             if len(parts) != 2 or not _NAME.match(parts[1]):
@@ -99,7 +102,12 @@ def parse(text: str) -> PackagedRibbonGraph:
                 if not m:
                     raise ParseError(
                         f"syntax error: bad edge end {tok!r}", lineno, col)
-                ends.append((m.group(1), int(m.group(2))))
+                end = (m.group(1), int(m.group(2)))
+                if end in placed:
+                    raise ParseError(f"invalid ribbon graph: end {tok} placed "
+                                     "twice", lineno, col)
+                placed[end] = (lineno, col)
+                ends.append(end)
             vertices.append(vname)
             rotation[vname] = tuple(ends)
         elif head.startswith("vblock") or head.startswith("bblock"):
@@ -129,6 +137,15 @@ def parse(text: str) -> PackagedRibbonGraph:
 
     if not vertices:
         raise ParseError("no vertices", max(1, text.count("\n") + 1))
+    for (e, i), where in placed.items():
+        if e not in sign:
+            raise ParseError(f"invalid ribbon graph: end {e}.{i} references "
+                             f"undeclared edge {e}", *where)
+    for e, where in declared.items():
+        for i in (1, 2):
+            if (e, i) not in placed:
+                raise ParseError(f"invalid ribbon graph: edge {e} is missing "
+                                 f"end {e}.{i}", *where)
 
     try:
         graph = RibbonGraph.build(vertices, rotation, sign)

@@ -12,52 +12,44 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .packaged import (PackagedRibbonGraph, WeightedPartition,
-                       _side_components, component_gamma_values, nullity,
-                       packaged_contract, packaged_delete, quotient)
-from .poly import HalfExpPoly, MultiPoly
+from .packaged import (PackagedRibbonGraph, Side, WeightedPartition,
+                       _side_components, packaged_contract, packaged_delete,
+                       state_sides)
+from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
 from .ribbon import (ActivityReport, RibbonGraph, RibbonGraphError, activities,
                      certificate, classify_edge, connected_components,
                      enumerate_quasi_trees, euler_genus, EdgeKind, orientable,
-                     restrict)
+                     restrict, union_find)
 
 
 # ---------------------------------------------------------------------------
 # state sum
 
-def _dual_setup(pg: PackagedRibbonGraph):
-    gd, b_to_v, _ = pg.graph.duality
-    elem = {v: b for b, v in b_to_v.items()}
-    return gd, elem
+def _subset_term(vside: Side, bside: Side, mask: int) -> tuple:
+    """The exponents of the state-sum term of the edge subset ``mask``:
+    (n2, n1, gammas2, gammas1), where 1 is the vertex side at the subset and
+    2 the boundary side at its complement."""
+    n1, gammas1 = vside.record(mask)
+    n2, gammas2 = bside.record(bside.kernel.full ^ mask)
+    return n2, n1, gammas2, gammas1
 
 
-def _subset_term(pg, gd, elem, aset: frozenset) -> MultiPoly:
-    g = pg.graph
-    sub1 = restrict(g, aset)
-    pk1 = quotient(sub1, pg.vparts, {v: v for v in g.vertices})
-    sub2 = restrict(gd, set(g.sign) - aset)
-    pk2 = quotient(sub2, pg.bparts, elem)
-    term = MultiPoly.x(nullity(pk2)) * MultiPoly.y(nullity(pk1))
-    for gamma in component_gamma_values(sub2, pk2):
-        term = term * MultiPoly.xg(gamma)
-    for gamma in component_gamma_values(sub1, pk1):
-        term = term * MultiPoly.yg(gamma)
-    return term
+def _family(gammas: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(gammas).items()))
 
 
 def pst_state_sum(pg: PackagedRibbonGraph) -> MultiPoly:
     """Sum over all edge subsets A of x^{n(dual packaging of A^c)} times
     y^{n(packaging of A)} times the per-component genus variables."""
-    gd, elem = _dual_setup(pg)
-    edges = pg.graph.edges
-    total = MultiPoly.zero()
-    for r in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            total = total + _subset_term(pg, gd, elem, frozenset(combo))
-    return total
+    vside, bside = state_sides(pg)
+    keys = Counter(_subset_term(vside, bside, mask)
+                   for mask in range(vside.kernel.full + 1))
+    return MultiPoly({Monomial(n2, n1, _family(g2), _family(g1)): c
+                      for (n2, n1, g2, g1), c in keys.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +116,21 @@ def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
     return cur
 
 
-def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str]):
-    """Yield (Q, activity report, x/y prefactor, minor) per quasi-tree."""
+def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
+                     quasi_trees: list[frozenset[str]]):
+    """Yield (Q, activity report, x/y prefactor, minor) per quasi-tree of
+    ``quasi_trees``, the list :func:`enumerate_quasi_trees` gives."""
     g = pg.graph
-    gd, elem = _dual_setup(pg)
-    for q in enumerate_quasi_trees(g):
+    vside, bside = state_sides(pg)
+    bit = {e: 1 << k for k, e in enumerate(g.edges)}
+    for q in quasi_trees:
         act = activities(g, q, order)
         dn = act.contracted_part()
         dn_star = act.deleted_part()
-        pk1 = quotient(restrict(g, dn), pg.vparts,
-                       {v: v for v in g.vertices})
-        pk2 = quotient(restrict(gd, dn_star), pg.bparts, elem)
-        pre = MultiPoly.x(nullity(pk2)) * MultiPoly.y(nullity(pk1))
+        n1, _ = vside.record(sum(bit[e] for e in dn))
+        n2, _ = bside.record(sum(bit[e] for e in dn_star))
         minor = _quasitree_minor(pg, dn_star, dn)
-        yield q, act, pre, minor
+        yield q, act, MultiPoly({Monomial(n2, n1): 1}), minor
 
 
 def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
@@ -147,7 +140,8 @@ def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
     if len(connected_components(pg.graph)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
     total = MultiPoly.zero()
-    for _, _, pre, minor in _quasitree_terms(pg, order):
+    for _, _, pre, minor in _quasitree_terms(pg, order,
+                                             enumerate_quasi_trees(pg.graph)):
         total = total + pre * pst_delcon(minor)
     return total
 
@@ -185,22 +179,21 @@ def surface_tutte(g: RibbonGraph) -> MultiPoly:
 
 
 def _krushkal_direct(g: RibbonGraph) -> HalfExpPoly:
-    gd, _, _ = g.duality
+    """Subset sum of alpha^{k(A)-k} beta^{k(A*)-k*} a^{eg(A)/2} b^{eg(A*)/2},
+    where A* is the complement of A in the dual.  A discrete packaging has
+    one component per connected component, and the gamma values of its
+    components sum to the Euler genus."""
+    vside, bside = state_sides(PackagedRibbonGraph.discrete(g))
+    full = vside.kernel.full
     k = len(connected_components(g))
-    kd = len(connected_components(gd))
-    edges = g.edges
-    total = HalfExpPoly.zero()
-    for r in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            aset = set(combo)
-            sub = restrict(g, aset)
-            subd = restrict(gd, set(edges) - aset)
-            term = (HalfExpPoly.alpha(len(connected_components(sub)) - k)
-                    * HalfExpPoly.beta(len(connected_components(subd)) - kd)
-                    * HalfExpPoly.a_half(euler_genus(sub))
-                    * HalfExpPoly.b_half(euler_genus(subd)))
-            total = total + term
-    return total
+    kd = len(connected_components(g.duality[0]))
+    keys: Counter = Counter()
+    for mask in range(full + 1):
+        _, gammas1 = vside.record(mask)
+        _, gammas2 = bside.record(full ^ mask)
+        keys[len(gammas1) - k, len(gammas2) - kd,
+             sum(gammas1), sum(gammas2)] += 1
+    return HalfExpPoly({HalfMonomial(*key): c for key, c in keys.items()})
 
 
 def _krushkal_substitution(g: RibbonGraph) -> HalfExpPoly:
@@ -231,38 +224,32 @@ class Multigraph:
     edges: tuple[tuple[str, str, str], ...]  # (name, endpoint, endpoint)
 
 
-def _mg_counts(vertices, edges) -> tuple[int, int]:
-    """(k, n) of the multigraph."""
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, u, w in edges:
-        parent[find(u)] = find(w)
-    k = len({find(v) for v in vertices})
-    n = len(edges) - len(vertices) + k
-    return k, n
-
-
 def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
     """Subset sum of (x-1)^{k(h|A)-k(h)} (y-1)^{n(h|A)}.
 
     ``subset_nullity=False`` uses n(h) instead of n(h|A); that variant is not
     the Tutte polynomial and exists only as a pinned regression contrast.
     """
+    idx = {v: i for i, v in enumerate(h.vertices)}
+    ends = [(idx[u], idx[w]) for _, u, w in h.edges]
+
+    def counts(mask: int) -> tuple[int, int]:
+        """(k, n) of h|mask."""
+        pairs = [p for j, p in enumerate(ends) if mask >> j & 1]
+        k = len(set(union_find(len(idx), pairs)))
+        return k, len(pairs) - len(idx) + k
+
+    full = (1 << len(ends)) - 1
+    k_h, n_h = counts(full)
+    keys: Counter = Counter()
+    for mask in range(full + 1):
+        k_a, n_a = counts(mask)
+        keys[k_a - k_h, n_a if subset_nullity else n_h] += 1
     xm1 = MultiPoly.x() - 1
     ym1 = MultiPoly.y() - 1
-    k_h, n_h = _mg_counts(h.vertices, h.edges)
     total = MultiPoly.zero()
-    for r in range(len(h.edges) + 1):
-        for combo in itertools.combinations(h.edges, r):
-            k_a, n_a = _mg_counts(h.vertices, combo)
-            total = total + (xm1 ** (k_a - k_h)) * \
-                (ym1 ** (n_a if subset_nullity else n_h))
+    for (a, b), c in keys.items():
+        total = total + c * (xm1 ** a) * (ym1 ** b)
     return total
 
 
@@ -443,13 +430,15 @@ def cross_validate(pg: PackagedRibbonGraph,
     breakdown: dict[tuple[str, ...], list] = {}
     shapes_ok = True
     connected = len(connected_components(pg.graph)) == 1
+    quasi_trees = enumerate_quasi_trees(pg.graph) if connected else []
     for order in orders:
         order = tuple(order)
         if not connected:
             continue
         total = MultiPoly.zero()
         rows = []
-        for q, act, pre, minor in _quasitree_terms(pg, list(order)):
+        for q, act, pre, minor in _quasitree_terms(pg, list(order),
+                                                   quasi_trees):
             contrib = pre * pst_delcon(minor)
             total = total + contrib
             rows.append((tuple(sorted(q)), act, contrib))

@@ -11,11 +11,11 @@ by the invariant polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .ribbon import (RibbonGraph, RibbonGraphError, contract_edge,
+from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, contract_edge,
                      delete_edge, induced_subgraph, isomorphisms, restrict,
-                     trace_boundaries)
+                     subset_walks, trace_boundaries, union_find)
 
 
 class PackagingError(ValueError):
@@ -131,19 +131,10 @@ class PackagingGraph:
     vertex_block: tuple[tuple[str, int], ...]
 
     def components(self) -> list[frozenset[int]]:
-        parent = list(range(len(self.blocks)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j, _ in self.edges:
-            parent[find(i)] = find(j)
+        roots = union_find(len(self.blocks), ((i, j) for i, j, _ in self.edges))
         groups: dict[int, set[int]] = {}
-        for i in range(len(self.blocks)):
-            groups.setdefault(find(i), set()).add(i)
+        for i, r in enumerate(roots):
+            groups.setdefault(r, set()).add(i)
         return sorted((frozenset(s) for s in groups.values()), key=min)
 
 
@@ -210,6 +201,56 @@ def component_gamma(pg: PackagedRibbonGraph, side: str,
         if comp == want:
             return gamma
     raise PackagingError("not a connected component of the packaging")
+
+
+class Side(NamedTuple):
+    """One side of the state sum compiled for a pass over edge subsets: the
+    kernel of a ribbon graph, the packaging block of each of its vertices
+    and the block weights."""
+    kernel: Kernel
+    block: tuple[int, ...]
+    weights: tuple[int, ...]
+
+    @staticmethod
+    def build(g: RibbonGraph, parts: WeightedPartition,
+              elem_of_vertex: dict[str, str]) -> "Side":
+        """The side of ``g`` packaged by ``parts``; ``elem_of_vertex`` is as
+        for :func:`quotient`."""
+        idx = {x: i for i, b in enumerate(parts.blocks) for x in b}
+        return Side(g.kernel, tuple(idx[elem_of_vertex[v]] for v in g.vertices),
+                    parts.weights)
+
+    def record(self, mask: int) -> tuple[int, tuple[int, ...]]:
+        """The nullity of the packaging of the spanning subgraph on ``mask``
+        and the sorted gamma values of its components, as :func:`nullity`
+        and :func:`component_gamma_values` give them.  Each boundary walk
+        lies in one component, so it is counted in the bin of its vertex's
+        block instead of re-tracing each component."""
+        kern, block = self.kernel, self.block
+        ev = kern.end_vertex
+        pairs = [(block[ev[2 * k]], block[ev[2 * k + 1]])
+                 for k in range(len(ev) // 2) if mask >> k & 1]
+        roots = union_find(len(self.weights), pairs)
+        gamma: dict[int, int] = {}   # root -> 2 + e(K) - v(K) + w(K) - b(K)
+        for r, w in zip(roots, self.weights):
+            gamma[r] = gamma.get(r, 2) + w - 1
+        for i, _ in pairs:
+            gamma[roots[i]] += 1
+        for v in subset_walks(kern, mask):
+            gamma[roots[block[v]]] -= 1
+        return (len(pairs) - len(self.weights) + len(gamma),
+                tuple(sorted(gamma.values())))
+
+
+def state_sides(pg: PackagedRibbonGraph) -> tuple[Side, Side]:
+    """The vertex side (g, vertex partition) and the boundary side (g*,
+    boundary partition) of the state sum.  The edges of g* are those of g,
+    so one mask names a subset of both; the term of a subset A reads the
+    vertex side at A and the boundary side at the complement of A."""
+    g = pg.graph
+    gd, b_to_v, _ = g.duality
+    return (Side.build(g, pg.vparts, {v: v for v in g.vertices}),
+            Side.build(gd, pg.bparts, {v: b for b, v in b_to_v.items()}))
 
 
 def restricted_packagings(pg: PackagedRibbonGraph,

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 End = tuple[str, int]
 Dart = tuple[str, int, str]
@@ -75,6 +75,26 @@ class RibbonGraph:
     @cached_property
     def flags(self) -> Flags:
         return _tau0(self), _tau1(self)
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """The integer view of this graph; see :class:`Kernel`."""
+        edges = self.edges
+        eid = {e: k for k, e in enumerate(edges)}
+        t0 = []
+        for k, e in enumerate(edges):
+            flip = 1 if self.sign[e] == 1 else 0  # an untwisted band swaps L, R
+            for x in (2 * k + 1, 2 * k):          # the partner of each end
+                t0 += [2 * x + flip, 2 * x + 1 - flip]
+        rotations = tuple(tuple(2 * eid[e] + i - 1
+                                for e, i in self.rotation.get(v, ()))
+                          for v in self.vertices)
+        end_vertex = [0] * (2 * len(edges))
+        for v, rot in enumerate(rotations):
+            for x in rot:
+                end_vertex[x] = v
+        return Kernel(tuple(t0), rotations, tuple(end_vertex),
+                      (1 << len(edges)) - 1)
 
     @cached_property
     def boundaries(self) -> tuple[BoundaryComponent, ...]:
@@ -130,6 +150,67 @@ def validate(g: RibbonGraph) -> list[str]:
         if v not in g.vertices:
             faults.append(f"rotation given for unknown vertex {v}")
     return faults
+
+
+class Kernel(NamedTuple):
+    """Integer view of a ribbon graph, for passes over its edge subsets.
+
+    Edge ``k`` is the k-th of :attr:`RibbonGraph.edges`; its ends ``.1`` and
+    ``.2`` are ``2k`` and ``2k+1``; the darts of end ``x`` are ``2x`` (side
+    L) and ``2x+1`` (side R).  An edge subset is a bitmask, bit ``k`` for
+    edge ``k``; vertices are indices into :attr:`RibbonGraph.vertices`.
+    """
+    t0: tuple[int, ...]                     # dart -> dart across its band
+    rotations: tuple[tuple[int, ...], ...]  # vertex -> ends in cyclic order
+    end_vertex: tuple[int, ...]             # end -> vertex
+    full: int                               # the mask of every edge
+
+
+def subset_walks(kern: Kernel, mask: int) -> list[int]:
+    """One vertex per boundary component of the spanning subgraph on the
+    edges of ``mask``: the vertex of each boundary walk's first dart, then
+    each vertex that keeps no edge end.  The walks are those of
+    :func:`trace_boundaries` on :func:`restrict`, in another order."""
+    t0 = kern.t0
+    t1: dict[int, int] = {}
+    out = []
+    for v, rot in enumerate(kern.rotations):
+        kept = [x for x in rot if mask >> (x >> 1) & 1]
+        if not kept:
+            out.append(v)
+            continue
+        arrive = 2 * kept[-1] + 1
+        for x in kept:
+            t1[arrive] = 2 * x
+            t1[2 * x] = arrive
+            arrive = 2 * x + 1
+    ev = kern.end_vertex
+    while t1:  # each corner crossed is dropped from t1
+        d0 = next(iter(t1))
+        out.append(ev[d0 >> 1])
+        cur = d0
+        while True:
+            cur = t1.pop(t0[cur])
+            del t1[cur]
+            if cur == d0:
+                break
+    return out
+
+
+def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of each of ``0 .. n-1`` once every pair is joined; two
+    elements are connected iff their roots are equal."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +305,13 @@ def counts(g: RibbonGraph) -> tuple[int, int, int, int]:
 
 def connected_components(g: RibbonGraph) -> list[frozenset[str]]:
     """Vertex partition into connected components (isolated vertices count)."""
-    parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.sign:
-        u, v = g.endpoints(e)
-        parent[find(u)] = find(v)
-    groups: dict[str, set[str]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), set()).add(v)
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    ev = g.end_vertex
+    roots = union_find(len(g.vertices),
+                       ((idx[ev[(e, 1)]], idx[ev[(e, 2)]]) for e in g.sign))
+    groups: dict[int, set[str]] = {}
+    for v, r in zip(g.vertices, roots):
+        groups.setdefault(r, set()).add(v)
     return sorted((frozenset(s) for s in groups.values()), key=min)
 
 
@@ -307,17 +381,6 @@ def induced_subgraph(g: RibbonGraph, vertices: Iterable[str],
     if placed != 2 * len(keep):
         raise RibbonGraphError("induced subgraph drops an edge end")
     return RibbonGraph(tuple(vs), rot, {e: g.sign[e] for e in keep})
-
-
-def delete_isolated_vertices(g: RibbonGraph, vs: Iterable[str]) -> RibbonGraph:
-    drop = set(vs)
-    for v in drop:
-        if v not in g.vertices:
-            raise RibbonGraphError(f"unknown vertex {v}")
-        if g.rotation.get(v, ()):
-            raise RibbonGraphError(f"vertex {v} is not isolated")
-    kept = tuple(v for v in g.vertices if v not in drop)
-    return RibbonGraph(kept, {v: g.rotation[v] for v in kept}, dict(g.sign))
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +668,12 @@ def enumerate_quasi_trees(g: RibbonGraph) -> list[frozenset[str]]:
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree enumeration requires a connected graph")
     edges = g.edges
+    kern = g.kernel
     out = []
     for r in range(len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            if len(trace_boundaries(restrict(g, combo))) == 1:
-                out.append(frozenset(combo))
+        for combo in itertools.combinations(range(len(edges)), r):
+            if len(subset_walks(kern, sum(1 << k for k in combo))) == 1:
+                out.append(frozenset(edges[k] for k in combo))
     return out
 
 

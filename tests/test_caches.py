@@ -14,7 +14,7 @@ from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
                                  packaged_delete)
 from ribbonpoly.ribbon import (RibbonGraph, _tau0, _tau1,
                                connected_components, dual_correspondences,
-                               trace_boundaries)
+                               enumerate_quasi_trees, trace_boundaries)
 from test_ribbon import ribbon_graphs
 
 
@@ -37,6 +37,7 @@ def assert_caches_fresh(g: RibbonGraph) -> None:
                             for end in f.rotation[v]}
     assert g.flags == (_tau0(f), _tau1(f))
     assert g.duality == dual_correspondences(f)
+    assert g.kernel == f.kernel
 
 
 @settings(max_examples=80, deadline=None)
@@ -61,8 +62,9 @@ def test_cross_validate_shape_verdicts_match_minor_shape_check(g, seed, data):
     pg = random_packaging(g, seed)
     orders = [tuple(data.draw(st.permutations(g.edges))) for _ in range(2)]
     verdicts = []
+    quasi_trees = enumerate_quasi_trees(g)
     for order in orders:
-        for q, act, _, minor in _quasitree_terms(pg, list(order)):
+        for q, act, _, minor in _quasitree_terms(pg, list(order), quasi_trees):
             ok = minor_shape_check(pg, q, order)
             assert _minor_shape_ok(act, minor) == ok
             verdicts.append(ok)

@@ -114,3 +114,20 @@ def test_partition_errors_point_at_the_directive(text, where, words):
         parse(text)
     assert (exc.value.line, exc.value.column) == where
     assert words in str(exc.value)
+
+
+@pytest.mark.parametrize("text, where, words", [
+    # e.1 is placed on line 2 and again on line 4
+    ("edges: e+ f+\nvertex v1: e.1 f.1\nvertex v2: e.2\n"
+     "vertex v3: e.1 f.2\n", (4, 12), "end e.1 placed twice"),
+    ("edges: e+\nvertex v1: e.1 e.2\n# next\nvertex v2: g.1\n", (4, 12),
+     "end g.1 references undeclared edge g"),
+    # the end is missing from every vertex line: the edge's declaration
+    ("edges: e+ f-\nvertex v1: e.1 e.2 f.1\n", (1, 11),
+     "edge f is missing end f.2"),
+], ids=["placed-twice", "undeclared-edge", "missing-end"])
+def test_graph_errors_point_at_their_token(text, where, words):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == where
+    assert words in str(exc.value)
