@@ -38,30 +38,36 @@ def _subset_term(vside: Side, bside: Side, mask: int) -> tuple:
     return n2, n1, gammas2, gammas1
 
 
-def _family(gammas: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(gammas).items()))
+
+
+def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
+    """How many edge subsets give each :func:`_subset_term` key."""
+    vside, bside = state_sides(pg)
+    return Counter(_subset_term(vside, bside, mask)
+                   for mask in range(vside.kernel.full + 1))
+
+
+def _state_sum(keys: Counter) -> MultiPoly:
+    return MultiPoly({Monomial(n2, n1, _family(g2), _family(g1)): c
+                      for (n2, n1, g2, g1), c in keys.items()})
 
 
 def pst_state_sum(pg: PackagedRibbonGraph) -> MultiPoly:
     """Sum over all edge subsets A of x^{n(dual packaging of A^c)} times
     y^{n(packaging of A)} times the per-component genus variables."""
-    vside, bside = state_sides(pg)
-    keys = Counter(_subset_term(vside, bside, mask)
-                   for mask in range(vside.kernel.full + 1))
-    return MultiPoly({Monomial(n2, n1, _family(g2), _family(g1)): c
-                      for (n2, n1, g2, g1), c in keys.items()})
+    return _state_sum(_subset_keys(pg))
 
 
 # ---------------------------------------------------------------------------
 # deletion-contraction
 
 def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
-    out = MultiPoly.const(1)
-    for blk, w in zip(pg.bparts.blocks, pg.bparts.weights):
-        out = out * MultiPoly.xg(1 - len(blk) + w)
-    for blk, w in zip(pg.vparts.blocks, pg.vparts.weights):
-        out = out * MultiPoly.yg(1 - len(blk) + w)
-    return out
+    def gammas(parts: WeightedPartition) -> list[int]:
+        return [1 - len(b) + w for b, w in zip(parts.blocks, parts.weights)]
+    return MultiPoly({Monomial(exg=_family(gammas(pg.bparts)),
+                               eyg=_family(gammas(pg.vparts))): 1})
 
 
 def _pivot(pg: PackagedRibbonGraph, rule) -> str:
@@ -178,26 +184,24 @@ def surface_tutte(g: RibbonGraph) -> MultiPoly:
     return pst_state_sum(PackagedRibbonGraph.discrete(g)).reindex_halved()
 
 
-def _krushkal_direct(g: RibbonGraph) -> HalfExpPoly:
+def _krushkal_direct(g: RibbonGraph, keys: Counter) -> HalfExpPoly:
     """Subset sum of alpha^{k(A)-k} beta^{k(A*)-k*} a^{eg(A)/2} b^{eg(A*)/2},
-    where A* is the complement of A in the dual.  A discrete packaging has
-    one component per connected component, and the gamma values of its
-    components sum to the Euler genus."""
-    vside, bside = state_sides(PackagedRibbonGraph.discrete(g))
-    full = vside.kernel.full
+    where A* is the complement of A in the dual, from the
+    :func:`_subset_keys` of the discrete packaging of ``g``.  A discrete
+    packaging has one component per connected component, and the gamma
+    values of its components sum to the Euler genus."""
     k = len(connected_components(g))
     kd = len(connected_components(g.duality[0]))
-    keys: Counter = Counter()
-    for mask in range(full + 1):
-        _, gammas1 = vside.record(mask)
-        _, gammas2 = bside.record(full ^ mask)
-        keys[len(gammas1) - k, len(gammas2) - kd,
-             sum(gammas1), sum(gammas2)] += 1
-    return HalfExpPoly({HalfMonomial(*key): c for key, c in keys.items()})
+    direct: Counter = Counter()
+    for (_, _, gammas2, gammas1), c in keys.items():
+        direct[len(gammas1) - k, len(gammas2) - kd,
+               sum(gammas1), sum(gammas2)] += c
+    return HalfExpPoly({HalfMonomial(*key): c for key, c in direct.items()})
 
 
-def _krushkal_substitution(g: RibbonGraph) -> HalfExpPoly:
-    t = pst_state_sum(PackagedRibbonGraph.discrete(g))
+def _krushkal_substitution(g: RibbonGraph, t: MultiPoly) -> HalfExpPoly:
+    """The four-variable polynomial from ``t``, the state sum of the
+    discrete packaging of ``g``."""
     k = len(connected_components(g))
     one = HalfExpPoly.const(1)
     image = t.substitute(
@@ -209,10 +213,12 @@ def _krushkal_substitution(g: RibbonGraph) -> HalfExpPoly:
 
 
 def krushkal(g: RibbonGraph) -> tuple[HalfExpPoly, HalfExpPoly]:
-    """The four-variable polynomial computed two ways: direct subset sum and
-    substitution into the packaged polynomial.  Both are returned; they must
-    agree."""
-    return _krushkal_direct(g), _krushkal_substitution(g)
+    """The four-variable polynomial computed two ways from one pass over the
+    subsets: direct subset sum and substitution into the packaged
+    polynomial.  Both are returned; they must agree."""
+    keys = _subset_keys(PackagedRibbonGraph.discrete(g))
+    return (_krushkal_direct(g, keys),
+            _krushkal_substitution(g, _state_sum(keys)))
 
 
 # ---------------------------------------------------------------------------

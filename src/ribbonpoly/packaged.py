@@ -77,9 +77,6 @@ class WeightedPartition:
                 return i
         raise KeyError(x)
 
-    def weight_of(self, x: str) -> int:
-        return self.weights[self.block_index(x)]
-
     def shape(self) -> frozenset:
         """Partition structure with weights, for equality up to relabelling
         of block order."""

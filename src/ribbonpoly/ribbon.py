@@ -7,18 +7,20 @@ components are traced as cyclic walks of *darts* ``(edge, i, side)`` with
 ``side`` in ``{"L", "R"}``; every dart is visited exactly once across all
 boundary walks.
 
-Topological operations (duals, partial duals) are carried out in the flag
-model: the darts together with three pairings
+Topological operations (boundary tracing, partial duals, certificates) work
+in the flag model, on one encoding: the integer :class:`Kernel` of each
+graph.  Its darts ``0 .. 4m-1`` follow the sorted order of the named darts,
+and three pairings
 
 * ``t0`` -- crossing an edge band along one of its free sides,
 * ``t1`` -- crossing a vertex corner between consecutive ends,
-* ``t2`` -- crossing an end between its two sides,
+* ``t2`` -- crossing an end between its two sides, ``d ^ 1``,
 
 encode the ribbon graph completely.  Vertices are the orbits of ``t1, t2``,
 edges the orbits of ``t0, t2`` and boundary components the orbits of
 ``t0, t1``.  The partial dual with respect to an edge subset swaps ``t0`` and
 ``t2`` on the darts of those edges; applied to every edge this is the
-geometric dual.
+geometric dual.  Named darts appear only where the API returns them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 End = tuple[str, int]
 Dart = tuple[str, int, str]
-Flags = tuple[dict[Dart, Dart], dict[Dart, Dart]]  # the pairings (t0, t1)
 
 
 class RibbonGraphError(ValueError):
@@ -43,7 +44,7 @@ class RibbonGraph:
     """A signed rotation system.
 
     Instances are never mutated after construction, so derived kernel data
-    (end -> vertex index, flag pairings, boundary trace, dual) is computed on
+    (end -> vertex, the integer kernel, boundary trace, dual) is computed on
     first use and kept on the instance.  Cached dicts are shared: callers
     must not mutate them.
     """
@@ -73,33 +74,40 @@ class RibbonGraph:
         return {end: v for v, rot in self.rotation.items() for end in rot}
 
     @cached_property
-    def flags(self) -> Flags:
-        return _tau0(self), _tau1(self)
-
-    @cached_property
     def kernel(self) -> Kernel:
         """The integer view of this graph; see :class:`Kernel`."""
         edges = self.edges
         eid = {e: k for k, e in enumerate(edges)}
         t0 = []
         for k, e in enumerate(edges):
-            flip = 1 if self.sign[e] == 1 else 0  # an untwisted band swaps L, R
-            for x in (2 * k + 1, 2 * k):          # the partner of each end
-                t0 += [2 * x + flip, 2 * x + 1 - flip]
-        rotations = tuple(tuple(2 * eid[e] + i - 1
-                                for e, i in self.rotation.get(v, ()))
-                          for v in self.vertices)
+            # across the band to the other end; an untwisted band swaps L, R
+            d = 4 * k
+            t0 += ((d + 3, d + 2, d + 1, d) if self.sign[e] == 1
+                   else (d + 2, d + 3, d, d + 1))
+        # Tuples are built from lists, at their final size.  A tuple grown
+        # from an iterator is resized instead; freed, it still joins
+        # CPython's free list for its final size, so over many short-lived
+        # kernels those lists fill and raise peak memory.
+        rotations = tuple([tuple([2 * eid[e] + i - 1
+                                  for e, i in self.rotation.get(v, ())])
+                           for v in self.vertices])
+        t1 = [0] * len(t0)
         end_vertex = [0] * (2 * len(edges))
         for v, rot in enumerate(rotations):
-            for x in rot:
+            arrive = 2 * rot[-1] + 1 if rot else 0
+            for x in rot:  # arriving on side R continues at the next end's L
                 end_vertex[x] = v
-        return Kernel(tuple(t0), rotations, tuple(end_vertex),
-                      (1 << len(edges)) - 1)
+                t1[arrive] = 2 * x
+                t1[2 * x] = arrive
+                arrive = 2 * x + 1
+        return Kernel(tuple(t0), tuple(t1), rotations, tuple(end_vertex),
+                      (1 << len(edges)) - 1,
+                      tuple([*itertools.product(edges, (1, 2), "LR")]))
 
     @cached_property
     def boundaries(self) -> tuple[BoundaryComponent, ...]:
         """The boundary components, as :func:`trace_boundaries` lists them."""
-        return tuple(trace_boundaries(self, self.flags))
+        return tuple(trace_boundaries(self))
 
     @cached_property
     def boundary_of_dart(self) -> dict[Dart, str]:
@@ -153,17 +161,20 @@ def validate(g: RibbonGraph) -> list[str]:
 
 
 class Kernel(NamedTuple):
-    """Integer view of a ribbon graph, for passes over its edge subsets.
+    """The flag encoding of a ribbon graph, in integers.
 
     Edge ``k`` is the k-th of :attr:`RibbonGraph.edges`; its ends ``.1`` and
     ``.2`` are ``2k`` and ``2k+1``; the darts of end ``x`` are ``2x`` (side
-    L) and ``2x+1`` (side R).  An edge subset is a bitmask, bit ``k`` for
-    edge ``k``; vertices are indices into :attr:`RibbonGraph.vertices`.
+    L) and ``2x+1`` (side R), so dart order is the sorted order of the named
+    darts and ``t2`` is ``d ^ 1``.  An edge subset is a bitmask, bit ``k``
+    for edge ``k``; vertices are indices into :attr:`RibbonGraph.vertices`.
     """
     t0: tuple[int, ...]                     # dart -> dart across its band
+    t1: tuple[int, ...]                     # dart -> dart across its corner
     rotations: tuple[tuple[int, ...], ...]  # vertex -> ends in cyclic order
     end_vertex: tuple[int, ...]             # end -> vertex
     full: int                               # the mask of every edge
+    darts: tuple[Dart, ...]                 # dart -> its (edge, i, side)
 
 
 def subset_walks(kern: Kernel, mask: int) -> list[int]:
@@ -214,42 +225,6 @@ def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# flag pairings
-
-def _tau1(g: RibbonGraph) -> dict[Dart, Dart]:
-    """Corner pairing: arriving on side R continues at the next end's L side."""
-    t1 = {}
-    for v in g.vertices:
-        rot = g.rotation.get(v, ())
-        n = len(rot)
-        for p, end in enumerate(rot):
-            nxt = rot[(p + 1) % n]
-            t1[(end[0], end[1], "R")] = (nxt[0], nxt[1], "L")
-            t1[(nxt[0], nxt[1], "L")] = (end[0], end[1], "R")
-    return t1
-
-
-def _tau2(g: RibbonGraph) -> dict[Dart, Dart]:
-    t2 = {}
-    for e in g.sign:
-        for i in (1, 2):
-            t2[(e, i, "L")] = (e, i, "R")
-            t2[(e, i, "R")] = (e, i, "L")
-    return t2
-
-
-def _tau0(g: RibbonGraph) -> dict[Dart, Dart]:
-    """Band-side pairing; an untwisted band exchanges L and R."""
-    t0 = {}
-    for e, s in g.sign.items():
-        for i, side in itertools.product((1, 2), "LR"):
-            j = 3 - i
-            other = ("R" if side == "L" else "L") if s == 1 else side
-            t0[(e, i, side)] = (e, j, other)
-    return t0
-
-
-# ---------------------------------------------------------------------------
 # boundary tracing
 
 @dataclass(frozen=True)
@@ -258,42 +233,33 @@ class BoundaryComponent:
     visits: tuple[Dart, ...]
     vertex: Optional[str] = None  # set for an isolated-vertex component
 
-    def dart_set(self) -> frozenset[Dart]:
-        return frozenset(self.visits)
 
-
-def trace_boundaries(g: RibbonGraph,
-                     flags: Flags | None = None) -> list[BoundaryComponent]:
+def trace_boundaries(g: RibbonGraph) -> list[BoundaryComponent]:
     """All boundary components, canonically ordered and labelled b1, b2, ...
 
     Each walk starts at its minimal unused dart; walks with edges come first,
-    then one empty component per isolated vertex, in vertex order.  ``flags``
-    are the pairings (t0, t1) of ``g`` when the caller holds them; otherwise
-    they are built here and not cached, which keeps one-off subgraphs cheap.
+    then one empty component per isolated vertex, in vertex order.
     """
-    t0, t1 = flags or (_tau0(g), _tau1(g))
-    unused = set(t0)
-    comps = []
-    while unused:
-        d0 = min(unused)
+    kern = g.kernel
+    t0, t1, names = kern.t0, kern.t1, kern.darts
+    used = bytearray(len(t0))
+    out = []
+    for d0 in range(len(t0)):
+        if used[d0]:
+            continue
         walk = []
         cur = d0
         while True:
-            walk.append(cur)
-            unused.discard(cur)
             arr = t0[cur]
-            walk.append(arr)
-            unused.discard(arr)
+            walk += (names[cur], names[arr])
+            used[cur] = used[arr] = 1
             cur = t1[arr]
             if cur == d0:
                 break
-        comps.append(tuple(walk))
-    out = [BoundaryComponent(f"b{i + 1}", w) for i, w in enumerate(comps)]
-    n = len(out)
+        out.append(BoundaryComponent(f"b{len(out) + 1}", tuple(walk)))
     for v in sorted(g.vertices):
         if not g.rotation.get(v, ()):
-            n += 1
-            out.append(BoundaryComponent(f"b{n}", (), vertex=v))
+            out.append(BoundaryComponent(f"b{len(out) + 1}", (), vertex=v))
     return out
 
 
@@ -386,184 +352,118 @@ def induced_subgraph(g: RibbonGraph, vertices: Iterable[str],
 # ---------------------------------------------------------------------------
 # partial duality
 
-def _fresh_names(taken: set[str], n: int) -> list[str]:
-    out = []
-    i = 1
-    while len(out) < n:
-        name = f"w{i}"
-        if name not in taken:
-            out.append(name)
-        i += 1
-    return out
-
-
-def _rebuild_from_flags(g: RibbonGraph, t0: dict[Dart, Dart],
-                        t2: dict[Dart, Dart]) -> tuple[RibbonGraph, dict[Dart, Dart]]:
-    """Reconstruct a rotation system from modified flag pairings.
-
-    Vertices whose flag orbit is unchanged keep their identity and rotation;
-    changed orbits become fresh vertices named w1, w2, ... in order of their
-    minimal dart.  Also returns the dart relabelling (old dart -> dart of the
-    rebuilt graph), since end indices and sides on fresh vertices may be
-    renamed.
-    """
-    t1 = g.flags[1]
-    old_orbit = {v: frozenset((e, i, s) for (e, i) in g.rotation.get(v, ())
-                              for s in "LR") for v in g.vertices}
-    orbit_of = {fs: v for v, fs in old_orbit.items() if fs}
-
-    seen: set[Dart] = set()
-    orbits = []
-    for d in sorted(t0):
-        if d in seen:
-            continue
-        orbit = set()
-        stack = [d]
-        while stack:
-            f = stack.pop()
-            if f in orbit:
-                continue
-            orbit.add(f)
-            stack.extend((t1[f], t2[f]))
-        seen |= orbit
-        orbits.append(frozenset(orbit))
-
-    def end_of_pair(pair: frozenset[Dart]) -> End:
-        e = next(iter(pair))[0]
-        return (e, 1) if (e, 1, "L") in pair else (e, 2)
-
-    vertices: list[str] = []
-    rotation: dict[str, tuple[End, ...]] = {}
-    lflag: dict[End, Dart] = {}
-    dart_map: dict[Dart, Dart] = {}
-    fresh = iter(_fresh_names(set(g.vertices), len(orbits)))
-
-    def untouched(orbit: frozenset[Dart]) -> bool:
-        # Reusing the old rotation verbatim is only sound when the side
-        # pairing on every end of the vertex is still the standard one.
-        v = orbit_of.get(orbit)
-        if v is None:
-            return False
-        return all(t2[(e0, i0, "L")] == (e0, i0, "R")
-                   for (e0, i0) in g.rotation[v])
-
-    for orbit in orbits:
-        if untouched(orbit):
-            v = orbit_of[orbit]
-            vertices.append(v)
-            rotation[v] = g.rotation[v]
-            for end in g.rotation[v]:
-                lflag[end] = (end[0], end[1], "L")
-                dart_map[(end[0], end[1], "L")] = (end[0], end[1], "L")
-                dart_map[(end[0], end[1], "R")] = (end[0], end[1], "R")
-            continue
-        v = next(fresh)
-        f0 = min(orbit)
-        rot = []
-        cur = f0
-        while True:
-            partner = t2[cur]
-            end = end_of_pair(frozenset((cur, partner)))
-            rot.append(end)
-            lflag[end] = cur
-            dart_map[cur] = (end[0], end[1], "L")
-            dart_map[partner] = (end[0], end[1], "R")
-            cur = t1[partner]
-            if cur == f0:
-                break
-        if 2 * len(rot) != len(orbit):
-            raise RibbonGraphError("inconsistent flag structure")
-        vertices.append(v)
-        rotation[v] = tuple(rot)
-
-    for v in g.vertices:  # isolated vertices carry no flags
-        if not g.rotation.get(v, ()):
-            vertices.append(v)
-            rotation[v] = ()
-
-    sign = {}
-    for e in g.sign:
-        l1 = lflag[(e, 1)]
-        image = t0[l1]
-        l2 = lflag[(e, 2)]
-        r2 = t2[l2]
-        if image == r2:
-            sign[e] = 1
-        elif image == l2:
-            sign[e] = -1
-        else:
-            raise RibbonGraphError("inconsistent flag structure")
-
-    order = {v: i for i, v in enumerate(vertices)}
-    vertices.sort(key=lambda v: order[v])
-    return RibbonGraph(tuple(vertices), rotation, sign), dart_map
+def _fresh_names(taken: set[str]) -> Iterator[str]:
+    return (f"w{i}" for i in itertools.count(1) if f"w{i}" not in taken)
 
 
 def partial_dual_with_map(g: RibbonGraph,
                           edges: Iterable[str]) -> tuple[RibbonGraph, dict[Dart, Dart]]:
-    """Partial dual together with the dart relabelling it induces."""
+    """Partial dual together with the dart relabelling it induces (old dart
+    -> dart of the new graph), since end indices and sides on changed
+    vertices may be renamed.
+
+    The partial dual swaps t0 and t2 on the darts of ``edges``.  Only the
+    vertices that carry an end of those edges change, so only their darts
+    are re-walked, as orbits of t1 and the new t2; every other vertex keeps
+    its name and rotation.  Changed orbits become fresh vertices named w1,
+    w2, ... in order of their minimal dart; vertices are listed in that
+    order, isolated vertices last.
+    """
     a = set(edges)
     unknown = a - set(g.sign)
     if unknown:
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
     if not a:
         return g, {d: d for d in g.darts()}
-    t0 = dict(g.flags[0])
-    t2 = _tau2(g)
-    for e in a:
-        for i, s in itertools.product((1, 2), "LR"):
-            d = (e, i, s)
-            t0[d], t2[d] = t2[d], t0[d]
-    return _rebuild_from_flags(g, t0, t2)
+    kern = g.kernel
+    t0, t1, names, ev = kern.t0, kern.t1, kern.darts, kern.end_vertex
+    swap = {d: t0[d] for d in range(len(t0)) if names[d][0] in a}  # new t2
+    touched = {ev[d >> 1] for d in swap}
+    darts = sorted(d for v in touched for x in kern.rotations[v]
+                   for d in (2 * x, 2 * x + 1))
+
+    image = list(range(len(t0)))  # old dart -> new dart
+    lflag: dict[int, int] = {}    # end on a changed vertex -> its new L dart
+    placed = [(2 * min(rot), v, g.rotation[v])  # (minimal dart, name, ends)
+              for v, rot in zip(g.vertices, kern.rotations)
+              if rot and ev[rot[0]] not in touched]
+    fresh = _fresh_names(set(g.vertices))
+    seen = bytearray(len(t0))
+    for f0 in darts:
+        if seen[f0]:
+            continue
+        rot = []
+        cur = f0
+        while True:
+            partner = swap.get(cur, cur ^ 1)
+            if seen[cur] or seen[partner]:
+                raise RibbonGraphError("inconsistent flag structure")
+            seen[cur] = seen[partner] = 1
+            first = cur & ~3  # the edge's dart (e, 1, L)
+            # the pair becomes end .1 if it holds that dart, else end .2
+            x = first >> 1 if first in (cur, partner) else (first >> 1) + 1
+            rot.append(x)
+            lflag[x] = cur
+            image[cur], image[partner] = 2 * x, 2 * x + 1
+            cur = t1[partner]
+            if cur == f0:
+                break
+        placed.append((f0, next(fresh), tuple([names[2 * x][:2] for x in rot])))
+    placed.sort()
+
+    sign = dict(g.sign)
+    for k in {x >> 1 for x in lflag}:
+        l1 = lflag.get(2 * k, 4 * k)
+        l2 = lflag.get(2 * k + 1, 4 * k + 2)
+        across = l1 ^ 1 if l1 in swap else t0[l1]  # the new t0
+        if across == swap.get(l2, l2 ^ 1):
+            sign[names[4 * k][0]] = 1
+        elif across == l2:
+            sign[names[4 * k][0]] = -1
+        else:
+            raise RibbonGraphError("inconsistent flag structure")
+
+    rotation = {v: rot for _, v, rot in placed}
+    rotation.update((v, ()) for v in g.vertices if not g.rotation.get(v, ()))
+    dart_map = {names[d]: names[image[d]] for d in range(len(t0))}
+    return RibbonGraph(tuple(rotation), rotation, sign), dart_map
 
 
 def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
     return partial_dual_with_map(g, edges)[0]
 
 
-def dual(g: RibbonGraph) -> tuple[RibbonGraph, dict[str, str], dict[str, str]]:
-    """Geometric dual, the boundary-id -> dual-vertex correspondence, and the
-    (identity) edge map."""
-    gd, corr, _ = dual_correspondences(g)
-    return gd, corr, {e: e for e in g.sign}
-
-
 def dual_correspondences(g: RibbonGraph) -> tuple[RibbonGraph, dict[str, str],
                                                   dict[str, str]]:
     """Dual plus both correspondences: boundary id -> dual vertex and
-    vertex -> dual boundary id."""
+    vertex -> dual boundary id, read off the dart map.  Each boundary walk
+    must map onto exactly the darts of one dual vertex, and the darts of
+    each vertex onto exactly one dual boundary walk."""
     gd, dart_map = partial_dual_with_map(g, g.sign)
-    flags_of = {v: frozenset((e, i, s) for (e, i) in gd.rotation.get(v, ())
-                             for s in "LR") for v in gd.vertices}
     b_to_v = {}
     for comp in g.boundaries:
         if comp.vertex is not None:
             b_to_v[comp.id] = comp.vertex
             continue
-        darts = frozenset(dart_map[d] for d in comp.visits)
-        for v, fs in flags_of.items():
-            if fs == darts:
-                b_to_v[comp.id] = v
-                break
-        else:
+        owners = {gd.end_vertex[dart_map[d][:2]] for d in comp.visits}
+        v = owners.pop()
+        if owners or len(comp.visits) != 2 * len(gd.rotation[v]):
             raise RibbonGraphError("dual vertex not found for boundary component")
+        b_to_v[comp.id] = v
 
-    inv = {new: old for old, new in dart_map.items()}
-    old_flags = {v: frozenset((e, i, s) for (e, i) in g.rotation.get(v, ())
-                              for s in "LR") for v in g.vertices}
-    v_to_b = {}
-    for comp in gd.boundaries:
-        if comp.vertex is not None:
-            v_to_b[comp.vertex] = comp.id
+    of = gd.boundary_of_dart
+    length = {c.id: len(c.visits) for c in gd.boundaries}
+    vertex_of = {c.id: c.vertex for c in gd.boundaries if c.vertex is not None}
+    for v in g.vertices:
+        rot = g.rotation.get(v, ())
+        if not rot:
             continue
-        darts = frozenset(inv[d] for d in comp.visits)
-        for v, fs in old_flags.items():
-            if fs == darts:
-                v_to_b[v] = comp.id
-                break
-        else:
+        ids = {of[dart_map[(e, i, s)]] for e, i in rot for s in "LR"}
+        b = ids.pop()
+        if ids or length[b] != 2 * len(rot):
             raise RibbonGraphError("dual boundary not found for vertex")
-    return gd, b_to_v, v_to_b
+        vertex_of[b] = v
+    return gd, b_to_v, {vertex_of[c.id]: c.id for c in gd.boundaries}
 
 
 # ---------------------------------------------------------------------------
@@ -840,22 +740,19 @@ def certificate(g: RibbonGraph) -> tuple:
     """
     if not g.sign:
         return ("vertices", len(g.vertices))
-    t = (*g.flags, _tau2(g))
-    darts = sorted(t[0])
+    kern = g.kernel
+    t0, t1 = kern.t0, kern.t1
     best = None
-    for start in darts:
-        label = {start: 0}
+    for start in range(len(t0)):
+        label = [-1] * len(t0)
+        label[start] = 0
         queue = [start]
         enc = []
-        qi = 0
-        while qi < len(queue):
-            d = queue[qi]
-            qi += 1
+        for d in queue:  # grows while it is read: a breadth-first traversal
             row = []
-            for ti in t:
-                nb = ti[d]
-                if nb not in label:
-                    label[nb] = len(label)
+            for nb in (t0[d], t1[d], d ^ 1):
+                if label[nb] < 0:
+                    label[nb] = len(queue)
                     queue.append(nb)
                 row.append(label[nb])
             enc.append(tuple(row))

@@ -12,9 +12,9 @@ from ribbonpoly.invariants import (_minor_shape_ok, _quasitree_terms,
                                    minor_shape_check)
 from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
                                  packaged_delete)
-from ribbonpoly.ribbon import (RibbonGraph, _tau0, _tau1,
-                               connected_components, dual_correspondences,
-                               enumerate_quasi_trees, trace_boundaries)
+from ribbonpoly.ribbon import (RibbonGraph, connected_components,
+                               dual_correspondences, enumerate_quasi_trees,
+                               trace_boundaries)
 from test_ribbon import ribbon_graphs
 
 
@@ -35,7 +35,6 @@ def assert_caches_fresh(g: RibbonGraph) -> None:
     assert g.boundary_of_dart == {d: c.id for c in comps for d in c.visits}
     assert g.end_vertex == {end: v for v in f.vertices
                             for end in f.rotation[v]}
-    assert g.flags == (_tau0(f), _tau1(f))
     assert g.duality == dual_correspondences(f)
     assert g.kernel == f.kernel
 

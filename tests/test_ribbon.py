@@ -10,9 +10,10 @@ from conftest import rg
 from ribbonpoly.ribbon import (EdgeKind, RibbonGraph, RibbonGraphError,
                                activities, certificate, classify_edge,
                                connected_components, contract_edge, counts,
-                               delete_edge, dual, dual_correspondences,
+                               delete_edge, dual_correspondences,
                                enumerate_quasi_trees, euler_genus, interlaced,
-                               isomorphic, orientable, partial_dual, restrict,
+                               isomorphic, orientable, partial_dual,
+                               partial_dual_with_map, restrict,
                                trace_boundaries, validate)
 
 
@@ -134,28 +135,28 @@ def test_orientable_agrees_with_genus_parity_heuristic(g):
 # duality and partial duality
 
 def test_dual_of_annulus_is_path(annulus):
-    gd, corr, emap = dual(annulus)
+    gd, corr, _ = dual_correspondences(annulus)
     assert counts(gd) == (2, 1, 1, 1)
-    assert emap == {"e": "e"}
+    assert gd.edges == annulus.edges
     assert set(corr) == {"b1", "b2"}
 
 
 def test_dual_of_disc_is_disc(disc):
-    gd, corr, _ = dual(disc)
+    gd, corr, _ = dual_correspondences(disc)
     assert counts(gd) == (1, 0, 1, 1)
     assert corr == {"b1": "v1"}
 
 
 def test_dual_of_theta_is_single_vertex():
-    gd, corr, _ = dual(theta_graph())
+    gd, corr, _ = dual_correspondences(theta_graph())
     assert counts(gd) == (1, 3, 1, 2)
     assert len(corr) == 1
 
 
 def test_dual_involution_and_correspondences():
     for g in [theta_graph(), rg({"v1": [("e", 1), ("e", 2)]}, {"e": -1})]:
-        gd, _, _ = dual(g)
-        gdd, _, _ = dual(gd)
+        gd, _, _ = g.duality
+        gdd, _, _ = gd.duality
         assert isomorphic(gdd, g)
 
 
@@ -181,7 +182,7 @@ def test_partial_dual_single_edge_involution():
 
 def test_partial_dual_all_edges_is_dual():
     g = theta_graph()
-    assert isomorphic(partial_dual(g, set(g.edges)), dual(g)[0])
+    assert isomorphic(partial_dual(g, set(g.edges)), g.duality[0])
 
 
 def test_partial_dual_order_independence():
@@ -214,10 +215,32 @@ def test_partial_dual_unknown_edge():
         partial_dual(theta_graph(), {"zz"})
 
 
+@settings(max_examples=80, deadline=None)
+@given(ribbon_graphs(max_edges=4), st.data())
+def test_partial_dual_rebuilds_only_the_vertices_at_its_edges(g, data):
+    a = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
+    h, dart_map = partial_dual_with_map(g, a)
+    assert validate(h) == []
+    at_a = {g.vertex_of_end((e, i)) for e in a for i in (1, 2)}
+    kept = [v for v in g.vertices if v not in at_a]
+    assert all(h.rotation[v] == g.rotation[v] for v in kept)
+    assert all(h.sign[e] == g.sign[e] for e in g.edges
+               if not {g.vertex_of_end((e, 1)), g.vertex_of_end((e, 2))}
+               & at_a)
+    assert all(v.startswith("w") for v in set(h.vertices) - set(kept))
+    assert sorted(dart_map) == g.darts()
+    assert sorted(dart_map.values()) == h.darts()
+    # v(G^A) = f(G|A) and f(G^A) = f(G|A^c)
+    assert len(h.vertices) == len(trace_boundaries(restrict(g, a)))
+    assert len(trace_boundaries(h)) == \
+        len(trace_boundaries(restrict(g, set(g.edges) - a)))
+    assert isomorphic(partial_dual(h, a), g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(ribbon_graphs())
 def test_boundary_count_duality(g):
-    gd, _, _ = dual(g)
+    gd, _, _ = g.duality
     edges = g.edges
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
@@ -342,7 +365,7 @@ def test_single_edge_is_always_live(mobius):
 def test_activity_duality(g):
     if len(connected_components(g)) != 1:
         return
-    gd, _, _ = dual(g)
+    gd, _, _ = g.duality
     order = list(g.edges)
     live_keys = ["internal_dead", "external_dead", "internal_live_orientable",
                  "external_live_orientable", "internal_live_nonorientable",

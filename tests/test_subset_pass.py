@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonpoly.invariants import _krushkal_direct, pst_state_sum
+from ribbonpoly.invariants import _krushkal_direct, _subset_keys, pst_state_sum
 from ribbonpoly.packaged import (PackagedRibbonGraph, component_gamma_values,
                                  nullity, restricted_packagings)
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
@@ -69,7 +69,8 @@ def test_state_sum_equals_string_keyed_sum(g, seed):
 @settings(max_examples=60, deadline=None)
 @given(ribbon_graphs(max_edges=6))
 def test_krushkal_direct_equals_string_keyed_sum(g):
-    assert _krushkal_direct(g) == reference_krushkal(g)
+    keys = _subset_keys(PackagedRibbonGraph.discrete(g))
+    assert _krushkal_direct(g, keys) == reference_krushkal(g)
 
 
 @settings(max_examples=60, deadline=None)
