@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .packaged import (PackagedRibbonGraph, Side, WeightedPartition,
-                       _side_components, packaged_contract, packaged_delete,
-                       state_sides)
+                       _packaged_contract_case, _packaged_delete_case,
+                       packaged_contract, packaged_delete, state_sides)
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
 from .ribbon import (ActivityReport, RibbonGraph, RibbonGraphError, activities,
                      certificate, classify_edge, connected_components,
@@ -90,35 +90,25 @@ def pst_delcon(pg: PackagedRibbonGraph, pivot_rule="first",
     if not g.sign:
         return _terminal(pg)
     e = _pivot(pg, pivot_rule)
-
-    s_a, s_b, _ = _side_components(g, e)
-    alpha = 1 if pg.bparts.block_index(s_a) == pg.bparts.block_index(s_b) else 0
-    u, w = g.endpoints(e)
-    beta = 1 if pg.vparts.block_index(u) == pg.vparts.block_index(w) else 0
-
-    return (MultiPoly.x(alpha) * pst_delcon(packaged_delete(pg, e),
-                                            pivot_rule, _counter)
-            + MultiPoly.y(beta) * pst_delcon(packaged_contract(pg, e),
-                                             pivot_rule, _counter))
+    # x (y) unless the minor merged two blocks at e's sides (ends)
+    deleted, dcase = _packaged_delete_case(pg, e)
+    contracted, ccase = _packaged_contract_case(pg, e)
+    return (MultiPoly.x(int(dcase != 1)) * pst_delcon(deleted, pivot_rule,
+                                                      _counter)
+            + MultiPoly.y(int(ccase != 1)) * pst_delcon(contracted,
+                                                        pivot_rule, _counter))
 
 
 # ---------------------------------------------------------------------------
 # quasi-tree expansion
 
 def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
-                     contracted: Iterable[str],
-                     contract_first: bool = False) -> PackagedRibbonGraph:
+                     contracted: Iterable[str]) -> PackagedRibbonGraph:
     cur = pg
-    if contract_first:
-        for e in sorted(contracted):
-            cur = packaged_contract(cur, e)
-        for e in sorted(deleted):
-            cur = packaged_delete(cur, e)
-    else:
-        for e in sorted(deleted):
-            cur = packaged_delete(cur, e)
-        for e in sorted(contracted):
-            cur = packaged_contract(cur, e)
+    for e in sorted(deleted):
+        cur = packaged_delete(cur, e)
+    for e in sorted(contracted):
+        cur = packaged_contract(cur, e)
     return cur
 
 
@@ -293,16 +283,8 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
         dn_star = act.deleted_part()
         sub = restrict(g, dn)
         subd = restrict(gd, dn_star)
-        g_q = Multigraph(
-            tuple(min(c) for c in connected_components(sub)),
-            tuple((e, _comp_of(sub, g.endpoints(e)[0]),
-                   _comp_of(sub, g.endpoints(e)[1]))
-                  for e in sorted(act.internal_live_orientable)))
-        g_qs = Multigraph(
-            tuple(min(c) for c in connected_components(subd)),
-            tuple((e, _comp_of(subd, gd.endpoints(e)[0]),
-                   _comp_of(subd, gd.endpoints(e)[1]))
-                  for e in sorted(act.external_live_orientable)))
+        g_q = _between_components(g, sub, act.internal_live_orientable)
+        g_qs = _between_components(gd, subd, act.external_live_orientable)
         term = (_tutte_in(g_q, alpha_p1, a_p1, subset_nullity)
                 * _tutte_in(g_qs, beta_p1, b_p1, subset_nullity)
                 * HalfExpPoly.a_half(euler_genus(sub))
@@ -311,11 +293,15 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     return total
 
 
-def _comp_of(g: RibbonGraph, v: str) -> str:
-    for c in connected_components(g):
-        if v in c:
-            return min(c)
-    raise KeyError(v)
+def _between_components(g: RibbonGraph, sub: RibbonGraph,
+                        edges: Iterable[str]) -> Multigraph:
+    """The multigraph of ``edges`` of ``g`` between the connected components
+    of its spanning subgraph ``sub``, each named by its least vertex."""
+    comps = connected_components(sub)
+    name = {v: min(c) for c in comps for v in c}
+    return Multigraph(tuple(min(c) for c in comps),
+                      tuple((e, *(name[v] for v in g.endpoints(e)))
+                            for e in sorted(edges)))
 
 
 # ---------------------------------------------------------------------------

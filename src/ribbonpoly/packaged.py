@@ -2,10 +2,11 @@
 
 A packaged ribbon graph carries, on top of the rotation system, a weighted
 partition of its vertices and a weighted partition of its boundary
-components.  Deletion and contraction update the partitions through four
-block/weight cases each; the quotient multigraph of either partition (the
-*packaging*) supplies the nullities and per-component genus corrections used
-by the invariant polynomials.
+components.  Deletion and contraction share one rule: deletion applies it
+to the boundary partition at the two sides of the edge, contraction to the
+vertex partition at its two ends.  The quotient multigraph of either
+partition (the *packaging*) supplies the nullities and per-component genus
+corrections used by the invariant polynomials.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, contract_edge,
-                     delete_edge, induced_subgraph, isomorphisms, restrict,
-                     subset_walks, trace_boundaries, union_find)
+from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, _boundary_targets,
+                     contract_edge, delete_edge, induced_subgraph,
+                     isomorphisms, restrict, subset_walks, trace_boundaries,
+                     union_find)
 
 
 class PackagingError(ValueError):
@@ -271,12 +273,36 @@ def packaged_dual(pg: PackagedRibbonGraph) -> PackagedRibbonGraph:
 
 
 # ---------------------------------------------------------------------------
-# packaged deletion
+# packaged deletion and contraction
 
-def _side_components(g: RibbonGraph, e: str) -> tuple[str, str, dict]:
-    """Boundary ids visited by the two free sides of the band of ``e``."""
-    of = g.boundary_of_dart
-    return of[(e, 1, "L")], of[(e, 1, "R")], of
+def _minor_parts(parts: WeightedPartition, x: str, y: str, fresh: list[str],
+                 rename: dict[str, str]) -> tuple[WeightedPartition, int]:
+    """The one partition rule of both minors at an edge e: ``x`` and ``y``
+    are the boundary components at e's two sides when deleting, e's end
+    vertices when contracting.  ``fresh`` replaces them and ``rename`` maps
+    every other element.  Returns the new partition and the case: 1 when x
+    and y lie in distinct blocks, which merge and add their weights;
+    otherwise their block gains weight 1, and the case is 2 when x != y, 3
+    when x = y with two fresh elements and 4 when x = y with one."""
+    ix, iy = parts.block_index(x), parts.block_index(y)
+    if x != y and len(fresh) == 1:
+        case = 1 if ix != iy else 2
+    elif x == y and len(fresh) in (1, 2):
+        case = 5 - len(fresh)
+    else:
+        raise RibbonGraphError(
+            f"case mismatch: {len(fresh)} fresh elements for {x}, {y}")
+    blocks = [[{rename[z] for z in b if z not in (x, y)}, w]
+              for b, w in zip(parts.blocks, parts.weights)]
+    blocks[iy][0] |= set(fresh)
+    if case == 1:
+        blocks[iy] = [blocks[ix][0] | blocks[iy][0],
+                      blocks[ix][1] + blocks[iy][1]]
+        del blocks[ix]
+    else:
+        blocks[iy][1] += 1
+    return (WeightedPartition.build([*rename.values(), *fresh], blocks),
+            case)
 
 
 def packaged_delete(pg: PackagedRibbonGraph,
@@ -287,62 +313,24 @@ def packaged_delete(pg: PackagedRibbonGraph,
 def _packaged_delete_case(pg: PackagedRibbonGraph,
                           e: str) -> tuple[PackagedRibbonGraph, int]:
     """Delete ``e``; returns the result and which of the four boundary cases
-    (1: merge, 2: same block, 3: split, 4: persist) applied."""
+    of :func:`_minor_parts` (1: merge, 2: same block, 3: split, 4: persist)
+    applied."""
     g = pg.graph
-    if e not in g.sign:
-        raise RibbonGraphError(f"unknown edge {e}")
-    s_a, s_b, _ = _side_components(g, e)
     res = delete_edge(g, e)
-
-    old = g.boundaries
-    new = res.boundaries
-    new_by_dart = res.boundary_of_dart
-    match: dict[str, str] = {}
-    for comp in old:
-        if comp.id in (s_a, s_b):
+    of = g.boundary_of_dart
+    sides = of[(e, 1, "L")], of[(e, 1, "R")]
+    rename: dict[str, str] = {}
+    for b, targets in _boundary_targets(g, e, res).items():
+        if b in sides:
             continue
-        targets = {new_by_dart[d] for d in comp.visits if d[0] != e}
-        if comp.vertex is not None:
-            targets = {c.id for c in new if c.vertex == comp.vertex}
         if len(targets) != 1:
             raise RibbonGraphError("deletion boundary correspondence failed")
-        match[comp.id] = targets.pop()
-    rem = sorted(set(c.id for c in new) - set(match.values()))
+        rename[b] = targets.pop()
+    matched = set(rename.values())
+    fresh = [c.id for c in res.boundaries if c.id not in matched]
+    bparts, case = _minor_parts(pg.bparts, *sides, fresh, rename)
+    return PackagedRibbonGraph.build(res, pg.vparts, bparts), case
 
-    # blocks transported into the new id space; sides of e dropped for now
-    blocks = [[{match[b] for b in blk if b in match}, w]
-              for blk, w in zip(pg.bparts.blocks, pg.bparts.weights)]
-    if s_a != s_b:
-        if len(rem) != 1:
-            raise RibbonGraphError("deletion case mismatch")
-        ia = pg.bparts.block_index(s_a)
-        ib = pg.bparts.block_index(s_b)
-        if ia != ib:
-            case = 1
-            merged = [blocks[ia][0] | blocks[ib][0] | {rem[0]},
-                      blocks[ia][1] + blocks[ib][1]]
-            blocks = [bw for i, bw in enumerate(blocks) if i not in (ia, ib)]
-            blocks.append(merged)
-        else:
-            case = 2
-            blocks[ia] = [blocks[ia][0] | {rem[0]}, blocks[ia][1] + 1]
-    else:
-        i = pg.bparts.block_index(s_a)
-        if len(rem) == 2:
-            case = 3
-        elif len(rem) == 1:
-            case = 4
-        else:
-            raise RibbonGraphError("deletion case mismatch")
-        blocks[i] = [blocks[i][0] | set(rem), blocks[i][1] + 1]
-
-    return (PackagedRibbonGraph.build(
-        res, pg.vparts,
-        WeightedPartition.build((c.id for c in new), blocks)), case)
-
-
-# ---------------------------------------------------------------------------
-# packaged contraction
 
 def packaged_contract(pg: PackagedRibbonGraph,
                       e: str) -> PackagedRibbonGraph:
@@ -352,47 +340,21 @@ def packaged_contract(pg: PackagedRibbonGraph,
 def _packaged_contract_case(pg: PackagedRibbonGraph,
                             e: str) -> tuple[PackagedRibbonGraph, int]:
     """Contract ``e``; returns the result and which of the four vertex cases
-    (1: merge, 2: same block, 3: orientable loop, 4: non-orientable loop)
-    applied."""
+    of :func:`_minor_parts` (1: merge, 2: same block, 3: orientable loop, 4:
+    non-orientable loop) applied."""
     g = pg.graph
     res, bcorr = contract_edge(g, e)
-    u, w = g.endpoints(e)
-    removed = set(g.vertices) - set(res.vertices)
-    fresh = sorted(set(res.vertices) - set(g.vertices))
-
-    blocks = list(zip(pg.vparts.blocks, pg.vparts.weights))
-    if u != w:
-        if removed != {u, w} or len(fresh) != 1:
-            raise RibbonGraphError("contraction case mismatch")
-        iu = pg.vparts.block_index(u)
-        iw = pg.vparts.block_index(w)
-        if iu != iw:
-            case = 1
-            merged = ((blocks[iu][0] | blocks[iw][0]) - {u, w} | {fresh[0]},
-                      blocks[iu][1] + blocks[iw][1])
-            blocks = [bw for i, bw in enumerate(blocks) if i not in (iu, iw)]
-            blocks.append(merged)
-        else:
-            case = 2
-            blocks[iu] = (blocks[iu][0] - {u, w} | {fresh[0]},
-                          blocks[iu][1] + 1)
-    else:
-        if removed != {u}:
-            raise RibbonGraphError("contraction case mismatch")
-        i = pg.vparts.block_index(u)
-        if g.sign[e] == 1:
-            case = 3
-            if len(fresh) != 2:
-                raise RibbonGraphError("contraction case mismatch")
-        else:
-            case = 4
-            if len(fresh) != 1:
-                raise RibbonGraphError("contraction case mismatch")
-        blocks[i] = (blocks[i][0] - {u} | set(fresh), blocks[i][1] + 1)
-
-    new_bparts = pg.bparts.relabel(bcorr)
-    return (PackagedRibbonGraph.build(
-        res, WeightedPartition.build(res.vertices, blocks), new_bparts), case)
+    ends = g.endpoints(e)
+    kept = set(g.vertices) & set(res.vertices)
+    if set(g.vertices) - kept != set(ends):
+        raise RibbonGraphError("contraction case mismatch")
+    fresh = [v for v in res.vertices if v not in kept]
+    vparts, case = _minor_parts(pg.vparts, *ends, fresh,
+                                {v: v for v in kept})
+    if case > 2 and (case == 3) != (g.sign[e] == 1):
+        raise RibbonGraphError("contraction case mismatch")
+    return (PackagedRibbonGraph.build(res, vparts, pg.bparts.relabel(bcorr)),
+            case)
 
 
 # ---------------------------------------------------------------------------

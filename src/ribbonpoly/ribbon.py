@@ -26,6 +26,7 @@ geometric dual.  Named darts appear only where the API returns them.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -469,53 +470,50 @@ def dual_correspondences(g: RibbonGraph) -> tuple[RibbonGraph, dict[str, str],
 # ---------------------------------------------------------------------------
 # contraction
 
+def _boundary_targets(g: RibbonGraph, e: str, res: RibbonGraph,
+                      dart_map: dict[Dart, Dart] | None = None
+                      ) -> dict[str, set[str]]:
+    """Each boundary id of ``g`` -> the ids of the boundary components of
+    ``res`` (a minor of ``g`` at ``e``) that hold its darts off ``e``, after
+    ``dart_map`` (the identity when ``None``).  An isolated vertex's
+    component goes to that vertex's component; a component of ``g`` with
+    darts of ``e`` only goes nowhere."""
+    of = res.boundary_of_dart
+    if dart_map is not None:
+        of = {d: of[t] for d, t in dart_map.items() if d[0] != e}
+    by_vertex = {c.vertex: c.id for c in res.boundaries if c.vertex is not None}
+    return {c.id: ({by_vertex[c.vertex]} if c.vertex is not None
+                   else {of[d] for d in c.visits if d[0] != e})
+            for c in g.boundaries}
+
+
 def contract_edge(g: RibbonGraph, e: str) -> tuple[RibbonGraph, dict[str, str]]:
     """Contract ``e``; also return the boundary correspondence b(g) -> b(g/e).
 
     Implemented through the partial dual (g/e equals the partial dual at e
     with e deleted); the correspondence matches boundary components sharing a
-    dart on a surviving edge, with leftover empty components paired in
-    canonical order.
+    dart on a surviving edge or an isolated vertex, and pairs the leftover
+    components in trace order.
     """
     if e not in g.sign:
         raise RibbonGraphError(f"unknown edge {e}")
     pd, dart_map = partial_dual_with_map(g, {e})
     res = delete_edge(pd, e)
 
-    old = g.boundaries
-    new = res.boundaries
-    new_by_dart = res.boundary_of_dart
     corr: dict[str, str] = {}
-    matched_new = set()
-    leftover_old = []
-    for comp in old:
-        targets = {new_by_dart[dart_map[d]] for d in comp.visits if d[0] != e}
+    leftover = []
+    for b, targets in _boundary_targets(g, e, res, dart_map).items():
         if len(targets) > 1:
             raise RibbonGraphError("boundary correspondence is not a bijection")
         if targets:
-            (t,) = targets
-            if t in matched_new:
-                raise RibbonGraphError("boundary correspondence is not a bijection")
-            corr[comp.id] = t
-            matched_new.add(t)
+            corr[b] = targets.pop()
         else:
-            leftover_old.append(comp)
-    leftover_new = [c for c in new if c.id not in matched_new]
-    # prefer identical isolated-vertex components, then pair in trace order
-    by_vertex = {c.vertex: c for c in leftover_new if c.vertex is not None}
-    rest_old = []
-    for comp in leftover_old:
-        tgt = by_vertex.get(comp.vertex) if comp.vertex is not None else None
-        if tgt is not None and tgt.id not in matched_new:
-            corr[comp.id] = tgt.id
-            matched_new.add(tgt.id)
-        else:
-            rest_old.append(comp)
-    remaining = [c for c in leftover_new if c.id not in matched_new]
-    if len(rest_old) != len(remaining):
+            leftover.append(b)
+    matched = set(corr.values())
+    remaining = [c.id for c in res.boundaries if c.id not in matched]
+    if len(matched) != len(corr) or len(leftover) != len(remaining):
         raise RibbonGraphError("boundary correspondence is not a bijection")
-    for a, b in zip(rest_old, remaining):
-        corr[a.id] = b.id
+    corr.update(zip(leftover, remaining))
     return res, corr
 
 
@@ -600,15 +598,24 @@ def activities(g: RibbonGraph, q: Iterable[str],
     order = list(order)
     if set(order) != set(g.sign) or len(order) != len(g.sign):
         raise RibbonGraphError("order must be a total order on the edges")
-    if len(trace_boundaries(restrict(g, qset))) != 1:
+    unknown = qset - set(g.sign)
+    if unknown:
+        raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
+    mask = sum(1 << k for k, e in enumerate(g.edges) if e in qset)
+    if len(subset_walks(g.kernel, mask)) != 1:
         raise RibbonGraphError("not a quasi-tree")
     h = partial_dual(g, qset)
     if len([v for v in h.vertices if h.rotation.get(v, ())]) > 1:
         raise RibbonGraphError("quasi-tree partial dual has more than one vertex")
+    # every edge is a loop at the one vertex of G^Q; f and e interlace iff
+    # exactly one end of f lies between the two ends of e
+    rot = [end[0] for r in h.rotation.values() for end in r]
     rank = {e: i for i, e in enumerate(order)}
     sets: dict[str, set[str]] = {k: set() for k in "D D* O O* N N*".split()}
     for e in g.sign:
-        dead = any(rank[f] < rank[e] and interlaced(h, e, f) for f in g.sign)
+        lo, hi = sorted(i for i, f in enumerate(rot) if f == e)
+        between = Counter(rot[lo + 1:hi])
+        dead = any(n == 1 and rank[f] < rank[e] for f, n in between.items())
         nonor = h.sign[e] == -1
         internal = e in qset
         if dead:

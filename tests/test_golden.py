@@ -2,9 +2,11 @@
 ``tests/golden_corpus3.json``.
 
 The file holds, for each instance of ``corpus(3, 2024, random_packagings=3)``,
-the canonical state-sum text and the SHA-256 of the rendered packaged dual,
-and for each graph one SHA-256 over the rendered partial duals on all of its
-edge subsets.  The test only reads the file.  To regenerate it after an
+the canonical state-sum text, the SHA-256 of the rendered packaged dual and,
+per edge, one SHA-256 over its packaged deletion and contraction minors with
+their cases and the ``contract_edge`` boundary correspondence; and for each
+graph one SHA-256 over the rendered partial duals on all of its edge
+subsets.  The test only reads the file.  To regenerate it after an
 intended output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -20,8 +22,9 @@ from pathlib import Path
 
 from ribbonpoly.fileformat import render
 from ribbonpoly.invariants import corpus, pst_state_sum
-from ribbonpoly.packaged import PackagedRibbonGraph, packaged_dual
-from ribbonpoly.ribbon import RibbonGraph, partial_dual
+from ribbonpoly.packaged import (PackagedRibbonGraph, _packaged_contract_case,
+                                 _packaged_delete_case, packaged_dual)
+from ribbonpoly.ribbon import RibbonGraph, contract_edge, partial_dual
 
 GOLDEN = Path(__file__).with_name("golden_corpus3.json")
 
@@ -40,6 +43,16 @@ def _partial_duals_sha(g: RibbonGraph) -> str:
     return _sha(text)
 
 
+def _minors_sha(pg: PackagedRibbonGraph, e: str) -> str:
+    """One hash over both packaged minors at ``e`` with their cases and the
+    sorted boundary correspondence of contracting ``e``."""
+    deleted, dcase = _packaged_delete_case(pg, e)
+    contracted, ccase = _packaged_contract_case(pg, e)
+    corr = sorted(contract_edge(pg.graph, e)[1].items())
+    return _sha(f"{render(deleted)}case {dcase}\n"
+                f"{render(contracted)}case {ccase}\n{corr!r}")
+
+
 def golden() -> dict:
     instances = []
     graphs = []
@@ -49,6 +62,7 @@ def golden() -> dict:
             "instance": render(pg),
             "state_sum": pst_state_sum(pg).canonical_text(),
             "dual_sha256": _sha(render(packaged_dual(pg))),
+            "minors_sha256": [_minors_sha(pg, e) for e in g.edges],
         })
         if g is not last:
             graphs.append(_partial_duals_sha(g))

@@ -14,8 +14,8 @@ from ribbonpoly.invariants import (Multigraph, _quasitree_minor,
                                    pst_quasitree, pst_state_sum, surface_tutte,
                                    underlying_multigraph)
 from ribbonpoly.packaged import (PackagedRibbonGraph, WeightedPartition,
-                                 _side_components, packaged_contract,
-                                 packaged_delete, packaged_isomorphic)
+                                 packaged_contract, packaged_delete,
+                                 packaged_isomorphic)
 from ribbonpoly.poly import HalfExpPoly, MultiPoly, parse_poly
 from ribbonpoly.ribbon import (RibbonGraphError, certificate,
                                enumerate_quasi_trees)
@@ -77,7 +77,8 @@ def test_delcon_leaves_are_subset_terms(theta):
             yield frozenset(contracted), acc * _terminal(pg)
             return
         e = max(g.edges)
-        s_a, s_b, _ = _side_components(g, e)
+        s_a = g.boundary_of_dart[(e, 1, "L")]
+        s_b = g.boundary_of_dart[(e, 1, "R")]
         alpha = 1 if pg.bparts.block_index(s_a) == \
             pg.bparts.block_index(s_b) else 0
         u, w = g.endpoints(e)
@@ -123,8 +124,11 @@ def test_quasitree_minor_operation_order_irrelevant(theta):
                                          enumerate_quasi_trees(theta.graph)):
         m1 = _quasitree_minor(theta, act.deleted_part(),
                               act.contracted_part())
-        m2 = _quasitree_minor(theta, act.deleted_part(),
-                              act.contracted_part(), contract_first=True)
+        m2 = theta
+        for e in sorted(act.contracted_part()):
+            m2 = packaged_contract(m2, e)
+        for e in sorted(act.deleted_part()):
+            m2 = packaged_delete(m2, e)
         assert packaged_isomorphic(m1, m2)
 
 
