@@ -108,24 +108,11 @@ def _cmd_activities(args) -> int:
     q = frozenset(_edge_list(args.quasitree))
     order = _edge_list(args.order) if args.order else sorted(pg.graph.edges)
     rep = activities(pg.graph, q, order)
-    h = partial_dual(pg.graph, q)
-    kind = {}
-    for e in rep.internal_dead:
-        kind[e] = "internal dead " + \
-            ("non-orientable" if h.sign[e] == -1 else "orientable")
-    for e in rep.external_dead:
-        kind[e] = "external dead " + \
-            ("non-orientable" if h.sign[e] == -1 else "orientable")
-    for e in rep.internal_live_orientable:
-        kind[e] = "internal live orientable"
-    for e in rep.external_live_orientable:
-        kind[e] = "external live orientable"
-    for e in rep.internal_live_nonorientable:
-        kind[e] = "internal live non-orientable"
-    for e in rep.external_live_nonorientable:
-        kind[e] = "external live non-orientable"
-    for e in sorted(kind):
-        print(f"{e}: {kind[e]}")
+    dead = rep.internal_dead | rep.external_dead
+    for e in sorted(pg.graph.edges):
+        print(f"{e}: {'internal' if e in q else 'external'} "
+              f"{'dead' if e in dead else 'live'} "
+              f"{'non-orientable' if e in rep.twisted else 'orientable'}")
     return 0
 
 

@@ -22,8 +22,8 @@ from .packaged import (PackagedRibbonGraph, Side, WeightedPartition,
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
 from .ribbon import (ActivityReport, RibbonGraph, RibbonGraphError, activities,
                      certificate, classify_edge, connected_components,
-                     enumerate_quasi_trees, euler_genus, EdgeKind, orientable,
-                     restrict, union_find)
+                     enumerate_quasi_trees, EdgeKind, orientable, restrict,
+                     trace_boundaries, union_find)
 
 
 # ---------------------------------------------------------------------------
@@ -70,26 +70,17 @@ def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
                                eyg=_family(gammas(pg.vparts))): 1})
 
 
-def _pivot(pg: PackagedRibbonGraph, rule) -> str:
-    edges = pg.graph.edges
-    if callable(rule):
-        return rule(pg)
-    if rule == "first":
-        return edges[0]
-    if rule == "last":
-        return edges[-1]
-    raise ValueError(f"unknown pivot rule {rule!r}")
-
-
-def pst_delcon(pg: PackagedRibbonGraph, pivot_rule="first",
+def pst_delcon(pg: PackagedRibbonGraph,
+               pivot_rule=lambda pg: pg.graph.edges[0],
                _counter: list | None = None) -> MultiPoly:
-    """Deletion-contraction recursion; the result is pivot-independent."""
+    """Deletion-contraction recursion on the edge ``pivot_rule`` picks (by
+    default the first); the result is pivot-independent."""
     if _counter is not None:
         _counter[0] += 1
     g = pg.graph
     if not g.sign:
         return _terminal(pg)
-    e = _pivot(pg, pivot_rule)
+    e = pivot_rule(pg)
     # x (y) unless the minor merged two blocks at e's sides (ends)
     deleted, dcase = _packaged_delete_case(pg, e)
     contracted, ccase = _packaged_contract_case(pg, e)
@@ -180,11 +171,10 @@ def _krushkal_direct(g: RibbonGraph, keys: Counter) -> HalfExpPoly:
     :func:`_subset_keys` of the discrete packaging of ``g``.  A discrete
     packaging has one component per connected component, and the gamma
     values of its components sum to the Euler genus."""
-    k = len(connected_components(g))
-    kd = len(connected_components(g.duality[0]))
+    k = len(connected_components(g))  # the dual has as many components
     direct: Counter = Counter()
     for (_, _, gammas2, gammas1), c in keys.items():
-        direct[len(gammas1) - k, len(gammas2) - kd,
+        direct[len(gammas1) - k, len(gammas2) - k,
                sum(gammas1), sum(gammas2)] += c
     return HalfExpPoly({HalfMonomial(*key): c for key, c in direct.items()})
 
@@ -220,6 +210,22 @@ class Multigraph:
     edges: tuple[tuple[str, str, str], ...]  # (name, endpoint, endpoint)
 
 
+def _tutte_keys(n: int, ends: list[tuple[int, int]],
+                subset_nullity: bool = True) -> Counter:
+    """How many edge subsets A of the multigraph on vertices 0 .. n-1 with
+    edges ``ends`` give each (k(A) - k, n(A)); n(A) is the nullity
+    |A| - n + k(A), or the whole multigraph's with ``subset_nullity=False``."""
+    def counts(mask: int) -> tuple[int, int]:
+        pairs = [p for j, p in enumerate(ends) if mask >> j & 1]
+        k = len(set(union_find(n, pairs)))
+        return k, len(pairs) - n + k
+
+    full = (1 << len(ends)) - 1
+    k_h, n_h = counts(full)
+    return Counter((k_a - k_h, n_a if subset_nullity else n_h)
+                   for k_a, n_a in map(counts, range(full + 1)))
+
+
 def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
     """Subset sum of (x-1)^{k(h|A)-k(h)} (y-1)^{n(h|A)}.
 
@@ -227,20 +233,8 @@ def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
     the Tutte polynomial and exists only as a pinned regression contrast.
     """
     idx = {v: i for i, v in enumerate(h.vertices)}
-    ends = [(idx[u], idx[w]) for _, u, w in h.edges]
-
-    def counts(mask: int) -> tuple[int, int]:
-        """(k, n) of h|mask."""
-        pairs = [p for j, p in enumerate(ends) if mask >> j & 1]
-        k = len(set(union_find(len(idx), pairs)))
-        return k, len(pairs) - len(idx) + k
-
-    full = (1 << len(ends)) - 1
-    k_h, n_h = counts(full)
-    keys: Counter = Counter()
-    for mask in range(full + 1):
-        k_a, n_a = counts(mask)
-        keys[k_a - k_h, n_a if subset_nullity else n_h] += 1
+    keys = _tutte_keys(len(idx), [(idx[u], idx[w]) for _, u, w in h.edges],
+                       subset_nullity)
     xm1 = MultiPoly.x() - 1
     ym1 = MultiPoly.y() - 1
     total = MultiPoly.zero()
@@ -254,15 +248,16 @@ def underlying_multigraph(g: RibbonGraph) -> Multigraph:
                       tuple((e, *g.endpoints(e)) for e in g.edges))
 
 
-def _tutte_in(h: Multigraph, xrepl: HalfExpPoly, yrepl: HalfExpPoly,
-              subset_nullity: bool = True) -> HalfExpPoly:
-    t = classical_tutte(h, subset_nullity=subset_nullity)
-    return t.substitute(x=xrepl, y=yrepl, ring=HalfExpPoly)
-
-
 def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
                        subset_nullity: bool = True) -> HalfExpPoly:
     """Quasi-tree expansion of the four-variable polynomial.
+
+    Each quasi-tree contributes T(alpha+1, a+1) of the live orientable
+    internal edges between the components of the contracted part, times
+    T(beta+1, b+1) of the live orientable external edges between the
+    components of the deleted part in the dual, times a and b to half the
+    Euler genus of those parts.  T(alpha+1, a+1) is read off the
+    :func:`_tutte_keys` as the sum of alpha^{k(A)-k} a^{n(A)}.
 
     ``subset_nullity=False`` propagates the non-Tutte contrast variant of
     :func:`classical_tutte`; it provably breaks the expansion and exists only
@@ -272,47 +267,44 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
     gd, _, _ = g.duality
-    alpha_p1 = HalfExpPoly.alpha() + 1
-    beta_p1 = HalfExpPoly.beta() + 1
-    a_p1 = HalfExpPoly.a_half(2) + 1
-    b_p1 = HalfExpPoly.b_half(2) + 1
-    total = HalfExpPoly.zero()
+    total: Counter = Counter()
     for q in enumerate_quasi_trees(g):
         act = activities(g, q, order)
-        dn = act.contracted_part()
-        dn_star = act.deleted_part()
-        sub = restrict(g, dn)
-        subd = restrict(gd, dn_star)
-        g_q = _between_components(g, sub, act.internal_live_orientable)
-        g_qs = _between_components(gd, subd, act.external_live_orientable)
-        term = (_tutte_in(g_q, alpha_p1, a_p1, subset_nullity)
-                * _tutte_in(g_qs, beta_p1, b_p1, subset_nullity)
-                * HalfExpPoly.a_half(euler_genus(sub))
-                * HalfExpPoly.b_half(euler_genus(subd)))
-        total = total + term
-    return total
+        xs, ga = _krushkal_side(g, act.contracted_part(),
+                                act.internal_live_orientable, subset_nullity)
+        ys, gb = _krushkal_side(gd, act.deleted_part(),
+                                act.external_live_orientable, subset_nullity)
+        for (i, j), c in xs.items():
+            for (i2, j2), c2 in ys.items():
+                total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
+    return HalfExpPoly(total)
 
 
-def _between_components(g: RibbonGraph, sub: RibbonGraph,
-                        edges: Iterable[str]) -> Multigraph:
-    """The multigraph of ``edges`` of ``g`` between the connected components
-    of its spanning subgraph ``sub``, each named by its least vertex."""
+def _krushkal_side(g: RibbonGraph, kept: Iterable[str], live: Iterable[str],
+                   subset_nullity: bool) -> tuple[Counter, int]:
+    """The :func:`_tutte_keys` of the multigraph of ``live`` edges between
+    the connected components of the spanning subgraph on ``kept``, and the
+    Euler genus of that subgraph."""
+    sub = restrict(g, kept)
     comps = connected_components(sub)
-    name = {v: min(c) for c in comps for v in c}
-    return Multigraph(tuple(min(c) for c in comps),
-                      tuple((e, *(name[v] for v in g.endpoints(e)))
-                            for e in sorted(edges)))
+    comp = {v: i for i, c in enumerate(comps) for v in c}
+    ends = [(comp[u], comp[w]) for u, w in map(g.endpoints, live)]
+    genus = (2 * len(comps) - len(sub.vertices) + len(sub.sign)
+             - len(trace_boundaries(sub)))
+    return _tutte_keys(len(comps), ends, subset_nullity), genus
 
 
 # ---------------------------------------------------------------------------
 # corpus
 
-def _cyclic_partitions(slots: int, max_vertices: int):
-    """Distribute slot indices 0..slots-1 into 1..max_vertices nonempty
+MAX_VERTICES = 4
+
+def _cyclic_partitions(slots: int):
+    """Distribute slot indices 0..slots-1 into 1..MAX_VERTICES nonempty
     ordered groups (cyclic order as listed)."""
     if slots == 0:
         return
-    for v in range(1, max_vertices + 1):
+    for v in range(1, MAX_VERTICES + 1):
         for cuts in itertools.combinations(range(1, slots), v - 1):
             bounds = (0,) + cuts + (slots,)
             yield [list(range(bounds[i], bounds[i + 1])) for i in range(v)]
@@ -328,17 +320,17 @@ def _pairings(slots: list[int]):
             yield [(first, other)] + sub
 
 
-def enumerate_connected(max_edges: int,
-                        max_vertices: int = 4) -> Iterator[RibbonGraph]:
-    """Exhaustively enumerate connected signed rotation systems, deduplicated
-    up to isomorphism."""
+def enumerate_connected(max_edges: int) -> Iterator[RibbonGraph]:
+    """Exhaustively enumerate connected signed rotation systems with at most
+    ``max_edges`` edges and MAX_VERTICES vertices, deduplicated up to
+    isomorphism."""
     seen = set()
     g0 = RibbonGraph.build(["v1"], {"v1": []}, {})
     seen.add(certificate(g0))
     yield g0
     for m in range(1, max_edges + 1):
         names = [f"e{i + 1}" for i in range(m)]
-        for groups in _cyclic_partitions(2 * m, max_vertices):
+        for groups in _cyclic_partitions(2 * m):
             vnames = [f"v{i + 1}" for i in range(len(groups))]
             for pairing in _pairings(list(range(2 * m))):
                 slot_end = {}
@@ -380,14 +372,12 @@ def _random_partition(rng: random.Random,
     return WeightedPartition.build(ground, blocks)
 
 
-def corpus(max_edges: int, seed: int,
-           random_packagings: int = 1,
-           max_vertices: int = 4) -> Iterator[tuple[RibbonGraph,
-                                                    PackagedRibbonGraph]]:
+def corpus(max_edges: int, seed: int, random_packagings: int = 1
+           ) -> Iterator[tuple[RibbonGraph, PackagedRibbonGraph]]:
     """Connected instances up to the size bounds, each emitted with the
     discrete weight-0 packaging followed by seeded random packagings."""
     rng = random.Random(seed)
-    for g in enumerate_connected(max_edges, max_vertices):
+    for g in enumerate_connected(max_edges):
         yield g, PackagedRibbonGraph.discrete(g)
         bids = [c.id for c in g.boundaries]
         for _ in range(random_packagings):

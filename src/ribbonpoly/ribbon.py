@@ -288,32 +288,15 @@ def euler_genus(g: RibbonGraph) -> int:
 
 
 def orientable(g: RibbonGraph) -> bool:
-    """True iff per-vertex reflections can make every edge sign +1."""
-    flip: dict[str, int] = {}
-    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in g.vertices}
-    for e, s in g.sign.items():
-        u, v = g.endpoints(e)
-        if u == v:
-            if s == -1:
-                return False
-        else:
-            adj[u].append((v, s))
-            adj[v].append((u, s))
-    for root in g.vertices:
-        if root in flip:
-            continue
-        flip[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w, s in adj[u]:
-                want = flip[u] ^ (1 if s == -1 else 0)
-                if w not in flip:
-                    flip[w] = want
-                    stack.append(w)
-                elif flip[w] != want:
-                    return False
-    return True
+    """True iff per-vertex reflections can make every edge sign +1, that is,
+    iff the flag graph of t0, t1, t2 is bipartite: joining each dart to the
+    other colour's copy of its three neighbours never joins its own two
+    copies."""
+    kern = g.kernel
+    n = len(kern.t0)
+    pairs = [(d, t[d] + n) for t in (kern.t0, kern.t1) for d in range(n)]
+    roots = union_find(2 * n, pairs + [(d, (d ^ 1) + n) for d in range(n)])
+    return all(roots[d] != roots[d + n] for d in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -529,21 +512,31 @@ class EdgeKind(Enum):
 
 
 def classify_edge(g: RibbonGraph, e: str) -> EdgeKind:
+    """A non-loop is a bridge iff the other edges leave its end vertices
+    apart.  An orientable loop is plane iff they leave apart the two arcs
+    its ends cut its vertex into: the ends between the loop's ends move to
+    one extra vertex, as contracting the loop does."""
     if e not in g.sign:
         raise RibbonGraphError(f"unknown edge {e}")
-    u, v = g.endpoints(e)
-    if u != v:
-        k = len(connected_components(g))
-        if len(connected_components(delete_edge(g, e))) > k:
-            return EdgeKind.BRIDGE
-        return EdgeKind.ORDINARY
-    if g.sign[e] == -1:
-        return EdgeKind.NONORIENTABLE_LOOP
-    k = len(connected_components(g))
-    contracted, _ = contract_edge(g, e)
-    if len(connected_components(contracted)) > k:
-        return EdgeKind.PLANE_LOOP
-    return EdgeKind.NONPLANE_LOOP
+    kern = g.kernel
+    k = g.edges.index(e)
+    ev = list(kern.end_vertex)
+    u, v = ev[2 * k], ev[2 * k + 1]
+    loop = u == v
+    if loop:
+        if g.sign[e] == -1:
+            return EdgeKind.NONORIENTABLE_LOOP
+        rot = kern.rotations[u]
+        lo, hi = sorted((rot.index(2 * k), rot.index(2 * k + 1)))
+        v = len(g.vertices)
+        for x in rot[lo + 1:hi]:
+            ev[x] = v
+    roots = union_find(len(g.vertices) + 1,
+                       [(ev[2 * j], ev[2 * j + 1])
+                        for j in range(len(g.sign)) if j != k])
+    if roots[u] != roots[v]:
+        return EdgeKind.PLANE_LOOP if loop else EdgeKind.BRIDGE
+    return EdgeKind.NONPLANE_LOOP if loop else EdgeKind.ORDINARY
 
 
 def interlaced(g: RibbonGraph, e: str, f: str) -> bool:
@@ -577,13 +570,15 @@ def enumerate_quasi_trees(g: RibbonGraph) -> list[frozenset[str]]:
 
 @dataclass(frozen=True)
 class ActivityReport:
-    """The six activity classes of edges relative to a quasi-tree and order."""
+    """The six activity classes of edges relative to a quasi-tree and order,
+    and the edges twisted in the partial dual at the quasi-tree."""
     internal_dead: frozenset[str]
     external_dead: frozenset[str]
     internal_live_orientable: frozenset[str]
     external_live_orientable: frozenset[str]
     internal_live_nonorientable: frozenset[str]
     external_live_nonorientable: frozenset[str]
+    twisted: frozenset[str]
 
     def contracted_part(self) -> frozenset[str]:
         return self.internal_dead | self.internal_live_nonorientable
@@ -610,24 +605,24 @@ def activities(g: RibbonGraph, q: Iterable[str],
     # every edge is a loop at the one vertex of G^Q; f and e interlace iff
     # exactly one end of f lies between the two ends of e
     rot = [end[0] for r in h.rotation.values() for end in r]
+    twisted = frozenset(e for e in g.sign if h.sign[e] == -1)
     rank = {e: i for i, e in enumerate(order)}
     sets: dict[str, set[str]] = {k: set() for k in "D D* O O* N N*".split()}
     for e in g.sign:
         lo, hi = sorted(i for i, f in enumerate(rot) if f == e)
         between = Counter(rot[lo + 1:hi])
         dead = any(n == 1 and rank[f] < rank[e] for f, n in between.items())
-        nonor = h.sign[e] == -1
         internal = e in qset
         if dead:
             key = "D" if internal else "D*"
-        elif nonor:
+        elif e in twisted:
             key = "N" if internal else "N*"
         else:
             key = "O" if internal else "O*"
         sets[key].add(e)
     return ActivityReport(frozenset(sets["D"]), frozenset(sets["D*"]),
                           frozenset(sets["O"]), frozenset(sets["O*"]),
-                          frozenset(sets["N"]), frozenset(sets["N*"]))
+                          frozenset(sets["N"]), frozenset(sets["N*"]), twisted)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,23 @@ def test_activities_fixture(theta_file, capsys):
     ]
 
 
+def test_activities_builds_one_partial_dual(theta_file, capsys,
+                                            monkeypatch):
+    from ribbonpoly import ribbon
+    calls = []
+    real = ribbon.partial_dual_with_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ribbon, "partial_dual_with_map", counted)
+    code, _, _ = run(capsys, "activities", theta_file,
+                     "--quasitree", "e,f,g", "--order", "g,f,e")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_specialize_targets(theta_file, capsys):
     code, out, _ = run(capsys, "specialize", theta_file,
                        "--target", "krushkal")

@@ -6,8 +6,10 @@ the canonical state-sum text, the SHA-256 of the rendered packaged dual and,
 per edge, one SHA-256 over its packaged deletion and contraction minors with
 their cases and the ``contract_edge`` boundary correspondence; and for each
 graph one SHA-256 over the rendered partial duals on all of its edge
-subsets.  The test only reads the file.  To regenerate it after an
-intended output change, run from the repository root::
+subsets, the ``classify_edge`` kind of every edge, ``orientable`` and the
+``krushkal_quasitree`` text in sorted edge order with both
+``subset_nullity`` values.  The test only reads the file.  To regenerate it
+after an intended output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -21,10 +23,11 @@ import sys
 from pathlib import Path
 
 from ribbonpoly.fileformat import render
-from ribbonpoly.invariants import corpus, pst_state_sum
+from ribbonpoly.invariants import corpus, krushkal_quasitree, pst_state_sum
 from ribbonpoly.packaged import (PackagedRibbonGraph, _packaged_contract_case,
                                  _packaged_delete_case, packaged_dual)
-from ribbonpoly.ribbon import RibbonGraph, contract_edge, partial_dual
+from ribbonpoly.ribbon import (RibbonGraph, classify_edge, contract_edge,
+                               orientable, partial_dual)
 
 GOLDEN = Path(__file__).with_name("golden_corpus3.json")
 
@@ -53,9 +56,21 @@ def _minors_sha(pg: PackagedRibbonGraph, e: str) -> str:
                 f"{render(contracted)}case {ccase}\n{corr!r}")
 
 
+def _graph_invariants(g: RibbonGraph) -> dict:
+    order = sorted(g.edges)
+    return {
+        "edge_kinds": {e: classify_edge(g, e).value for e in g.edges},
+        "orientable": orientable(g),
+        "krushkal_quasitree": krushkal_quasitree(g, order).canonical_text(),
+        "krushkal_quasitree_contrast": krushkal_quasitree(
+            g, order, subset_nullity=False).canonical_text(),
+    }
+
+
 def golden() -> dict:
     instances = []
     graphs = []
+    invariants = []
     last = None
     for g, pg in corpus(3, 2024, random_packagings=3):
         instances.append({
@@ -66,9 +81,11 @@ def golden() -> dict:
         })
         if g is not last:
             graphs.append(_partial_duals_sha(g))
+            invariants.append(_graph_invariants(g))
             last = g
     return {"corpus": "corpus(3, 2024, random_packagings=3)",
-            "instances": instances, "partial_duals_sha256": graphs}
+            "instances": instances, "partial_duals_sha256": graphs,
+            "graph_invariants": invariants}
 
 
 def test_corpus_outputs_match_golden_file():
@@ -76,6 +93,7 @@ def test_corpus_outputs_match_golden_file():
     got = golden()
     assert len(got["instances"]) == len(want["instances"]) == 312
     assert len(got["partial_duals_sha256"]) == 78
+    assert len(got["graph_invariants"]) == 78
     for i, (a, b) in enumerate(zip(got["instances"], want["instances"])):
         assert a == b, f"instance {i}"
     assert got == want

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rg
 from ribbonpoly.invariants import (Multigraph, _quasitree_minor,
@@ -17,8 +19,10 @@ from ribbonpoly.packaged import (PackagedRibbonGraph, WeightedPartition,
                                  packaged_contract, packaged_delete,
                                  packaged_isomorphic)
 from ribbonpoly.poly import HalfExpPoly, MultiPoly, parse_poly
-from ribbonpoly.ribbon import (RibbonGraphError, certificate,
-                               enumerate_quasi_trees)
+from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
+                               certificate, connected_components,
+                               enumerate_quasi_trees, euler_genus, restrict)
+from test_ribbon import ribbon_graphs
 from test_subset_pass import reference_term
 
 THETA_POLY = ("x^3*x_2*y_0^2 + 2*x^2*x_2*y_0 + x^2*y*x_0*y_0^2"
@@ -59,8 +63,8 @@ def test_delcon_matches_state_sum(theta):
 
 
 def test_delcon_pivot_independent(theta):
-    base = pst_delcon(theta, pivot_rule="first")
-    assert pst_delcon(theta, pivot_rule="last") == base
+    base = pst_delcon(theta, pivot_rule=lambda pg: pg.graph.edges[0])
+    assert pst_delcon(theta, pivot_rule=lambda pg: pg.graph.edges[-1]) == base
     rng = random.Random(7)
     assert pst_delcon(
         theta, pivot_rule=lambda pg: rng.choice(pg.graph.edges)) == base
@@ -202,6 +206,46 @@ def test_classical_tutte_against_networkx():
         assert {(m.ex, m.ey): c for m, c in got.terms.items()} == want, seed
         n_h = len(h.edges) - len(vs) + nx.number_connected_components(nxg)
         assert (classical_tutte(h, subset_nullity=False) != got) == (n_h > 0)
+
+
+def _krushkal_by_substitution(g: RibbonGraph, order: list[str],
+                              subset_nullity: bool) -> HalfExpPoly:
+    """The quasi-tree expansion by expanding each Tutte factor in x-1, y-1
+    and substituting x = alpha+1, y = a+1 (beta+1, b+1 on the dual side)."""
+    gd = g.duality[0]
+    total = HalfExpPoly.zero()
+    for q in enumerate_quasi_trees(g):
+        act = activities(g, q, order)
+        term = HalfExpPoly.const(1)
+        for h, kept, live, var, half in (
+                (g, act.contracted_part(), act.internal_live_orientable,
+                 HalfExpPoly.alpha(), HalfExpPoly.a_half),
+                (gd, act.deleted_part(), act.external_live_orientable,
+                 HalfExpPoly.beta(), HalfExpPoly.b_half)):
+            sub = restrict(h, kept)
+            name = {v: min(c) for c in connected_components(sub) for v in c}
+            between = Multigraph(tuple(sorted(set(name.values()))),
+                                 tuple((e, *(name[v] for v in h.endpoints(e)))
+                                       for e in sorted(live)))
+            t = classical_tutte(between, subset_nullity=subset_nullity)
+            term = (term * half(euler_genus(sub))
+                    * t.substitute(x=var + 1, y=half(2) + 1, ring=HalfExpPoly))
+        total = total + term
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=4), st.randoms())
+def test_krushkal_quasitree_matches_substitution_route(g, rng):
+    order = list(g.edges)
+    rng.shuffle(order)
+    if len(connected_components(g)) != 1:
+        with pytest.raises(RibbonGraphError):
+            krushkal_quasitree(g, order)
+        return
+    for subset_nullity in (True, False):
+        assert krushkal_quasitree(g, order, subset_nullity) == \
+            _krushkal_by_substitution(g, order, subset_nullity)
 
 
 def test_subset_nullity_contrast_breaks_expansion(handle):

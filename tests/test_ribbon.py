@@ -123,6 +123,23 @@ def test_orientable_examples(mobius):
     assert orientable(theta_graph())
 
 
+def _orientable_by_reflections(g: RibbonGraph) -> bool:
+    """Some set of reflected vertices makes every edge sign +1: reflecting
+    one end vertex of a non-loop flips its sign."""
+    for flips in itertools.product((1, -1), repeat=len(g.vertices)):
+        flip = dict(zip(g.vertices, flips))
+        if all(g.sign[e] * flip[u] * flip[w] == 1
+               for e in g.sign for u, w in [g.endpoints(e)]):
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=4))
+def test_orientable_matches_vertex_reflections(g):
+    assert orientable(g) == _orientable_by_reflections(g)
+
+
 @settings(max_examples=100, deadline=None)
 @given(ribbon_graphs())
 def test_orientable_agrees_with_genus_parity_heuristic(g):
@@ -303,6 +320,26 @@ def test_classify_edges():
                          "e") == EdgeKind.PLANE_LOOP
     assert classify_edge(rg({"v1": [("e", 1), ("e", 2)]}, {"e": -1}),
                          "e") == EdgeKind.NONORIENTABLE_LOOP
+
+
+def _kind_from_minors(g: RibbonGraph, e: str) -> EdgeKind:
+    """The definition: a bridge disconnects when deleted, an orientable
+    plane loop when contracted."""
+    k = len(connected_components(g))
+    if not g.is_loop(e):
+        split = len(connected_components(delete_edge(g, e))) > k
+        return EdgeKind.BRIDGE if split else EdgeKind.ORDINARY
+    if g.sign[e] == -1:
+        return EdgeKind.NONORIENTABLE_LOOP
+    split = len(connected_components(contract_edge(g, e)[0])) > k
+    return EdgeKind.PLANE_LOOP if split else EdgeKind.NONPLANE_LOOP
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=4))
+def test_classify_edge_matches_minor_definition(g):
+    for e in g.edges:
+        assert classify_edge(g, e) == _kind_from_minors(g, e), e
 
 
 def test_interlaced_basic():
