@@ -8,7 +8,9 @@ their cases and the ``contract_edge`` boundary correspondence; and for each
 graph one SHA-256 over the rendered partial duals on all of its edge
 subsets, the ``classify_edge`` kind of every edge, ``orientable`` and the
 ``krushkal_quasitree`` text in sorted edge order with both
-``subset_nullity`` values.  The test only reads the file.  To regenerate it
+``subset_nullity`` values; and for a few seeded connected 6-8-edge packaged
+graphs, their ``pst_delcon`` text and their ``pst_quasitree`` text in sorted
+edge order.  The test only reads the file.  To regenerate it
 after an intended output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -19,17 +21,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
 from ribbonpoly.fileformat import render
-from ribbonpoly.invariants import corpus, krushkal_quasitree, pst_state_sum
+from ribbonpoly.invariants import (_random_partition, corpus,
+                                   krushkal_quasitree, pst_delcon,
+                                   pst_quasitree, pst_state_sum)
 from ribbonpoly.packaged import (PackagedRibbonGraph, _packaged_contract_case,
                                  _packaged_delete_case, packaged_dual)
-from ribbonpoly.ribbon import (RibbonGraph, classify_edge, contract_edge,
+from ribbonpoly.ribbon import (RibbonGraph, classify_edge,
+                               connected_components, contract_edge,
                                orientable, partial_dual)
 
 GOLDEN = Path(__file__).with_name("golden_corpus3.json")
+# (seed, edges, vertices) of the larger packaged graphs
+LARGE = ((1, 6, 2), (2, 7, 3), (3, 8, 2), (4, 8, 3))
 
 
 def _sha(text: str) -> str:
@@ -67,6 +75,38 @@ def _graph_invariants(g: RibbonGraph) -> dict:
     }
 
 
+def _large_instance(seed: int, m: int, nv: int) -> PackagedRibbonGraph:
+    """A connected graph with ``m`` edges whose ends and signs are drawn
+    from ``seed`` across ``nv`` vertices, with random weighted partitions."""
+    rng = random.Random(seed)
+    ends = [(f"e{i + 1}", j) for i in range(m) for j in (1, 2)]
+    while True:
+        rng.shuffle(ends)
+        at = [rng.randrange(nv) for _ in ends]
+        rotation = {f"v{k + 1}": [x for x, a in zip(ends, at) if a == k]
+                    for k in range(nv)}
+        sign = {f"e{i + 1}": rng.choice((1, -1)) for i in range(m)}
+        g = RibbonGraph.build(list(rotation), rotation, sign)
+        if len(connected_components(g)) == 1:
+            break
+    return PackagedRibbonGraph.build(
+        g, _random_partition(rng, list(g.vertices)),
+        _random_partition(rng, [c.id for c in g.boundaries]))
+
+
+def _large() -> list[dict]:
+    out = []
+    for seed, m, nv in LARGE:
+        pg = _large_instance(seed, m, nv)
+        out.append({
+            "instance": render(pg),
+            "delcon": pst_delcon(pg).canonical_text(),
+            "quasitree": pst_quasitree(
+                pg, sorted(pg.graph.edges)).canonical_text(),
+        })
+    return out
+
+
 def golden() -> dict:
     instances = []
     graphs = []
@@ -85,7 +125,7 @@ def golden() -> dict:
             last = g
     return {"corpus": "corpus(3, 2024, random_packagings=3)",
             "instances": instances, "partial_duals_sha256": graphs,
-            "graph_invariants": invariants}
+            "graph_invariants": invariants, "large": _large()}
 
 
 def test_corpus_outputs_match_golden_file():
@@ -94,6 +134,7 @@ def test_corpus_outputs_match_golden_file():
     assert len(got["instances"]) == len(want["instances"]) == 312
     assert len(got["partial_duals_sha256"]) == 78
     assert len(got["graph_invariants"]) == 78
+    assert len(got["large"]) == len(LARGE)
     for i, (a, b) in enumerate(zip(got["instances"], want["instances"])):
         assert a == b, f"instance {i}"
     assert got == want
