@@ -1,10 +1,13 @@
 """Evaluation pipelines for the packaged invariant polynomial.
 
 Three routes compute the same polynomial: a state sum over edge subsets, a
-deletion-contraction recursion, and a quasi-tree expansion.  On top of these
-sit the specializations (surface version for orientable graphs, the
-four-variable alpha/beta/a/b polynomial with its own quasi-tree expansion,
-and the classical Tutte polynomial), a small-instance corpus generator and a
+deletion-contraction recursion, and a quasi-tree expansion.  The recursion
+steps string-keyed packaged graphs; the expansion evaluates its activity
+minors as compiled minors (:class:`~ribbonpoly.packaged.Minor`), so the two
+implement the minor rule independently.  On top of these sit the
+specializations (surface version for orientable graphs, the four-variable
+alpha/beta/a/b polynomial with its own quasi-tree expansion, and the
+classical Tutte polynomial), a small-instance corpus generator and a
 cross-validation driver.
 """
 
@@ -16,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .packaged import (PackagedRibbonGraph, Side, WeightedPartition,
+from .packaged import (Minor, PackagedRibbonGraph, Side, WeightedPartition,
                        _packaged_contract_case, _packaged_delete_case,
                        packaged_contract, packaged_delete, state_sides)
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
@@ -105,19 +108,55 @@ def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
 
 def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
                      quasi_trees: list[frozenset[str]]):
-    """Yield (Q, activity report, x/y prefactor, minor) per quasi-tree of
-    ``quasi_trees``, the list :func:`enumerate_quasi_trees` gives."""
+    """Yield (Q, activity report, x/y prefactor, compiled activity minor)
+    per quasi-tree of ``quasi_trees``, the list :func:`enumerate_quasi_trees`
+    gives.  Each minor deletes then contracts in sorted order, as
+    :func:`_quasitree_minor` does."""
     g = pg.graph
     vside, bside = state_sides(pg)
-    bit = {e: 1 << k for k, e in enumerate(g.edges)}
+    root = Minor.compile(pg)
+    index = {e: k for k, e in enumerate(g.edges)}
     for q in quasi_trees:
         act = activities(g, q, order)
         dn = act.contracted_part()
         dn_star = act.deleted_part()
-        n1, _ = vside.record(sum(bit[e] for e in dn))
-        n2, _ = bside.record(sum(bit[e] for e in dn_star))
-        minor = _quasitree_minor(pg, dn_star, dn)
+        n1, _ = vside.record(sum(1 << index[e] for e in dn))
+        n2, _ = bside.record(sum(1 << index[e] for e in dn_star))
+        minor = root
+        for e in sorted(dn_star):
+            minor = minor.step(index[e], False)[0]
+        for e in sorted(dn):
+            minor = minor.step(index[e], True)[0]
         yield q, act, MultiPoly({Monomial(n2, n1): 1}), minor
+
+
+def _minor_poly(m: Minor) -> MultiPoly:
+    """Deletion-contraction on the compiled minor ``m``, pivoting on its
+    lowest live edge: the sum over the leaves of x^(deletions) y^(contractions)
+    that merged no two blocks, times the leaf's gamma families, where each
+    block has gamma = 1 - isolated count + weight."""
+    leaves: Counter = Counter()
+
+    def descend(m: Minor, ex: int, ey: int) -> None:
+        if not m.live:
+            vg, bg = ([1 - n + w for w, n in zip(*side) if w is not None]
+                      for side in zip(m.weights, m.isolated))
+            leaves[Monomial(ex, ey, _family(bg), _family(vg))] += 1
+            return
+        k = (m.live & -m.live).bit_length() - 1
+        deleted, merged = m.step(k, False)
+        descend(deleted, ex + (not merged), ey)
+        contracted, merged = m.step(k, True)
+        descend(contracted, ex, ey + (not merged))
+
+    descend(m, 0, 0)
+    return MultiPoly(leaves)
+
+
+def _sum(polys: Iterable[MultiPoly]) -> MultiPoly:
+    """One sum of ``polys``, without a copy per term."""
+    return MultiPoly(itertools.chain.from_iterable(p.terms.items()
+                                                   for p in polys))
 
 
 def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
@@ -126,11 +165,8 @@ def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
     order = list(order)
     if len(connected_components(pg.graph)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
-    total = MultiPoly.zero()
-    for _, _, pre, minor in _quasitree_terms(pg, order,
-                                             enumerate_quasi_trees(pg.graph)):
-        total = total + pre * pst_delcon(minor)
-    return total
+    terms = _quasitree_terms(pg, order, enumerate_quasi_trees(pg.graph))
+    return _sum(pre * _minor_poly(minor) for _, _, pre, minor in terms)
 
 
 def minor_shape_check(pg: PackagedRibbonGraph, q: Iterable[str],
@@ -417,16 +453,14 @@ def cross_validate(pg: PackagedRibbonGraph,
         order = tuple(order)
         if not connected:
             continue
-        total = MultiPoly.zero()
         rows = []
         for q, act, pre, minor in _quasitree_terms(pg, list(order),
                                                    quasi_trees):
-            contrib = pre * pst_delcon(minor)
-            total = total + contrib
-            rows.append((tuple(sorted(q)), act, contrib))
-            if not _minor_shape_ok(act, minor):
+            rows.append((tuple(sorted(q)), act, pre * _minor_poly(minor)))
+            if not _minor_shape_ok(act, _quasitree_minor(
+                    pg, act.deleted_part(), act.contracted_part())):
                 shapes_ok = False
-        qt[order] = total
+        qt[order] = _sum(c for _, _, c in rows)
         breakdown[order] = rows
     equal = ss == dc and all(p == ss for p in qt.values())
     return ValidationReport(ss, dc, qt, equal, shapes_ok, breakdown,

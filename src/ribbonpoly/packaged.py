@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, _boundary_targets,
-                     contract_edge, delete_edge, induced_subgraph,
-                     isomorphisms, restrict, subset_walks, trace_boundaries,
-                     union_find)
+                     contract_edge, delete_edge, induced_subgraph, restrict,
+                     subset_walks, trace_boundaries, union_find)
 
 
 class PackagingError(ValueError):
@@ -357,33 +356,97 @@ def _packaged_contract_case(pg: PackagedRibbonGraph,
             case)
 
 
-# ---------------------------------------------------------------------------
-# isomorphism of packaged graphs (test oracle)
+class Minor(NamedTuple):
+    """A packaged minor of a root graph, in integers, for deletion and
+    contraction without building graphs.
 
-def packaged_isomorphic(p1: PackagedRibbonGraph,
-                        p2: PackagedRibbonGraph) -> bool:
-    if p1.graph.edges and len(p1.graph.edges) != len(p2.graph.edges):
-        return False
-    b2 = trace_boundaries(p2.graph)
-    for iso in isomorphisms(p1.graph, p2.graph):
-        if p1.vparts.relabel(iso.vertex_map).shape() != p2.vparts.shape():
-            continue
-        dm = iso.dart_map(p1.graph)
-        by_dart = {d: c.id for c in b2 for d in c.visits}
-        by_vertex = {c.vertex: c.id for c in b2 if c.vertex is not None}
-        bmap = {}
-        ok = True
-        for comp in trace_boundaries(p1.graph):
-            if comp.vertex is not None:
-                bmap[comp.id] = by_vertex[iso.vertex_map[comp.vertex]]
-                continue
-            targets = {by_dart[dm[d]] for d in comp.visits}
-            if len(targets) != 1:
-                ok = False
-                break
-            bmap[comp.id] = targets.pop()
-        if not ok:
-            continue
-        if p1.bparts.relabel(bmap).shape() == p2.bparts.shape():
-            return True
-    return False
+    ``kernel`` is the root's and ``live`` the mask of the remaining edges;
+    ``t1`` is the minor's, over the root's darts, with -1 on removed darts.
+    ``t0`` and ``t2`` stay the root's on the live darts.  The other fields
+    hold one entry per side, vertex side first: the block of the vertex
+    (boundary walk) through each dart; the block weights, ``None`` for a
+    block merged away; and per block its number of isolated elements,
+    vertices without edge ends (their empty boundaries)."""
+    kernel: Kernel
+    live: int
+    t1: tuple[int, ...]
+    labels: tuple[tuple[int, ...], tuple[int, ...]]
+    weights: tuple[tuple[int | None, ...], tuple[int | None, ...]]
+    isolated: tuple[tuple[int, ...], tuple[int, ...]]
+
+    @staticmethod
+    def compile(pg: PackagedRibbonGraph) -> "Minor":
+        g, kern = pg.graph, pg.graph.kernel
+        vidx, bidx = ({x: i for i, b in enumerate(p.blocks) for x in b}
+                      for p in (pg.vparts, pg.bparts))
+        viso, biso = ([0] * len(p.blocks) for p in (pg.vparts, pg.bparts))
+        for c in g.boundaries:   # an isolated vertex and its empty boundary
+            if c.vertex is not None:
+                viso[vidx[c.vertex]] += 1
+                biso[bidx[c.id]] += 1
+        vblock = [vidx[v] for v in g.vertices]
+        return Minor(kern, kern.full, kern.t1,
+                     (tuple([vblock[kern.end_vertex[d >> 1]]
+                             for d in range(len(kern.t0))]),
+                      tuple([bidx[g.boundary_of_dart[name]]
+                             for name in kern.darts])),
+                     (pg.vparts.weights, pg.bparts.weights),
+                     (tuple(viso), tuple(biso)))
+
+    def step(self, k: int, contract: bool) -> tuple["Minor", bool]:
+        """Delete (contract) live edge ``k``; also return whether
+        :func:`_minor_parts`' rule merged two blocks at e's sides (ends).
+
+        Each corner into e's darts is joined to the corner where the walk
+        around the vertex leaves them.  Within e a deletion crosses each end
+        by ``d ^ 1``, a contraction by ``t0``, since the partial dual at e
+        makes ``t0`` its ``t2``.  An orbit on e's darts alone becomes an
+        isolated vertex with an empty boundary.  On contraction that orbit
+        is also a boundary walk of e's darts alone, so each such walk of
+        the root keeps its block, as :func:`contract_edge`'s bijection
+        requires."""
+        t0, old = self.kernel.t0, self.t1
+        t1 = list(old)
+        own = range(4 * k, 4 * k + 4)
+        seen: set[int] = set()
+
+        def walk(cur: int) -> int:
+            """Mark the darts from ``cur`` on; the first dart off e."""
+            while cur >> 2 == k and cur not in seen:
+                cross = t0[cur] if contract else cur ^ 1
+                seen.update((cur, cross))
+                cur = old[cross]
+            return cur
+
+        for a in own:
+            if old[a] >> 2 != k and a not in seen:
+                b, c = old[a], walk(a)
+                t1[b], t1[c] = c, b
+        lone = []   # a dart of each orbit on e's darts alone
+        for a in own:
+            t1[a] = -1
+            if a not in seen:
+                lone.append(a)
+                walk(a)
+
+        s = 0 if contract else 1   # the side of the rule
+        x, y = 4 * k, 4 * k + (2 if contract else 1)
+        labels = list(self.labels)
+        weights = [list(w) for w in self.weights]
+        isolated = [list(n) for n in self.isolated]
+        lx, ly = labels[s][x], labels[s][y]
+        if lx != ly:
+            weights[s][ly] += weights[s][lx]
+            isolated[s][ly] += isolated[s][lx]
+            weights[s][lx], isolated[s][lx] = None, 0
+            labels[s] = tuple([ly if b == lx else b for b in labels[s]])
+        else:
+            weights[s][ly] += 1
+        isolated[s][ly] += len(lone)
+        for a in lone:
+            isolated[1 - s][labels[1 - s][a]] += 1
+        return (Minor(self.kernel, self.live & ~(1 << k), tuple(t1),
+                      (labels[0], labels[1]),
+                      (tuple(weights[0]), tuple(weights[1])),
+                      (tuple(isolated[0]), tuple(isolated[1]))),
+                lx != ly)

@@ -7,9 +7,9 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribbonpoly.invariants import (_minor_shape_ok, _quasitree_terms,
-                                   _random_partition, cross_validate,
-                                   minor_shape_check)
+from ribbonpoly.invariants import (_minor_shape_ok, _quasitree_minor,
+                                   _quasitree_terms, _random_partition,
+                                   cross_validate, minor_shape_check)
 from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
                                  packaged_delete)
 from ribbonpoly.ribbon import (RibbonGraph, connected_components,
@@ -63,8 +63,10 @@ def test_cross_validate_shape_verdicts_match_minor_shape_check(g, seed, data):
     verdicts = []
     quasi_trees = enumerate_quasi_trees(g)
     for order in orders:
-        for q, act, _, minor in _quasitree_terms(pg, list(order), quasi_trees):
+        for q, act, _, _ in _quasitree_terms(pg, list(order), quasi_trees):
             ok = minor_shape_check(pg, q, order)
+            minor = _quasitree_minor(pg, act.deleted_part(),
+                                     act.contracted_part())
             assert _minor_shape_ok(act, minor) == ok
             verdicts.append(ok)
     assert cross_validate(pg, orders).shape_checks_passed == all(verdicts)

@@ -7,7 +7,8 @@ import pytest
 from conftest import THETA_EXAMPLE_RG
 from ribbonpoly.cli import main
 from ribbonpoly.fileformat import parse
-from ribbonpoly.packaged import packaged_dual, packaged_isomorphic
+from ribbonpoly.packaged import packaged_dual
+from packaged_oracle import packaged_isomorphic
 
 THETA_TEXT = ("x^3*x_2*y_0^2 + x^2*y*x_0*y_0^2 + 2*x^2*x_2*y_0"
               " + 3*x*y*x_0*y_0 + y^2*x_0*y_2")

@@ -7,8 +7,8 @@ import pytest
 from conftest import THETA_EXAMPLE_RG
 from ribbonpoly.fileformat import ParseError, parse, render
 from ribbonpoly.invariants import corpus
-from ribbonpoly.packaged import packaged_isomorphic
 from ribbonpoly.ribbon import counts
+from packaged_oracle import packaged_isomorphic
 
 
 def test_parse_example():

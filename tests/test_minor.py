@@ -1,0 +1,136 @@
+"""The compiled packaged minor of the quasi-tree expansion against the
+string-level packaged minors, and the call contract of deletion-contraction
+that ``bench/spans.py`` counts."""
+
+from __future__ import annotations
+
+import io
+import json
+from collections import Counter
+from contextlib import redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import THETA_EXAMPLE_RG
+from ribbonpoly import cli, invariants, packaged
+from ribbonpoly.fileformat import parse, render
+from ribbonpoly.invariants import _minor_poly, pst_delcon, pst_quasitree
+from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
+                                 _packaged_contract_case,
+                                 _packaged_delete_case)
+from ribbonpoly.ribbon import union_find
+from test_caches import random_packaging
+from test_golden import _large_instance
+from test_ribbon import ribbon_graphs
+
+
+def compiled_blocks(m: Minor) -> tuple[set[str], list, list]:
+    """The live edges; and per side, sorted, one (ends of the block's darts,
+    weight, element count) per block, isolated elements included.  The
+    elements with darts are the orbits of ``t1`` with ``d ^ 1`` (vertices)
+    and with ``t0`` (boundary walks) on the live darts."""
+    names, t0 = m.kernel.darts, m.kernel.t0
+    live = [d for d, p in enumerate(m.t1) if p >= 0]
+    sides = []
+    for s, cross in ((0, lambda d: d ^ 1), (1, lambda d: t0[d])):
+        roots = union_find(len(m.t1), [(d, m.t1[d]) for d in live]
+                           + [(d, cross(d)) for d in live])
+        labels = m.labels[s]
+        ends: dict[int, list] = {}
+        count = Counter()
+        for r in {roots[d] for d in live}:
+            count[labels[r]] += 1
+        for d in live:
+            ends.setdefault(labels[d], []).append(names[d][:2])
+        sides.append(sorted((sorted(ends.get(b, [])), w,
+                             count[b] + m.isolated[s][b])
+                            for b, w in enumerate(m.weights[s])
+                            if w is not None))
+    return ({names[d][0] for d in live}, *sides)
+
+
+def string_blocks(pg: PackagedRibbonGraph) -> tuple[set[str], list, list]:
+    """:func:`compiled_blocks` of a string-level packaged graph."""
+    g = pg.graph
+    walks = {c.id: c.visits for c in g.boundaries}
+    vertex = sorted((sorted(end for v in b for end in g.rotation[v]
+                            for _ in "LR"), w, len(b))
+                    for b, w in zip(pg.vparts.blocks, pg.vparts.weights))
+    boundary = sorted((sorted(d[:2] for c in b for d in walks[c]), w, len(b))
+                      for b, w in zip(pg.bparts.blocks, pg.bparts.weights))
+    return set(g.sign), vertex, boundary
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(max_edges=6), st.integers(0, 2 ** 16), st.data())
+def test_compiled_steps_match_string_minors(g, seed, data):
+    """Disconnected graphs and isolated vertices included."""
+    pg = random_packaging(g, seed)
+    m = Minor.compile(pg)
+    index = {e: k for k, e in enumerate(g.edges)}
+    assert compiled_blocks(m) == string_blocks(pg)
+    assert _minor_poly(m) == pst_delcon(pg)
+    while pg.graph.sign:
+        e = data.draw(st.sampled_from(pg.graph.edges))
+        contract = data.draw(st.booleans())
+        step = _packaged_contract_case if contract else _packaged_delete_case
+        pg, case = step(pg, e)
+        m, merged = m.step(index[e], contract)
+        assert merged == (case == 1)
+        assert compiled_blocks(m) == string_blocks(pg)
+
+
+# ---------------------------------------------------------------------------
+# the delcon call contract
+
+FIXTURES = {"theta": lambda: parse(THETA_EXAMPLE_RG),
+            "seeded6": lambda: _large_instance(1, 6, 2)}
+
+
+def _counting(calls: list, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_delcon_counts_one_call_per_node(name, tmp_path, monkeypatch):
+    """Through a wrapper rebound at every module's ``pst_delcon``, as
+    ``bench/spans.py`` installs it, ``compute --method delcon`` makes
+    2^(m+1) - 1 calls, each on a packaged graph, and reports that count."""
+    pg = FIXTURES[name]()
+    path = tmp_path / f"{name}.rg"
+    path.write_text(render(pg))
+    calls: list = []
+    wrapped = _counting(calls, pst_delcon)
+    monkeypatch.setattr(invariants, "pst_delcon", wrapped)
+    monkeypatch.setattr(cli, "pst_delcon", wrapped)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["compute", str(path), "--method", "delcon",
+                         "--format", "structured"]) == 0
+    assert len(calls) == 2 ** (len(pg.graph.edges) + 1) - 1
+    assert all(isinstance(a, PackagedRibbonGraph) for a in calls)
+    assert json.loads(out.getvalue())["counters"] == {
+        "delcon_nodes": len(calls)}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_quasitree_builds_no_string_minor(name, monkeypatch):
+    pg = FIXTURES[name]()
+    want = pst_delcon(pg)
+    calls: dict[str, list] = {}
+    for module in (packaged, invariants):
+        for fn in ("packaged_delete", "packaged_contract", "pst_delcon"):
+            if fn in vars(module):
+                monkeypatch.setattr(module, fn, _counting(
+                    calls.setdefault(fn, []), getattr(module, fn)))
+    monkeypatch.setattr(PackagedRibbonGraph, "build", staticmethod(
+        _counting(calls.setdefault("build", []), PackagedRibbonGraph.build)))
+    assert pst_quasitree(pg, sorted(pg.graph.edges)) == want
+    assert {fn: len(c) for fn, c in calls.items()} == {
+        "packaged_delete": 0, "packaged_contract": 0, "pst_delcon": 0,
+        "build": 0}

@@ -10,9 +10,10 @@ from ribbonpoly.packaged import (PackagedRibbonGraph, PackagingError,
                                  WeightedPartition, _packaged_contract_case,
                                  _packaged_delete_case, component_gamma,
                                  nullity, packaged_contract, packaged_delete,
-                                 packaged_dual, packaged_isomorphic,
-                                 packaging, quotient, restricted_packagings)
+                                 packaged_dual, packaging, quotient,
+                                 restricted_packagings)
 from ribbonpoly.ribbon import RibbonGraphError, trace_boundaries
+from packaged_oracle import packaged_isomorphic
 
 
 def theta_pg():
