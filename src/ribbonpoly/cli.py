@@ -24,9 +24,17 @@ from .ribbon import (RibbonGraphError, activities, enumerate_quasi_trees,
 
 def _load(path: str) -> PackagedRibbonGraph:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as ex:
         raise ParseError(f"cannot read {path}: {ex.strerror}", 1) from ex
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as ex:
+        line = data.count(b"\n", 0, ex.start) + 1
+        start = data.rfind(b"\n", 0, ex.start) + 1
+        column = len(data[start:ex.start].decode("utf-8")) + 1
+        raise ParseError(f"syntax error: byte {data[ex.start]:#04x} is not "
+                         "UTF-8 text", line, column) from ex
     return parse(text)
 
 
@@ -163,6 +171,21 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def count(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {n}")
+        return n
+    return count
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
@@ -187,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate",
                        help="cross-check the three evaluation methods")
     p.add_argument("file")
-    p.add_argument("--orders", type=int, default=1)
+    p.add_argument("--orders", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_validate)
 
@@ -222,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_pdual)
 
     p = sub.add_parser("corpus", help="emit small-instance files")
-    p.add_argument("--max-edges", type=int, required=True)
+    p.add_argument("--max-edges", type=_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random", type=int, default=1,
+    p.add_argument("--random", type=_at_least(0), default=1,
                    help="random packagings per graph")
     p.add_argument("--out", help="directory for instance files "
                                  "(default: stream to stdout)")

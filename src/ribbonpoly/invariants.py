@@ -2,13 +2,17 @@
 
 Three routes compute the same polynomial: a state sum over edge subsets, a
 deletion-contraction recursion, and a quasi-tree expansion.  The recursion
-steps string-keyed packaged graphs; the expansion evaluates its activity
-minors as compiled minors (:class:`~ribbonpoly.packaged.Minor`), so the two
-implement the minor rule independently.  On top of these sit the
-specializations (surface version for orientable graphs, the four-variable
-alpha/beta/a/b polynomial with its own quasi-tree expansion, and the
-classical Tutte polynomial), a small-instance corpus generator and a
-cross-validation driver.
+steps string-keyed packaged graphs and adds one monomial per leaf to one
+counter; the expansion evaluates its activity minors as compiled minors
+(:class:`~ribbonpoly.packaged.Minor`), so the two implement the minor rule
+independently.  On top of these sit the specializations (surface version
+for orientable graphs, the four-variable alpha/beta/a/b polynomial with its
+own quasi-tree expansion, and the classical Tutte polynomial), a
+small-instance corpus generator and a cross-validation driver.  The driver
+evaluates each activity minor once per distinct deleted and contracted part
+(B, A), however many edge orders produce it, and shape-checks the minor's
+graph built in one step, the partial dual at A restricted to the live
+edges.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from typing import Iterable, Iterator
 
 from .packaged import (Minor, PackagedRibbonGraph, Side, WeightedPartition,
                        _packaged_contract_case, _packaged_delete_case,
-                       packaged_contract, packaged_delete, state_sides)
+                       state_sides)
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
 from .ribbon import (ActivityReport, RibbonGraph, RibbonGraphError, activities,
                      certificate, classify_edge, connected_components,
-                     enumerate_quasi_trees, EdgeKind, orientable, restrict,
-                     trace_boundaries, union_find)
+                     enumerate_quasi_trees, EdgeKind, orientable,
+                     partial_dual, restrict, trace_boundaries, union_find)
 
 
 # ---------------------------------------------------------------------------
@@ -66,68 +70,82 @@ def pst_state_sum(pg: PackagedRibbonGraph) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # deletion-contraction
 
-def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
+def _leaf(pg: PackagedRibbonGraph, ex: int = 0, ey: int = 0) -> Monomial:
+    """The monomial of an edgeless ``pg`` times x^ex y^ey."""
     def gammas(parts: WeightedPartition) -> list[int]:
         return [1 - len(b) + w for b, w in zip(parts.blocks, parts.weights)]
-    return MultiPoly({Monomial(exg=_family(gammas(pg.bparts)),
-                               eyg=_family(gammas(pg.vparts))): 1})
+    return Monomial(ex, ey, _family(gammas(pg.bparts)),
+                    _family(gammas(pg.vparts)))
+
+
+def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
+    return MultiPoly({_leaf(pg): 1})
 
 
 def pst_delcon(pg: PackagedRibbonGraph,
                pivot_rule=lambda pg: pg.graph.edges[0],
-               _counter: list | None = None) -> MultiPoly:
+               _counter: list | None = None,
+               _path: tuple[Counter, int, int] | None = None
+               ) -> MultiPoly | None:
     """Deletion-contraction recursion on the edge ``pivot_rule`` picks (by
-    default the first); the result is pivot-independent."""
+    default the first); the result is pivot-independent.
+
+    Each node is one call.  ``_path`` is the leaf counter of the top call
+    and the x/y exponents gathered on the way to this node; a call below
+    the top adds its leaves there and returns ``None``."""
     if _counter is not None:
         _counter[0] += 1
+    leaves, ex, ey = _path or (Counter(), 0, 0)
     g = pg.graph
     if not g.sign:
-        return _terminal(pg)
-    e = pivot_rule(pg)
-    # x (y) unless the minor merged two blocks at e's sides (ends)
-    deleted, dcase = _packaged_delete_case(pg, e)
-    contracted, ccase = _packaged_contract_case(pg, e)
-    return (MultiPoly.x(int(dcase != 1)) * pst_delcon(deleted, pivot_rule,
-                                                      _counter)
-            + MultiPoly.y(int(ccase != 1)) * pst_delcon(contracted,
-                                                        pivot_rule, _counter))
+        leaves[_leaf(pg, ex, ey)] += 1
+    else:
+        e = pivot_rule(pg)
+        # x (y) unless the minor merged two blocks at e's sides (ends)
+        deleted, dcase = _packaged_delete_case(pg, e)
+        contracted, ccase = _packaged_contract_case(pg, e)
+        pst_delcon(deleted, pivot_rule, _counter,
+                   (leaves, ex + (dcase != 1), ey))
+        pst_delcon(contracted, pivot_rule, _counter,
+                   (leaves, ex, ey + (ccase != 1)))
+    return MultiPoly(leaves) if _path is None else None
 
 
 # ---------------------------------------------------------------------------
 # quasi-tree expansion
 
-def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
-                     contracted: Iterable[str]) -> PackagedRibbonGraph:
-    cur = pg
-    for e in sorted(deleted):
-        cur = packaged_delete(cur, e)
-    for e in sorted(contracted):
-        cur = packaged_contract(cur, e)
-    return cur
+def _activity_terms(pg: PackagedRibbonGraph):
+    """The function of an activity minor's deleted part B and contracted
+    part A that gives its x/y prefactor and its compiled minor, which
+    deletes B then contracts A in sorted order, as the string-minor
+    reference ``_quasitree_minor`` in ``tests/packaged_oracle.py`` does."""
+    vside, bside = state_sides(pg)
+    root = Minor.compile(pg)
+    index = {e: k for k, e in enumerate(pg.graph.edges)}
+
+    def term(deleted: frozenset[str], contracted: frozenset[str]
+             ) -> tuple[MultiPoly, Minor]:
+        n1, _ = vside.record(sum(1 << index[e] for e in contracted))
+        n2, _ = bside.record(sum(1 << index[e] for e in deleted))
+        minor = root
+        for e in sorted(deleted):
+            minor = minor.step(index[e], False)[0]
+        for e in sorted(contracted):
+            minor = minor.step(index[e], True)[0]
+        return MultiPoly({Monomial(n2, n1): 1}), minor
+
+    return term
 
 
 def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
                      quasi_trees: list[frozenset[str]]):
     """Yield (Q, activity report, x/y prefactor, compiled activity minor)
     per quasi-tree of ``quasi_trees``, the list :func:`enumerate_quasi_trees`
-    gives.  Each minor deletes then contracts in sorted order, as
-    :func:`_quasitree_minor` does."""
-    g = pg.graph
-    vside, bside = state_sides(pg)
-    root = Minor.compile(pg)
-    index = {e: k for k, e in enumerate(g.edges)}
+    gives."""
+    term = _activity_terms(pg)
     for q in quasi_trees:
-        act = activities(g, q, order)
-        dn = act.contracted_part()
-        dn_star = act.deleted_part()
-        n1, _ = vside.record(sum(1 << index[e] for e in dn))
-        n2, _ = bside.record(sum(1 << index[e] for e in dn_star))
-        minor = root
-        for e in sorted(dn_star):
-            minor = minor.step(index[e], False)[0]
-        for e in sorted(dn):
-            minor = minor.step(index[e], True)[0]
-        yield q, act, MultiPoly({Monomial(n2, n1): 1}), minor
+        act = activities(pg.graph, q, order)
+        yield (q, act, *term(act.deleted_part(), act.contracted_part()))
 
 
 def _minor_poly(m: Minor) -> MultiPoly:
@@ -169,17 +187,26 @@ def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
     return _sum(pre * _minor_poly(minor) for _, _, pre, minor in terms)
 
 
+def _minor_graph(g: RibbonGraph, deleted: Iterable[str],
+                 contracted: Iterable[str]) -> RibbonGraph:
+    """The ribbon graph of the minor that deletes B and contracts A, in one
+    step: contracting the set A is the partial dual at A followed by
+    deleting A."""
+    contracted = set(contracted)
+    return restrict(partial_dual(g, contracted),
+                    set(g.sign) - contracted - set(deleted))
+
+
 def minor_shape_check(pg: PackagedRibbonGraph, q: Iterable[str],
                       order: Iterable[str]) -> bool:
     """In the activity minor, internal live orientable edges must be bridges
     and external live orientable edges plane loops."""
     act = activities(pg.graph, frozenset(q), list(order))
-    minor = _quasitree_minor(pg, act.deleted_part(), act.contracted_part())
-    return _minor_shape_ok(act, minor)
+    return _minor_shape_ok(act, _minor_graph(pg.graph, act.deleted_part(),
+                                             act.contracted_part()))
 
 
-def _minor_shape_ok(act: ActivityReport, minor: PackagedRibbonGraph) -> bool:
-    mg = minor.graph
+def _minor_shape_ok(act: ActivityReport, mg: RibbonGraph) -> bool:
     for e in act.internal_live_orientable:
         if classify_edge(mg, e) != EdgeKind.BRIDGE:
             return False
@@ -440,28 +467,39 @@ class ValidationReport:
 def cross_validate(pg: PackagedRibbonGraph,
                    orders: Iterable[Iterable[str]]) -> ValidationReport:
     """Run all three pipelines, compare exactly, and shape-check every
-    quasi-tree minor."""
+    quasi-tree minor.
+
+    A quasi-tree's term depends only on its activity minor's deleted and
+    contracted parts (B, A), and its shape verdict only on (Q, B, A), not
+    on the order that produced them, so each is computed once per call."""
     counter = [0]
     ss = pst_state_sum(pg)
     dc = pst_delcon(pg, _counter=counter)
     qt: dict[tuple[str, ...], MultiPoly] = {}
     breakdown: dict[tuple[str, ...], list] = {}
-    shapes_ok = True
-    connected = len(connected_components(pg.graph)) == 1
-    quasi_trees = enumerate_quasi_trees(pg.graph) if connected else []
+    g = pg.graph
+    connected = len(connected_components(g)) == 1
+    quasi_trees = enumerate_quasi_trees(g) if connected else []
+    term = _activity_terms(pg)
+    contributions: dict[tuple[frozenset, frozenset], MultiPoly] = {}
+    shapes: dict[tuple[frozenset, frozenset, frozenset], bool] = {}
     for order in orders:
         order = tuple(order)
         if not connected:
             continue
         rows = []
-        for q, act, pre, minor in _quasitree_terms(pg, list(order),
-                                                   quasi_trees):
-            rows.append((tuple(sorted(q)), act, pre * _minor_poly(minor)))
-            if not _minor_shape_ok(act, _quasitree_minor(
-                    pg, act.deleted_part(), act.contracted_part())):
-                shapes_ok = False
+        for q in quasi_trees:
+            act = activities(g, q, order)
+            key = (act.deleted_part(), act.contracted_part())
+            if key not in contributions:
+                pre, minor = term(*key)
+                contributions[key] = pre * _minor_poly(minor)
+            if (q, *key) not in shapes:
+                shapes[(q, *key)] = _minor_shape_ok(act,
+                                                    _minor_graph(g, *key))
+            rows.append((tuple(sorted(q)), act, contributions[key]))
         qt[order] = _sum(c for _, _, c in rows)
         breakdown[order] = rows
     equal = ss == dc and all(p == ss for p in qt.values())
-    return ValidationReport(ss, dc, qt, equal, shapes_ok, breakdown,
-                            counter[0])
+    return ValidationReport(ss, dc, qt, equal, all(shapes.values()),
+                            breakdown, counter[0])

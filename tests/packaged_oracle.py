@@ -1,9 +1,13 @@
-"""Isomorphism of packaged ribbon graphs, by brute force over the ribbon
-isomorphisms: an independent oracle for the tests."""
+"""Reference code for the tests: isomorphism of packaged ribbon graphs, by
+brute force over the ribbon isomorphisms, and the activity minor as a chain
+of string-keyed packaged minors."""
 
 from __future__ import annotations
 
-from ribbonpoly.packaged import PackagedRibbonGraph
+from typing import Iterable
+
+from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
+                                 packaged_delete)
 from ribbonpoly.ribbon import isomorphisms, trace_boundaries
 
 
@@ -34,3 +38,16 @@ def packaged_isomorphic(p1: PackagedRibbonGraph,
         if p1.bparts.relabel(bmap).shape() == p2.bparts.shape():
             return True
     return False
+
+
+def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
+                     contracted: Iterable[str]) -> PackagedRibbonGraph:
+    """The activity minor as a chain of string-keyed packaged minors:
+    delete, then contract, each in sorted order.  The reference for the
+    one-step graph and the compiled minors of the quasi-tree expansion."""
+    cur = pg
+    for e in sorted(deleted):
+        cur = packaged_delete(cur, e)
+    for e in sorted(contracted):
+        cur = packaged_contract(cur, e)
+    return cur

@@ -194,3 +194,28 @@ def test_parser_is_shared_and_options_do_not_leak(theta_file, capsys):
     code, out, _ = run(capsys, "compute", theta_file)
     assert code == 0
     assert out.strip() == THETA_TEXT
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{theta}", "--orders", "0"],
+    ["validate", "{theta}", "--orders", "-1"],
+    ["corpus", "--max-edges", "-1"],
+    ["corpus", "--max-edges", "1", "--random", "-1"],
+])
+def test_counts_below_their_minimum_are_usage_errors(theta_file, capsys,
+                                                     argv):
+    """``validate --orders 0`` would validate no quasi-tree expansion and
+    still report equality; a negative corpus bound would be read as 0."""
+    code, out, err = run(capsys, *[a.format(theta=theta_file) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "must be at least" in err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "bytes.rg"
+    f.write_bytes(b"edges: e+\nvertex v1: e.1 \xff e.2\n")
+    code, _, err = run(capsys, "compute", str(f))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "(line 2, column 16)" in err

@@ -1,0 +1,45 @@
+"""Three-way agreement past the exhaustive sweep: Hypothesis-drawn 5-8-edge
+packaged graphs, disconnected ones and isolated vertices included."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ribbonpoly.invariants import cross_validate, pst_delcon, pst_state_sum
+from ribbonpoly.packaged import packaged_dual
+from ribbonpoly.ribbon import RibbonGraph, connected_components
+from test_caches import random_packaging
+
+
+@st.composite
+def packaged_graphs(draw, min_edges=5, max_edges=8, max_vertices=4):
+    """As ``test_ribbon.ribbon_graphs``, with at least ``min_edges`` edges,
+    then a random packaging."""
+    m = draw(st.integers(min_edges, max_edges))
+    names = [f"e{i + 1}" for i in range(m)]
+    signs = {n: draw(st.sampled_from([1, -1])) for n in names}
+    ends = draw(st.permutations([(n, i) for n in names for i in (1, 2)]))
+    nv = draw(st.integers(1, max_vertices))
+    at = [draw(st.integers(0, nv - 1)) for _ in ends]
+    rotation = {f"v{j + 1}": tuple(e for e, a in zip(ends, at) if a == j)
+                for j in range(nv)}
+    g = RibbonGraph.build(list(rotation), rotation, signs)
+    return random_packaging(g, draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(packaged_graphs(), st.data())
+def test_three_pipelines_agree_on_larger_graphs(pg, data):
+    g = pg.graph
+    ss = pst_state_sum(pg)
+    assert pst_delcon(pg) == ss
+    assert pst_delcon(pg, lambda p: p.graph.edges[-1]) == ss
+    if len(connected_components(g)) == 1:
+        n = data.draw(st.integers(2, 3))
+        orders = [tuple(data.draw(st.permutations(g.edges)))
+                  for _ in range(n)]
+        rep = cross_validate(pg, orders)
+        assert rep.equal and rep.shape_checks_passed
+        assert len(rep.quasitree) == len(set(orders))
+    assert pst_state_sum(packaged_dual(pg)) == ss.swap_xy()
