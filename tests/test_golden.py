@@ -10,6 +10,8 @@ subsets, the ``classify_edge`` kind of every edge, ``orientable`` and the
 ``krushkal_quasitree`` text in sorted edge order with both
 ``subset_nullity`` values; and for a few seeded connected 6-8-edge packaged
 graphs, their ``pst_delcon`` text and their ``pst_quasitree`` text in sorted
+edge order.  For every graph of both kinds it also holds one SHA-256 over
+the ``activities`` report of each quasi-tree in sorted and one in reversed
 edge order.  The test only reads the file.  To regenerate it
 after an intended output change, run from the repository root::
 
@@ -18,6 +20,7 @@ after an intended output change, run from the repository root::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -31,8 +34,9 @@ from ribbonpoly.invariants import (_random_partition, corpus,
                                    pst_quasitree, pst_state_sum)
 from ribbonpoly.packaged import (PackagedRibbonGraph, _packaged_contract_case,
                                  _packaged_delete_case, packaged_dual)
-from ribbonpoly.ribbon import (RibbonGraph, classify_edge,
-                               connected_components, contract_edge,
+from ribbonpoly.ribbon import (ActivityReport, RibbonGraph, activities,
+                               classify_edge, connected_components,
+                               contract_edge, enumerate_quasi_trees,
                                orientable, partial_dual)
 
 GOLDEN = Path(__file__).with_name("golden_corpus3.json")
@@ -64,6 +68,19 @@ def _minors_sha(pg: PackagedRibbonGraph, e: str) -> str:
                 f"{render(contracted)}case {ccase}\n{corr!r}")
 
 
+def _activities_sha(g: RibbonGraph) -> list[str]:
+    """Per order, sorted then reversed, one hash over every quasi-tree's
+    activity report, each field's edges sorted."""
+    fields = [f.name for f in dataclasses.fields(ActivityReport)]
+    quasi_trees = enumerate_quasi_trees(g)
+    out = []
+    for order in (sorted(g.edges), sorted(g.edges, reverse=True)):
+        reports = [(sorted(q), [(f, sorted(getattr(rep, f))) for f in fields])
+                   for q in quasi_trees for rep in [activities(g, q, order)]]
+        out.append(_sha(repr(reports)))
+    return out
+
+
 def _graph_invariants(g: RibbonGraph) -> dict:
     order = sorted(g.edges)
     return {
@@ -72,6 +89,7 @@ def _graph_invariants(g: RibbonGraph) -> dict:
         "krushkal_quasitree": krushkal_quasitree(g, order).canonical_text(),
         "krushkal_quasitree_contrast": krushkal_quasitree(
             g, order, subset_nullity=False).canonical_text(),
+        "activities_sha256": _activities_sha(g),
     }
 
 
@@ -103,6 +121,7 @@ def _large() -> list[dict]:
             "delcon": pst_delcon(pg).canonical_text(),
             "quasitree": pst_quasitree(
                 pg, sorted(pg.graph.edges)).canonical_text(),
+            "activities_sha256": _activities_sha(pg.graph),
         })
     return out
 
