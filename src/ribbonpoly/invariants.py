@@ -3,16 +3,19 @@
 Three routes compute the same polynomial: a state sum over edge subsets, a
 deletion-contraction recursion, and a quasi-tree expansion.  The recursion
 steps string-keyed packaged graphs and adds one monomial per leaf to one
-counter; the expansion evaluates its activity minors as compiled minors
-(:class:`~ribbonpoly.packaged.Minor`), so the two implement the minor rule
-independently.  On top of these sit the specializations (surface version
-for orientable graphs, the four-variable alpha/beta/a/b polynomial with its
-own quasi-tree expansion, and the classical Tutte polynomial), a
-small-instance corpus generator and a cross-validation driver.  The driver
-evaluates each activity minor once per distinct deleted and contracted part
-(B, A), however many edge orders produce it, and shape-checks the minor's
-graph built in one step, the partial dual at A restricted to the live
-edges.
+counter; the expansion builds each activity minor, which contracts a set A
+and deletes a set B, as a compiled minor
+(:class:`~ribbonpoly.packaged.Minor`) in one set step and evaluates it with
+its own recursion, started at the x/y exponents of the minor's nullity
+prefactor and adding its leaves to one counter, so the two implement the
+minor rule independently.  On top of these sit the specializations
+(surface version for orientable graphs, the four-variable alpha/beta/a/b
+polynomial with its own quasi-tree expansion, and the classical Tutte
+polynomial), a small-instance corpus generator and a cross-validation
+driver.  The driver evaluates each activity minor once per distinct deleted
+and contracted part (B, A), however many edge orders produce it, and
+shape-checks the minor's graph built in one step, the partial dual at A
+restricted to the live edges.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ def _subset_term(vside: Side, bside: Side, mask: int) -> tuple:
 
 
 def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(gammas).items()))
+    """(gamma, multiplicity) pairs, sorted; a dict, since building a
+    ``Counter`` costs more than counting the few values of one leaf."""
+    count: dict[int, int] = {}
+    for g in gammas:
+        count[g] = count.get(g, 0) + 1
+    return tuple(sorted(count.items()))
 
 
 def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
@@ -116,59 +124,54 @@ def pst_delcon(pg: PackagedRibbonGraph,
 
 def _activity_terms(pg: PackagedRibbonGraph):
     """The function of an activity minor's deleted part B and contracted
-    part A that gives its x/y prefactor and its compiled minor, which
-    deletes B then contracts A in sorted order, as the string-minor
-    reference ``_quasitree_minor`` in ``tests/packaged_oracle.py`` does."""
+    part A that gives its x/y prefactor exponents and its compiled minor,
+    built in one set step; the string-minor reference is
+    ``_quasitree_minor`` in ``tests/packaged_oracle.py``."""
     vside, bside = state_sides(pg)
     root = Minor.compile(pg)
     index = {e: k for k, e in enumerate(pg.graph.edges)}
 
     def term(deleted: frozenset[str], contracted: frozenset[str]
-             ) -> tuple[MultiPoly, Minor]:
-        n1, _ = vside.record(sum(1 << index[e] for e in contracted))
-        n2, _ = bside.record(sum(1 << index[e] for e in deleted))
-        minor = root
-        for e in sorted(deleted):
-            minor = minor.step(index[e], False)[0]
-        for e in sorted(contracted):
-            minor = minor.step(index[e], True)[0]
-        return MultiPoly({Monomial(n2, n1): 1}), minor
+             ) -> tuple[tuple[int, int], Minor]:
+        b = sum(1 << index[e] for e in deleted)
+        a = sum(1 << index[e] for e in contracted)
+        return (bside.nullity(b), vside.nullity(a)), root.minor(b, a)
 
     return term
 
 
 def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
                      quasi_trees: list[frozenset[str]]):
-    """Yield (Q, activity report, x/y prefactor, compiled activity minor)
-    per quasi-tree of ``quasi_trees``, the list :func:`enumerate_quasi_trees`
-    gives."""
+    """Yield (Q, activity report, x/y prefactor exponents, compiled
+    activity minor) per quasi-tree of ``quasi_trees``, the list
+    :func:`enumerate_quasi_trees` gives."""
     term = _activity_terms(pg)
     for q in quasi_trees:
         act = activities(pg.graph, q, order)
         yield (q, act, *term(act.deleted_part(), act.contracted_part()))
 
 
-def _minor_poly(m: Minor) -> MultiPoly:
+def _minor_leaves(leaves: Counter, m: Minor, ex: int, ey: int) -> Counter:
     """Deletion-contraction on the compiled minor ``m``, pivoting on its
-    lowest live edge: the sum over the leaves of x^(deletions) y^(contractions)
-    that merged no two blocks, times the leaf's gamma families, where each
-    block has gamma = 1 - isolated count + weight."""
-    leaves: Counter = Counter()
+    lowest live edge: add to ``leaves`` x^ex y^ey times each leaf's x^(its
+    deletions) y^(its contractions) that merged no two blocks and its gamma
+    families, where each block has gamma = 1 - isolated count + weight."""
+    if not m.live:
+        vg, bg = ([1 - n + w for w, n in zip(*side) if w is not None]
+                  for side in zip(m.weights, m.isolated))
+        leaves[Monomial(ex, ey, _family(bg), _family(vg))] += 1
+        return leaves
+    k = (m.live & -m.live).bit_length() - 1
+    deleted, merged = m.step(k, False)
+    _minor_leaves(leaves, deleted, ex + (not merged), ey)
+    contracted, merged = m.step(k, True)
+    _minor_leaves(leaves, contracted, ex, ey + (not merged))
+    return leaves
 
-    def descend(m: Minor, ex: int, ey: int) -> None:
-        if not m.live:
-            vg, bg = ([1 - n + w for w, n in zip(*side) if w is not None]
-                      for side in zip(m.weights, m.isolated))
-            leaves[Monomial(ex, ey, _family(bg), _family(vg))] += 1
-            return
-        k = (m.live & -m.live).bit_length() - 1
-        deleted, merged = m.step(k, False)
-        descend(deleted, ex + (not merged), ey)
-        contracted, merged = m.step(k, True)
-        descend(contracted, ex, ey + (not merged))
 
-    descend(m, 0, 0)
-    return MultiPoly(leaves)
+def _minor_poly(m: Minor, ex: int = 0, ey: int = 0) -> MultiPoly:
+    """x^ex y^ey times the polynomial of the compiled minor ``m``."""
+    return MultiPoly(_minor_leaves(Counter(), m, ex, ey))
 
 
 def _sum(polys: Iterable[MultiPoly]) -> MultiPoly:
@@ -179,12 +182,16 @@ def _sum(polys: Iterable[MultiPoly]) -> MultiPoly:
 
 def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
     """Quasi-tree expansion; each quasi-tree contributes its activity minor's
-    polynomial with a nullity prefactor."""
+    polynomial with a nullity prefactor, whose exponents start the minor's
+    recursion, so every leaf of every minor adds to one counter."""
     order = list(order)
     if len(connected_components(pg.graph)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
-    terms = _quasitree_terms(pg, order, enumerate_quasi_trees(pg.graph))
-    return _sum(pre * _minor_poly(minor) for _, _, pre, minor in terms)
+    leaves: Counter = Counter()
+    for _, _, pre, minor in _quasitree_terms(pg, order,
+                                             enumerate_quasi_trees(pg.graph)):
+        _minor_leaves(leaves, minor, *pre)
+    return MultiPoly(leaves)
 
 
 def _minor_graph(g: RibbonGraph, deleted: Iterable[str],
@@ -493,7 +500,7 @@ def cross_validate(pg: PackagedRibbonGraph,
             key = (act.deleted_part(), act.contracted_part())
             if key not in contributions:
                 pre, minor = term(*key)
-                contributions[key] = pre * _minor_poly(minor)
+                contributions[key] = _minor_poly(minor, *pre)
             if (q, *key) not in shapes:
                 shapes[(q, *key)] = _minor_shape_ok(act,
                                                     _minor_graph(g, *key))

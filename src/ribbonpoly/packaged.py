@@ -7,6 +7,12 @@ to the boundary partition at the two sides of the edge, contraction to the
 vertex partition at its two ends.  The quotient multigraph of either
 partition (the *packaging*) supplies the nullities and per-component genus
 corrections used by the invariant polynomials.
+
+Minors come in two encodings: string-keyed packaged graphs
+(:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
+the same rule in integers over the root's kernel, one edge at a time
+(:meth:`Minor.step`) or for a deleted and a contracted set at once
+(:meth:`Minor.minor`).
 """
 
 from __future__ import annotations
@@ -224,20 +230,30 @@ class Side(NamedTuple):
         and :func:`component_gamma_values` give them.  Each boundary walk
         lies in one component, so it is counted in the bin of its vertex's
         block instead of re-tracing each component."""
-        kern, block = self.kernel, self.block
-        ev = kern.end_vertex
-        pairs = [(block[ev[2 * k]], block[ev[2 * k + 1]])
-                 for k in range(len(ev) // 2) if mask >> k & 1]
-        roots = union_find(len(self.weights), pairs)
+        pairs, roots = self._join(mask)
+        block = self.block
         gamma: dict[int, int] = {}   # root -> 2 + e(K) - v(K) + w(K) - b(K)
         for r, w in zip(roots, self.weights):
             gamma[r] = gamma.get(r, 2) + w - 1
         for i, _ in pairs:
             gamma[roots[i]] += 1
-        for v in subset_walks(kern, mask):
+        for v in subset_walks(self.kernel, mask):
             gamma[roots[block[v]]] -= 1
         return (len(pairs) - len(self.weights) + len(gamma),
                 tuple(sorted(gamma.values())))
+
+    def nullity(self, mask: int) -> int:
+        """The first value of :meth:`record`, without tracing a walk."""
+        pairs, roots = self._join(mask)
+        return len(pairs) - len(self.weights) + len(set(roots))
+
+    def _join(self, mask: int) -> tuple[list[tuple[int, int]], list[int]]:
+        """The block pairs of the edges of ``mask`` and the union-find
+        roots of the blocks they join."""
+        ev, block = self.kernel.end_vertex, self.block
+        pairs = [(block[ev[2 * k]], block[ev[2 * k + 1]])
+                 for k in range(len(ev) // 2) if mask >> k & 1]
+        return pairs, union_find(len(self.weights), pairs)
 
 
 def state_sides(pg: PackagedRibbonGraph) -> tuple[Side, Side]:
@@ -366,7 +382,8 @@ class Minor(NamedTuple):
     hold one entry per side, vertex side first: the block of the vertex
     (boundary walk) through each dart; the block weights, ``None`` for a
     block merged away; and per block its number of isolated elements,
-    vertices without edge ends (their empty boundaries)."""
+    vertices without edge ends (their empty boundaries).  :meth:`step`
+    removes one edge, :meth:`minor` a deleted and a contracted set."""
     kernel: Kernel
     live: int
     t1: tuple[int, ...]
@@ -450,3 +467,64 @@ class Minor(NamedTuple):
                       (tuple(weights[0]), tuple(weights[1])),
                       (tuple(isolated[0]), tuple(isolated[1]))),
                 lx != ly)
+
+    def minor(self, deleted: int, contracted: int) -> "Minor":
+        """Delete the live edges of the mask ``deleted`` and contract those
+        of ``contracted`` at once: the result of :meth:`step` on each, in
+        any order, up to the names of the blocks.
+
+        Each live corner into a removed dart is joined to the live dart
+        where the walk through removed darts leaves them, crossing each
+        removed end by ``t0`` if its edge is contracted and by ``d ^ 1`` if
+        it is deleted.  An orbit of removed darts alone is an isolated
+        vertex with an empty boundary.  On each side the blocks are joined
+        along the ends of the contracted edges (the sides of the deleted
+        edges); a merged block has weight sum(w) + |edges| - |blocks| + 1,
+        one per edge that joined no two blocks, as in :meth:`step`."""
+        t0, old = self.kernel.t0, self.t1
+        gone = deleted | contracted
+        t1 = list(old)
+        seen = bytearray(len(old))
+
+        def walk(cur: int) -> int:
+            """Mark the darts from ``cur`` on; the first live dart."""
+            while gone >> (cur >> 2) & 1 and not seen[cur]:
+                cross = t0[cur] if contracted >> (cur >> 2) & 1 else cur ^ 1
+                seen[cur] = seen[cross] = 1
+                cur = old[cross]
+            return cur
+
+        removed = [d for d in range(len(old)) if gone >> (d >> 2) & 1]
+        for a in removed:
+            if not gone >> (old[a] >> 2) & 1 and not seen[a]:
+                b, c = old[a], walk(a)
+                t1[b], t1[c] = c, b
+        lone = []   # a dart of each orbit on removed darts alone
+        for a in removed:
+            t1[a] = -1
+            if not seen[a]:
+                lone.append(a)
+                walk(a)
+
+        labels, weights, isolated = [], [], []
+        for s, (x, y, mask) in enumerate(((0, 2, contracted), (0, 1, deleted))):
+            lab, w, n = self.labels[s], self.weights[s], self.isolated[s]
+            pairs = [(lab[4 * k + x], lab[4 * k + y])
+                     for k in range(len(old) // 4) if mask >> k & 1]
+            roots = union_find(len(w), pairs)
+            nw: list[int | None] = [None] * len(w)
+            iso = [0] * len(w)
+            for b, r in enumerate(roots):
+                if w[b] is not None:
+                    nw[r] = (1 if nw[r] is None else nw[r]) + w[b] - 1
+                    iso[r] += n[b]
+            for b, _ in pairs:
+                nw[roots[b]] += 1
+            for a in lone:
+                iso[roots[lab[a]]] += 1
+            labels.append(tuple([roots[b] for b in lab]))
+            weights.append(tuple(nw))
+            isolated.append(tuple(iso))
+        return Minor(self.kernel, self.live & ~gone, tuple(t1),
+                     (labels[0], labels[1]), (weights[0], weights[1]),
+                     (isolated[0], isolated[1]))

@@ -26,7 +26,6 @@ geometric dual.  Named darts appear only where the API returns them.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -340,11 +339,13 @@ def _fresh_names(taken: set[str]) -> Iterator[str]:
     return (f"w{i}" for i in itertools.count(1) if f"w{i}" not in taken)
 
 
-def partial_dual_with_map(g: RibbonGraph,
-                          edges: Iterable[str]) -> tuple[RibbonGraph, dict[Dart, Dart]]:
+def partial_dual_with_map(g: RibbonGraph, edges: Iterable[str],
+                          with_map: bool = True
+                          ) -> tuple[RibbonGraph, dict[Dart, Dart] | None]:
     """Partial dual together with the dart relabelling it induces (old dart
     -> dart of the new graph), since end indices and sides on changed
-    vertices may be renamed.
+    vertices may be renamed; with ``with_map=False`` the relabelling is not
+    built and ``None`` stands in its place.
 
     The partial dual swaps t0 and t2 on the darts of ``edges``.  Only the
     vertices that carry an end of those edges change, so only their darts
@@ -358,7 +359,7 @@ def partial_dual_with_map(g: RibbonGraph,
     if unknown:
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
     if not a:
-        return g, {d: d for d in g.darts()}
+        return g, {d: d for d in g.darts()} if with_map else None
     kern = g.kernel
     t0, t1, names, ev = kern.t0, kern.t1, kern.darts, kern.end_vertex
     swap = {d: t0[d] for d in range(len(t0)) if names[d][0] in a}  # new t2
@@ -409,12 +410,13 @@ def partial_dual_with_map(g: RibbonGraph,
 
     rotation = {v: rot for _, v, rot in placed}
     rotation.update((v, ()) for v in g.vertices if not g.rotation.get(v, ()))
-    dart_map = {names[d]: names[image[d]] for d in range(len(t0))}
+    dart_map = ({names[d]: names[image[d]] for d in range(len(t0))}
+                if with_map else None)
     return RibbonGraph(tuple(rotation), rotation, sign), dart_map
 
 
 def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
-    return partial_dual_with_map(g, edges)[0]
+    return partial_dual_with_map(g, edges, with_map=False)[0]
 
 
 def dual_correspondences(g: RibbonGraph) -> tuple[RibbonGraph, dict[str, str],
@@ -589,6 +591,17 @@ class ActivityReport:
 
 def activities(g: RibbonGraph, q: Iterable[str],
                order: Iterable[str]) -> ActivityReport:
+    """The activity classes of every edge relative to the quasi-tree ``q``
+    and the total ``order``, read off G^Q on the kernel without building it.
+
+    G^Q swaps ``t0`` and ``t2`` on the darts of Q, so its one vertex is the
+    orbit of ``t1`` and the new ``t2`` through dart 0, and every edge is a
+    loop there.  An edge is twisted in G^Q iff the new ``t0`` of the dart
+    where the walk enters one end is the dart where it enters the other.
+    Edge f kills e iff f precedes e in the order and exactly one end of f
+    lies between the two ends of e: with ``P[i]`` the XOR of the edge bits
+    of the first ``i`` ends along the walk, f's bit is set in
+    ``P[hi] ^ P[lo + 1]``."""
     qset = frozenset(q)
     order = list(order)
     if set(order) != set(g.sign) or len(order) != len(g.sign):
@@ -596,33 +609,48 @@ def activities(g: RibbonGraph, q: Iterable[str],
     unknown = qset - set(g.sign)
     if unknown:
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
-    mask = sum(1 << k for k, e in enumerate(g.edges) if e in qset)
-    if len(subset_walks(g.kernel, mask)) != 1:
+    edges = g.edges
+    mask = sum(1 << k for k, e in enumerate(edges) if e in qset)
+    kern = g.kernel
+    if len(subset_walks(kern, mask)) != 1:
         raise RibbonGraphError("not a quasi-tree")
-    h = partial_dual(g, qset)
-    if len([v for v in h.vertices if h.rotation.get(v, ())]) > 1:
+    t0, t1 = kern.t0, kern.t1
+    seen = bytearray(len(t0))
+    first: dict[int, tuple[int, int]] = {}  # edge -> (parity, entering dart)
+    between = [0] * len(edges)  # the edges with one end inside each loop
+    twisted = parity = cur = 0  # parity: XOR of the bits of the ends so far
+    while t0:
+        k = cur >> 2
+        partner = t0[cur] if mask >> k & 1 else cur ^ 1  # the new t2
+        if seen[cur] or seen[partner]:
+            raise RibbonGraphError("inconsistent flag structure")
+        seen[cur] = seen[partner] = 1
+        if k in first:
+            before, a = first[k]
+            between[k] = parity ^ before
+            across = a ^ 1 if mask >> k & 1 else t0[a]  # the new t0
+            if across == cur:
+                twisted |= 1 << k
+            elif across != partner:
+                raise RibbonGraphError("inconsistent flag structure")
+        parity ^= 1 << k
+        first.setdefault(k, (parity, cur))
+        cur = t1[partner]
+        if cur == 0:
+            break
+    if not all(seen):
         raise RibbonGraphError("quasi-tree partial dual has more than one vertex")
-    # every edge is a loop at the one vertex of G^Q; f and e interlace iff
-    # exactly one end of f lies between the two ends of e
-    rot = [end[0] for r in h.rotation.values() for end in r]
-    twisted = frozenset(e for e in g.sign if h.sign[e] == -1)
-    rank = {e: i for i, e in enumerate(order)}
-    sets: dict[str, set[str]] = {k: set() for k in "D D* O O* N N*".split()}
-    for e in g.sign:
-        lo, hi = sorted(i for i, f in enumerate(rot) if f == e)
-        between = Counter(rot[lo + 1:hi])
-        dead = any(n == 1 and rank[f] < rank[e] for f, n in between.items())
-        internal = e in qset
-        if dead:
-            key = "D" if internal else "D*"
-        elif e in twisted:
-            key = "N" if internal else "N*"
-        else:
-            key = "O" if internal else "O*"
-        sets[key].add(e)
-    return ActivityReport(frozenset(sets["D"]), frozenset(sets["D*"]),
-                          frozenset(sets["O"]), frozenset(sets["O*"]),
-                          frozenset(sets["N"]), frozenset(sets["N*"]), twisted)
+    index = {e: k for k, e in enumerate(edges)}
+    sets: list[set[str]] = [set() for _ in range(6)]  # D D* O O* N N*
+    earlier = 0
+    for e in order:
+        k = index[e]
+        kind = 0 if between[k] & earlier else 4 if twisted >> k & 1 else 2
+        sets[kind + (not mask >> k & 1)].add(e)
+        earlier |= 1 << k
+    return ActivityReport(*map(frozenset, sets),
+                          frozenset(e for k, e in enumerate(edges)
+                                    if twisted >> k & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -735,21 +763,43 @@ def isomorphic(g1: RibbonGraph, g2: RibbonGraph) -> bool:
 def certificate(g: RibbonGraph) -> tuple:
     """A value equal on isomorphic graphs and distinct otherwise.
 
-    Works on the flag structure: a deterministic traversal from every start
-    dart relabels the darts; the minimum encoding over all starts is invariant
-    under vertex/edge relabelling, reflections and end swaps.  Requires a
-    connected graph.
+    Works on the flag structure: a deterministic traversal from a start
+    dart relabels the darts; the minimum encoding over the starts is
+    invariant under vertex/edge relabelling, reflections and end swaps.
+    Only darts with the least (vertex degree, boundary-walk length) start,
+    since every isomorphism keeps that pair, and an encoding stops at its
+    first row above the best one so far.  Requires a connected graph.
     """
     if not g.sign:
         return ("vertices", len(g.vertices))
     kern = g.kernel
     t0, t1 = kern.t0, kern.t1
-    best = None
+    walk_length = [0] * len(t0)
+    for d0 in range(len(t0)):
+        if walk_length[d0]:
+            continue
+        walk = []
+        cur = d0
+        while True:
+            walk += (cur, t0[cur])
+            cur = t1[t0[cur]]
+            if cur == d0:
+                break
+        for d in walk:
+            walk_length[d] = len(walk)
+    degree = [len(rot) for rot in kern.rotations]
+    keys = [(degree[kern.end_vertex[d >> 1]], walk_length[d])
+            for d in range(len(t0))]
+    low = min(keys)
+    best: list = []
     for start in range(len(t0)):
+        if keys[start] != low:
+            continue
         label = [-1] * len(t0)
         label[start] = 0
         queue = [start]
         enc = []
+        below = not best   # already less than ``best`` on an earlier row
         for d in queue:  # grows while it is read: a breadth-first traversal
             row = []
             for nb in (t0[d], t1[d], d ^ 1):
@@ -757,8 +807,13 @@ def certificate(g: RibbonGraph) -> tuple:
                     label[nb] = len(queue)
                     queue.append(nb)
                 row.append(label[nb])
-            enc.append(tuple(row))
-        key = tuple(enc)
-        if best is None or key < best:
-            best = key
-    return ("flags", len(g.vertices), best)
+            row = tuple(row)
+            if not below:
+                if len(enc) == len(best) or row > best[len(enc)]:
+                    break
+                below = row < best[len(enc)]
+            enc.append(row)
+        else:
+            if below or len(enc) < len(best):
+                best = enc
+    return ("flags", len(g.vertices), tuple(best))

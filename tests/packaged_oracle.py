@@ -1,14 +1,18 @@
 """Reference code for the tests: isomorphism of packaged ribbon graphs, by
-brute force over the ribbon isomorphisms, and the activity minor as a chain
-of string-keyed packaged minors."""
+brute force over the ribbon isomorphisms; the activity minor as a chain of
+string-keyed packaged minors; and the activity classes read off the named
+partial dual G^Q."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable
 
 from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
                                  packaged_delete)
-from ribbonpoly.ribbon import isomorphisms, trace_boundaries
+from ribbonpoly.ribbon import (ActivityReport, RibbonGraph, RibbonGraphError,
+                               isomorphisms, partial_dual, subset_walks,
+                               trace_boundaries)
 
 
 def packaged_isomorphic(p1: PackagedRibbonGraph,
@@ -51,3 +55,42 @@ def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
     for e in sorted(contracted):
         cur = packaged_contract(cur, e)
     return cur
+
+
+def activities_oracle(g: RibbonGraph, q: Iterable[str],
+                      order: Iterable[str]) -> ActivityReport:
+    """:func:`ribbonpoly.ribbon.activities` on the named partial dual G^Q:
+    f kills e iff f precedes e and exactly one end of f lies between the
+    two ends of e in the rotation of G^Q's one vertex."""
+    qset = frozenset(q)
+    order = list(order)
+    if set(order) != set(g.sign) or len(order) != len(g.sign):
+        raise RibbonGraphError("order must be a total order on the edges")
+    unknown = qset - set(g.sign)
+    if unknown:
+        raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
+    mask = sum(1 << k for k, e in enumerate(g.edges) if e in qset)
+    if len(subset_walks(g.kernel, mask)) != 1:
+        raise RibbonGraphError("not a quasi-tree")
+    h = partial_dual(g, qset)
+    if len([v for v in h.vertices if h.rotation.get(v, ())]) > 1:
+        raise RibbonGraphError("quasi-tree partial dual has more than one vertex")
+    rot = [end[0] for r in h.rotation.values() for end in r]
+    twisted = frozenset(e for e in g.sign if h.sign[e] == -1)
+    rank = {e: i for i, e in enumerate(order)}
+    sets: dict[str, set[str]] = {k: set() for k in "D D* O O* N N*".split()}
+    for e in g.sign:
+        lo, hi = sorted(i for i, f in enumerate(rot) if f == e)
+        between = Counter(rot[lo + 1:hi])
+        dead = any(n == 1 and rank[f] < rank[e] for f, n in between.items())
+        internal = e in qset
+        if dead:
+            key = "D" if internal else "D*"
+        elif e in twisted:
+            key = "N" if internal else "N*"
+        else:
+            key = "O" if internal else "O*"
+        sets[key].add(e)
+    return ActivityReport(frozenset(sets["D"]), frozenset(sets["D*"]),
+                          frozenset(sets["O"]), frozenset(sets["O*"]),
+                          frozenset(sets["N"]), frozenset(sets["N*"]), twisted)

@@ -60,9 +60,9 @@ def test_cross_validate_evaluates_each_minor_once(g, seed, data):
     real = invariants._minor_poly
     calls = []
 
-    def counted(m):
+    def counted(m, *pre):
         calls.append(m)
-        return real(m)
+        return real(m, *pre)
 
     invariants._minor_poly = counted
     try:
@@ -72,7 +72,7 @@ def test_cross_validate_evaluates_each_minor_once(g, seed, data):
     assert len(calls) == len(keys)
     assert rep.equal and rep.shape_checks_passed
     for order in orders:
-        want = {tuple(sorted(q)): pre * real(minor) for q, _, pre, minor
+        want = {tuple(sorted(q)): real(minor, *pre) for q, _, pre, minor
                 in _quasitree_terms(pg, list(order), quasi_trees)}
         assert {q: c for q, _, c in rep.breakdown[order]} == want
         assert rep.quasitree[order] == pst_quasitree(pg, order)

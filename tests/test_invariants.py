@@ -16,7 +16,7 @@ from ribbonpoly.invariants import (Multigraph, _quasitree_terms, _terminal,
                                    underlying_multigraph)
 from ribbonpoly.packaged import (PackagedRibbonGraph, WeightedPartition,
                                  packaged_contract, packaged_delete)
-from ribbonpoly.poly import HalfExpPoly, MultiPoly, parse_poly
+from ribbonpoly.poly import HalfExpPoly, Monomial, MultiPoly, parse_poly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                certificate, connected_components,
                                enumerate_quasi_trees, euler_genus, restrict)
@@ -110,7 +110,7 @@ def test_quasitree_matches_state_sum(theta):
 
 def test_quasitree_breakdown(theta):
     """Three quasi-trees; each contributes prefactor times minor polynomial."""
-    rows = {tuple(sorted(q)): (pre, minor)
+    rows = {tuple(sorted(q)): (MultiPoly({Monomial(*pre): 1}), minor)
             for q, _, pre, minor in _quasitree_terms(
                 theta, ["e", "f", "g"], enumerate_quasi_trees(theta.graph))}
     assert set(rows) == {("f",), ("g",), ("e", "f", "g")}

@@ -1,6 +1,7 @@
 """The compiled packaged minor of the quasi-tree expansion against the
-string-level packaged minors, and the call contract of deletion-contraction
-that ``bench/spans.py`` counts."""
+string-level packaged minors, the one-step set minor against a chain of
+single steps, and the call contract of deletion-contraction that
+``bench/spans.py`` counts."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
                                  _packaged_contract_case,
                                  _packaged_delete_case)
 from ribbonpoly.ribbon import union_find
+from packaged_oracle import _quasitree_minor
 from test_caches import random_packaging
 from test_golden import _large_instance
 from test_ribbon import ribbon_graphs
@@ -80,6 +82,37 @@ def test_compiled_steps_match_string_minors(g, seed, data):
         m, merged = m.step(index[e], contract)
         assert merged == (case == 1)
         assert compiled_blocks(m) == string_blocks(pg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(max_edges=6), st.integers(0, 2 ** 16), st.data())
+def test_set_minor_matches_step_chain(g, seed, data):
+    """``Minor.minor(B, A)`` equals stepping each edge of B and A in a
+    random order and the string minor chain, and doing it in two parts
+    equals doing it at once.  Disconnected graphs and isolated vertices
+    included."""
+    pg = random_packaging(g, seed)
+    root = Minor.compile(pg)
+    roles = data.draw(st.lists(st.sampled_from("dck"), min_size=len(g.sign),
+                               max_size=len(g.sign)))
+    deleted = sum(1 << k for k, r in enumerate(roles) if r == "d")
+    contracted = sum(1 << k for k, r in enumerate(roles) if r == "c")
+    one = root.minor(deleted, contracted)
+    chain = root
+    for k in data.draw(st.permutations([k for k, r in enumerate(roles)
+                                        if r != "k"])):
+        chain = chain.step(k, contracted >> k & 1)[0]
+    assert (one.live, one.t1) == (chain.live, chain.t1)
+    assert compiled_blocks(one) == compiled_blocks(chain)
+    assert _minor_poly(one) == _minor_poly(chain)
+    names = [{e for e, r in zip(g.edges, roles) if r == role}
+             for role in "dc"]
+    assert compiled_blocks(one) == string_blocks(_quasitree_minor(pg, *names))
+    first = data.draw(st.integers(0, root.kernel.full))
+    two = root.minor(deleted & first, contracted & first).minor(
+        deleted & ~first, contracted & ~first)
+    assert (two.live, two.t1) == (one.live, one.t1)
+    assert compiled_blocks(two) == compiled_blocks(one)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rg
+from packaged_oracle import activities_oracle
 from ribbonpoly.ribbon import (EdgeKind, RibbonGraph, RibbonGraphError,
                                activities, certificate, classify_edge,
                                connected_components, contract_edge, counts,
@@ -397,6 +399,31 @@ def test_single_edge_is_always_live(mobius):
     assert r.internal_live_nonorientable == {"e"}
 
 
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the message of its RibbonGraphError."""
+    try:
+        return fn(*args)
+    except RibbonGraphError as ex:
+        return f"error: {ex}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(max_edges=5), st.data())
+def test_activities_match_named_partial_dual(g, data):
+    """On every edge subset, quasi-tree or not, and an unknown edge, under a
+    random order, a partial one and one with an unknown edge, the kernel
+    walk gives the report or the error the named G^Q does."""
+    order = data.draw(st.permutations(g.edges))
+    subsets = [frozenset(c) for r in range(len(g.edges) + 1)
+               for c in itertools.combinations(g.edges, r)]
+    for q in subsets + [frozenset({"zz"})]:
+        assert _outcome(activities, g, q, order) == \
+            _outcome(activities_oracle, g, q, order)
+    for bad in (order[1:], order + ["zz"]):
+        assert _outcome(activities, g, subsets[-1], bad) == \
+            _outcome(activities_oracle, g, subsets[-1], bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(ribbon_graphs(max_edges=3, max_vertices=2))
 def test_activity_duality(g):
@@ -446,6 +473,45 @@ def test_reflection_with_sign_flip_is_isomorphism():
     g2 = rg({"u": [("b", 1), ("a", 1)], "w": [("a", 2), ("b", 2)]},
             {"a": -1, "b": -1})
     assert isomorphic(g1, g2)
+
+
+def _scrambled(g: RibbonGraph, data) -> RibbonGraph:
+    """An isomorphic copy of ``g``: edges renamed and ends swapped, each
+    rotation turned and maybe reversed, which flips the sign of every edge
+    with one end at that vertex, and the vertices renamed and reordered."""
+    names = data.draw(st.permutations(g.edges))
+    rename = dict(zip(g.edges, (f"f{i}" for i, _ in enumerate(names))))
+    swap = {e: data.draw(st.booleans()) for e in g.edges}
+    sign = {rename[e]: s for e, s in g.sign.items()}
+    rotation = {}
+    for i, v in enumerate(data.draw(st.permutations(g.vertices))):
+        rot = [(rename[e], 3 - j if swap[e] else j)
+               for e, j in g.rotation.get(v, ())]
+        if rot:
+            turn = data.draw(st.integers(0, len(rot) - 1))
+            rot = rot[turn:] + rot[:turn]
+        if data.draw(st.booleans()):
+            rot.reverse()
+            for e, n in Counter(e for e, _ in rot).items():
+                if n == 1:
+                    sign[e] = -sign[e]
+        rotation[f"u{i}"] = rot
+    return RibbonGraph.build(list(rotation), rotation, sign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(max_edges=4), st.data())
+def test_certificate_matches_isomorphism_oracle(g, data):
+    """On connected pairs with at most four edges, the second graph drawn
+    independently or as a scrambled copy of the first."""
+    assume(len(connected_components(g)) == 1)
+    if data.draw(st.booleans()):
+        h = _scrambled(g, data)
+        assert isomorphic(g, h)
+    else:
+        h = data.draw(ribbon_graphs(max_edges=4))
+        assume(len(connected_components(h)) == 1)
+    assert (certificate(g) == certificate(h)) == isomorphic(g, h)
 
 
 @settings(max_examples=50, deadline=None)
