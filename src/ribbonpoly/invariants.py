@@ -8,14 +8,16 @@ and deletes a set B, as a compiled minor
 (:class:`~ribbonpoly.packaged.Minor`) in one set step and evaluates it with
 its own recursion, started at the x/y exponents of the minor's nullity
 prefactor and adding its leaves to one counter, so the two implement the
-minor rule independently.  On top of these sit the specializations
-(surface version for orientable graphs, the four-variable alpha/beta/a/b
-polynomial with its own quasi-tree expansion, and the classical Tutte
-polynomial), a small-instance corpus generator and a cross-validation
-driver.  The driver evaluates each activity minor once per distinct deleted
-and contracted part (B, A), however many edge orders produce it, and
-shape-checks the minor's graph built in one step, the partial dual at A
-restricted to the live edges.
+minor rule independently.  The prefactor is the minor's weight growth on
+each side.  On top of these sit the specializations (surface version for
+orientable graphs, the four-variable alpha/beta/a/b polynomial with its
+own quasi-tree expansion, read off the state sum's per-subset records,
+and the classical Tutte polynomial), a small-instance corpus generator and
+a cross-validation driver.  The driver evaluates each activity minor once
+per distinct deleted and contracted part (B, A), however many edge orders
+produce it, and shape-checks that same compiled minor: a required bridge
+must split it when deleted, a required plane loop when contracted.  The
+string-graph references of these checks live in the tests.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ from .packaged import (Minor, PackagedRibbonGraph, Side, WeightedPartition,
                        _packaged_contract_case, _packaged_delete_case,
                        state_sides)
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
-from .ribbon import (ActivityReport, RibbonGraph, RibbonGraphError, activities,
-                     certificate, classify_edge, connected_components,
-                     enumerate_quasi_trees, EdgeKind, orientable,
-                     partial_dual, restrict, trace_boundaries, union_find)
+from .ribbon import (RibbonGraph, RibbonGraphError, activities, certificate,
+                     connected_components, enumerate_quasi_trees, orientable,
+                     union_find)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +87,6 @@ def _leaf(pg: PackagedRibbonGraph, ex: int = 0, ey: int = 0) -> Monomial:
                     _family(gammas(pg.vparts)))
 
 
-def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
-    return MultiPoly({_leaf(pg): 1})
-
-
 def pst_delcon(pg: PackagedRibbonGraph,
                pivot_rule=lambda pg: pg.graph.edges[0],
                _counter: list | None = None,
@@ -122,20 +119,26 @@ def pst_delcon(pg: PackagedRibbonGraph,
 # ---------------------------------------------------------------------------
 # quasi-tree expansion
 
+def _mask(index: dict[str, int], edges: Iterable[str]) -> int:
+    return sum(1 << index[e] for e in edges)
+
+
 def _activity_terms(pg: PackagedRibbonGraph):
     """The function of an activity minor's deleted part B and contracted
-    part A that gives its x/y prefactor exponents and its compiled minor,
-    built in one set step; the string-minor reference is
-    ``_quasitree_minor`` in ``tests/packaged_oracle.py``."""
-    vside, bside = state_sides(pg)
+    part A that gives its x/y prefactor exponents, the weight growth of
+    its boundary and vertex side, and its compiled minor, built in one set
+    step; the string-minor reference is ``_quasitree_minor`` in
+    ``tests/packaged_oracle.py``."""
     root = Minor.compile(pg)
     index = {e: k for k, e in enumerate(pg.graph.edges)}
+    base = [sum(w) for w in root.weights]
 
     def term(deleted: frozenset[str], contracted: frozenset[str]
              ) -> tuple[tuple[int, int], Minor]:
-        b = sum(1 << index[e] for e in deleted)
-        a = sum(1 << index[e] for e in contracted)
-        return (bside.nullity(b), vside.nullity(a)), root.minor(b, a)
+        m = root.minor(_mask(index, deleted), _mask(index, contracted))
+        ey, ex = (sum(w for w in ws if w is not None) - w0
+                  for ws, w0 in zip(m.weights, base))
+        return (ex, ey), m
 
     return term
 
@@ -192,35 +195,6 @@ def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
                                              enumerate_quasi_trees(pg.graph)):
         _minor_leaves(leaves, minor, *pre)
     return MultiPoly(leaves)
-
-
-def _minor_graph(g: RibbonGraph, deleted: Iterable[str],
-                 contracted: Iterable[str]) -> RibbonGraph:
-    """The ribbon graph of the minor that deletes B and contracts A, in one
-    step: contracting the set A is the partial dual at A followed by
-    deleting A."""
-    contracted = set(contracted)
-    return restrict(partial_dual(g, contracted),
-                    set(g.sign) - contracted - set(deleted))
-
-
-def minor_shape_check(pg: PackagedRibbonGraph, q: Iterable[str],
-                      order: Iterable[str]) -> bool:
-    """In the activity minor, internal live orientable edges must be bridges
-    and external live orientable edges plane loops."""
-    act = activities(pg.graph, frozenset(q), list(order))
-    return _minor_shape_ok(act, _minor_graph(pg.graph, act.deleted_part(),
-                                             act.contracted_part()))
-
-
-def _minor_shape_ok(act: ActivityReport, mg: RibbonGraph) -> bool:
-    for e in act.internal_live_orientable:
-        if classify_edge(mg, e) != EdgeKind.BRIDGE:
-            return False
-    for e in act.external_live_orientable:
-        if classify_edge(mg, e) != EdgeKind.PLANE_LOOP:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -336,32 +310,36 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     order = list(order)
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
-    gd, _, _ = g.duality
+    vside, bside = state_sides(PackagedRibbonGraph.discrete(g))
+    index = {e: k for k, e in enumerate(g.edges)}
     total: Counter = Counter()
     for q in enumerate_quasi_trees(g):
         act = activities(g, q, order)
-        xs, ga = _krushkal_side(g, act.contracted_part(),
-                                act.internal_live_orientable, subset_nullity)
-        ys, gb = _krushkal_side(gd, act.deleted_part(),
-                                act.external_live_orientable, subset_nullity)
+        xs, ga = _krushkal_side(vside, _mask(index, act.contracted_part()),
+                                _mask(index, act.internal_live_orientable),
+                                subset_nullity)
+        ys, gb = _krushkal_side(bside, _mask(index, act.deleted_part()),
+                                _mask(index, act.external_live_orientable),
+                                subset_nullity)
         for (i, j), c in xs.items():
             for (i2, j2), c2 in ys.items():
                 total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
     return HalfExpPoly(total)
 
 
-def _krushkal_side(g: RibbonGraph, kept: Iterable[str], live: Iterable[str],
+def _krushkal_side(side: Side, kept: int, live: int,
                    subset_nullity: bool) -> tuple[Counter, int]:
-    """The :func:`_tutte_keys` of the multigraph of ``live`` edges between
-    the connected components of the spanning subgraph on ``kept``, and the
-    Euler genus of that subgraph."""
-    sub = restrict(g, kept)
-    comps = connected_components(sub)
-    comp = {v: i for i, c in enumerate(comps) for v in c}
-    ends = [(comp[u], comp[w]) for u, w in map(g.endpoints, live)]
-    genus = (2 * len(comps) - len(sub.vertices) + len(sub.sign)
-             - len(trace_boundaries(sub)))
-    return _tutte_keys(len(comps), ends, subset_nullity), genus
+    """The :func:`_tutte_keys` of the multigraph of the ``live`` edges
+    between the components of the subgraph on ``kept``, and its Euler
+    genus, on a side of the discrete packaging: the components are the
+    roots of the blocks (the other blocks are isolated vertices, which
+    change no key), and their gamma values sum to the Euler genus."""
+    _, roots = side._join(kept)
+    ev, block = side.kernel.end_vertex, side.block
+    ends = [(roots[block[ev[2 * k]]], roots[block[ev[2 * k + 1]]])
+            for k in range(len(ev) // 2) if live >> k & 1]
+    return (_tutte_keys(len(roots), ends, subset_nullity),
+            sum(side.record(kept)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +466,8 @@ def cross_validate(pg: PackagedRibbonGraph,
     connected = len(connected_components(g)) == 1
     quasi_trees = enumerate_quasi_trees(g) if connected else []
     term = _activity_terms(pg)
-    contributions: dict[tuple[frozenset, frozenset], MultiPoly] = {}
+    index = {e: k for k, e in enumerate(g.edges)}
+    minors: dict[tuple[frozenset, frozenset], tuple[Minor, MultiPoly]] = {}
     shapes: dict[tuple[frozenset, frozenset, frozenset], bool] = {}
     for order in orders:
         order = tuple(order)
@@ -498,13 +477,15 @@ def cross_validate(pg: PackagedRibbonGraph,
         for q in quasi_trees:
             act = activities(g, q, order)
             key = (act.deleted_part(), act.contracted_part())
-            if key not in contributions:
+            if key not in minors:
                 pre, minor = term(*key)
-                contributions[key] = _minor_poly(minor, *pre)
-            if (q, *key) not in shapes:
-                shapes[(q, *key)] = _minor_shape_ok(act,
-                                                    _minor_graph(g, *key))
-            rows.append((tuple(sorted(q)), act, contributions[key]))
+                minors[key] = minor, _minor_poly(minor, *pre)
+            minor, contribution = minors[key]
+            if (q, *key) not in shapes:   # bridges in Q, plane loops off Q
+                shapes[(q, *key)] = all(
+                    minor.splits(k, e not in q) for e, k in index.items()
+                    if minor.live >> k & 1)
+            rows.append((tuple(sorted(q)), act, contribution))
         qt[order] = _sum(c for _, _, c in rows)
         breakdown[order] = rows
     equal = ss == dc and all(p == ss for p in qt.values())

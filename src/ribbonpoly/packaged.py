@@ -12,16 +12,17 @@ Minors come in two encodings: string-keyed packaged graphs
 (:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
 the same rule in integers over the root's kernel, one edge at a time
 (:meth:`Minor.step`) or for a deleted and a contracted set at once
-(:meth:`Minor.minor`).
+(:meth:`Minor.minor`); its weight growth and :meth:`Minor.splits` give
+the quasi-tree expansion's prefactor and shape check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, _boundary_targets,
-                     contract_edge, delete_edge, induced_subgraph, restrict,
+                     contract_edge, delete_edge, induced_subgraph,
                      subset_walks, trace_boundaries, union_find)
 
 
@@ -142,16 +143,6 @@ class PackagingGraph:
         return sorted((frozenset(s) for s in groups.values()), key=min)
 
 
-def nullity(pk: PackagingGraph) -> int:
-    """e - v + k of the packaging multigraph."""
-    return len(pk.edges) - len(pk.blocks) + len(pk.components())
-
-
-def packaging(pg: PackagedRibbonGraph) -> PackagingGraph:
-    """Quotient of the underlying graph by the vertex partition."""
-    return quotient(pg.graph, pg.vparts, {v: v for v in pg.graph.vertices})
-
-
 def quotient(g: RibbonGraph, parts: WeightedPartition,
              elem_of_vertex: dict[str, str]) -> PackagingGraph:
     """Packaging of ``g`` by ``parts``; ``elem_of_vertex`` names the partition
@@ -181,32 +172,6 @@ def component_gamma_values(sub: RibbonGraph, pk: PackagingGraph) -> list[int]:
     return out
 
 
-def component_gamma(pg: PackagedRibbonGraph, side: str,
-                    component: Iterable[str]) -> int:
-    """Genus correction of one connected packaging component.
-
-    ``side`` is "vertex" or "boundary"; ``component`` lists the partition
-    elements (vertex ids or boundary ids) of the component's blocks.
-    """
-    if side == "vertex":
-        g = pg.graph
-        parts = pg.vparts
-        elem = {v: v for v in g.vertices}
-    elif side == "boundary":
-        gd, b_to_v, _ = pg.graph.duality
-        g = gd
-        parts = pg.bparts
-        elem = {v: b for b, v in b_to_v.items()}
-    else:
-        raise PackagingError(f"unknown side {side!r}")
-    pk = quotient(g, parts, elem)
-    want = frozenset(parts.block_index(x) for x in component)
-    for comp, gamma in zip(pk.components(), component_gamma_values(g, pk)):
-        if comp == want:
-            return gamma
-    raise PackagingError("not a connected component of the packaging")
-
-
 class Side(NamedTuple):
     """One side of the state sum compiled for a pass over edge subsets: the
     kernel of a ribbon graph, the packaging block of each of its vertices
@@ -225,11 +190,12 @@ class Side(NamedTuple):
                     parts.weights)
 
     def record(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        """The nullity of the packaging of the spanning subgraph on ``mask``
-        and the sorted gamma values of its components, as :func:`nullity`
-        and :func:`component_gamma_values` give them.  Each boundary walk
-        lies in one component, so it is counted in the bin of its vertex's
-        block instead of re-tracing each component."""
+        """The nullity e - v + k of the packaging of the spanning subgraph
+        on ``mask`` and the sorted gamma values 2 + e(K) - v(K) + w(K) -
+        b(K) of its components K, where b(K) counts the boundary walks of
+        the subgraph at the vertices of K.  Each boundary walk lies in one
+        component, so it is counted in the bin of its vertex's block
+        instead of re-tracing each component."""
         pairs, roots = self._join(mask)
         block = self.block
         gamma: dict[int, int] = {}   # root -> 2 + e(K) - v(K) + w(K) - b(K)
@@ -241,11 +207,6 @@ class Side(NamedTuple):
             gamma[roots[block[v]]] -= 1
         return (len(pairs) - len(self.weights) + len(gamma),
                 tuple(sorted(gamma.values())))
-
-    def nullity(self, mask: int) -> int:
-        """The first value of :meth:`record`, without tracing a walk."""
-        pairs, roots = self._join(mask)
-        return len(pairs) - len(self.weights) + len(set(roots))
 
     def _join(self, mask: int) -> tuple[list[tuple[int, int]], list[int]]:
         """The block pairs of the edges of ``mask`` and the union-find
@@ -265,19 +226,6 @@ def state_sides(pg: PackagedRibbonGraph) -> tuple[Side, Side]:
     gd, b_to_v, _ = g.duality
     return (Side.build(g, pg.vparts, {v: v for v in g.vertices}),
             Side.build(gd, pg.bparts, {v: b for b, v in b_to_v.items()}))
-
-
-def restricted_packagings(pg: PackagedRibbonGraph,
-                          a: Iterable[str]) -> tuple[PackagingGraph,
-                                                     PackagingGraph]:
-    """Packagings of (g|A, vertex partition) and (g*|A^c, boundary partition)."""
-    aset = set(a)
-    g = pg.graph
-    first = quotient(restrict(g, aset), pg.vparts, {v: v for v in g.vertices})
-    gd, b_to_v, _ = g.duality
-    elem = {v: b for b, v in b_to_v.items()}
-    second = quotient(restrict(gd, set(g.sign) - aset), pg.bparts, elem)
-    return first, second
 
 
 def packaged_dual(pg: PackagedRibbonGraph) -> PackagedRibbonGraph:
@@ -414,38 +362,13 @@ class Minor(NamedTuple):
         """Delete (contract) live edge ``k``; also return whether
         :func:`_minor_parts`' rule merged two blocks at e's sides (ends).
 
-        Each corner into e's darts is joined to the corner where the walk
-        around the vertex leaves them.  Within e a deletion crosses each end
-        by ``d ^ 1``, a contraction by ``t0``, since the partial dual at e
-        makes ``t0`` its ``t2``.  An orbit on e's darts alone becomes an
-        isolated vertex with an empty boundary.  On contraction that orbit
-        is also a boundary walk of e's darts alone, so each such walk of
-        the root keeps its block, as :func:`contract_edge`'s bijection
-        requires."""
-        t0, old = self.kernel.t0, self.t1
-        t1 = list(old)
-        own = range(4 * k, 4 * k + 4)
-        seen: set[int] = set()
-
-        def walk(cur: int) -> int:
-            """Mark the darts from ``cur`` on; the first dart off e."""
-            while cur >> 2 == k and cur not in seen:
-                cross = t0[cur] if contract else cur ^ 1
-                seen.update((cur, cross))
-                cur = old[cross]
-            return cur
-
-        for a in own:
-            if old[a] >> 2 != k and a not in seen:
-                b, c = old[a], walk(a)
-                t1[b], t1[c] = c, b
-        lone = []   # a dart of each orbit on e's darts alone
-        for a in own:
-            t1[a] = -1
-            if a not in seen:
-                lone.append(a)
-                walk(a)
-
+        A contraction crosses e's ends by ``t0``, since the partial dual at
+        e makes ``t0`` its ``t2`` (:meth:`_restitch`).  On contraction an
+        orbit on e's darts alone is also a boundary walk of e's darts alone,
+        so each such walk of the root keeps its block, as
+        :func:`contract_edge`'s bijection requires."""
+        t1, lone = self._restitch(range(4 * k, 4 * k + 4), 1 << k,
+                                  contract << k)
         s = 0 if contract else 1   # the side of the rule
         x, y = 4 * k, 4 * k + (2 if contract else 1)
         labels = list(self.labels)
@@ -462,7 +385,7 @@ class Minor(NamedTuple):
         isolated[s][ly] += len(lone)
         for a in lone:
             isolated[1 - s][labels[1 - s][a]] += 1
-        return (Minor(self.kernel, self.live & ~(1 << k), tuple(t1),
+        return (Minor(self.kernel, self.live & ~(1 << k), t1,
                       (labels[0], labels[1]),
                       (tuple(weights[0]), tuple(weights[1])),
                       (tuple(isolated[0]), tuple(isolated[1]))),
@@ -473,44 +396,21 @@ class Minor(NamedTuple):
         of ``contracted`` at once: the result of :meth:`step` on each, in
         any order, up to the names of the blocks.
 
-        Each live corner into a removed dart is joined to the live dart
-        where the walk through removed darts leaves them, crossing each
-        removed end by ``t0`` if its edge is contracted and by ``d ^ 1`` if
-        it is deleted.  An orbit of removed darts alone is an isolated
-        vertex with an empty boundary.  On each side the blocks are joined
-        along the ends of the contracted edges (the sides of the deleted
-        edges); a merged block has weight sum(w) + |edges| - |blocks| + 1,
-        one per edge that joined no two blocks, as in :meth:`step`."""
-        t0, old = self.kernel.t0, self.t1
+        On each side the blocks are joined along the ends of the
+        contracted edges (the sides of the deleted edges); a merged block
+        has weight sum(w) + |edges| - |blocks| + 1, one per edge that joined
+        no two blocks, as in :meth:`step`: the side's weights grow by the
+        nullity of its packaging on those edges."""
         gone = deleted | contracted
-        t1 = list(old)
-        seen = bytearray(len(old))
-
-        def walk(cur: int) -> int:
-            """Mark the darts from ``cur`` on; the first live dart."""
-            while gone >> (cur >> 2) & 1 and not seen[cur]:
-                cross = t0[cur] if contracted >> (cur >> 2) & 1 else cur ^ 1
-                seen[cur] = seen[cross] = 1
-                cur = old[cross]
-            return cur
-
-        removed = [d for d in range(len(old)) if gone >> (d >> 2) & 1]
-        for a in removed:
-            if not gone >> (old[a] >> 2) & 1 and not seen[a]:
-                b, c = old[a], walk(a)
-                t1[b], t1[c] = c, b
-        lone = []   # a dart of each orbit on removed darts alone
-        for a in removed:
-            t1[a] = -1
-            if not seen[a]:
-                lone.append(a)
-                walk(a)
-
+        darts = len(self.t1)
+        t1, lone = self._restitch(
+            [d for d in range(darts) if gone >> (d >> 2) & 1], gone,
+            contracted)
         labels, weights, isolated = [], [], []
         for s, (x, y, mask) in enumerate(((0, 2, contracted), (0, 1, deleted))):
             lab, w, n = self.labels[s], self.weights[s], self.isolated[s]
             pairs = [(lab[4 * k + x], lab[4 * k + y])
-                     for k in range(len(old) // 4) if mask >> k & 1]
+                     for k in range(darts // 4) if mask >> k & 1]
             roots = union_find(len(w), pairs)
             nw: list[int | None] = [None] * len(w)
             iso = [0] * len(w)
@@ -525,6 +425,54 @@ class Minor(NamedTuple):
             labels.append(tuple([roots[b] for b in lab]))
             weights.append(tuple(nw))
             isolated.append(tuple(iso))
-        return Minor(self.kernel, self.live & ~gone, tuple(t1),
+        return Minor(self.kernel, self.live & ~gone, t1,
                      (labels[0], labels[1]), (weights[0], weights[1]),
                      (isolated[0], isolated[1]))
+
+    def _restitch(self, removed: Sequence[int], gone: int, contracted: int
+                  ) -> tuple[tuple[int, ...], list[int]]:
+        """``t1`` without the darts ``removed`` of the edges of ``gone``,
+        and a dart of each orbit of removed darts alone (an isolated vertex
+        with an empty boundary).  Each live corner into a removed dart is
+        joined to the live dart where the walk through removed darts leaves,
+        crossing each removed end by ``t0`` if its edge is in ``contracted``
+        and by ``d ^ 1`` if it is deleted."""
+        t0, old = self.kernel.t0, self.t1
+        t1 = list(old)
+        seen = bytearray(len(old))
+
+        def walk(cur: int) -> int:
+            """Mark the darts from ``cur`` on; the first live dart."""
+            while gone >> (cur >> 2) & 1 and not seen[cur]:
+                cross = t0[cur] if contracted >> (cur >> 2) & 1 else cur ^ 1
+                seen[cur] = seen[cross] = 1
+                cur = old[cross]
+            return cur
+
+        for a in removed:
+            if not gone >> (old[a] >> 2) & 1 and not seen[a]:
+                b, c = old[a], walk(a)
+                t1[b], t1[c] = c, b
+        lone = []
+        for a in removed:
+            t1[a] = -1
+            if not seen[a]:
+                lone.append(a)
+                walk(a)
+        return tuple(t1), lone
+
+    def components(self) -> int:
+        """The number of connected components of the minor: the classes of
+        its live darts under ``t0``, ``t1`` and ``d ^ 1``, and one per
+        isolated vertex."""
+        t0, t1 = self.kernel.t0, self.t1
+        live = [d for d, c in enumerate(t1) if c >= 0]
+        roots = union_find(len(t1), [p for d in live
+                                     for p in ((d, t0[d]), (d, t1[d]),
+                                               (d, d ^ 1))])
+        return len({roots[d] for d in live}) + sum(self.isolated[0])
+
+    def splits(self, k: int, contract: bool) -> bool:
+        """Whether deleting (contracting) live edge ``k`` adds a connected
+        component, that is, whether it is a bridge (a plane loop)."""
+        return self.step(k, contract)[0].components() > self.components()

@@ -541,18 +541,6 @@ def classify_edge(g: RibbonGraph, e: str) -> EdgeKind:
     return EdgeKind.NONPLANE_LOOP if loop else EdgeKind.ORDINARY
 
 
-def interlaced(g: RibbonGraph, e: str, f: str) -> bool:
-    """True iff loops ``e`` and ``f`` share a vertex with ends in order efef."""
-    if e == f or not (g.is_loop(e) and g.is_loop(f)):
-        return False
-    ve = g.vertex_of_end((e, 1))
-    if ve != g.vertex_of_end((f, 1)):
-        return False
-    pattern = [end[0] for end in g.rotation[ve] if end[0] in (e, f)]
-    return len(pattern) == 4 and pattern[0] != pattern[1] and pattern[1] != pattern[2] \
-        and pattern[2] != pattern[3]
-
-
 # ---------------------------------------------------------------------------
 # quasi-trees and activities
 
@@ -596,8 +584,11 @@ def activities(g: RibbonGraph, q: Iterable[str],
 
     G^Q swaps ``t0`` and ``t2`` on the darts of Q, so its one vertex is the
     orbit of ``t1`` and the new ``t2`` through dart 0, and every edge is a
-    loop there.  An edge is twisted in G^Q iff the new ``t0`` of the dart
-    where the walk enters one end is the dart where it enters the other.
+    loop there.  Q is a quasi-tree, with one boundary component, iff G^Q
+    has that one vertex: the orbit covers every dart, and G has no vertex
+    without edge ends unless it is one edgeless vertex.  An edge is twisted
+    in G^Q iff the new ``t0`` of the dart where the walk enters one end is
+    the dart where it enters the other.
     Edge f kills e iff f precedes e in the order and exactly one end of f
     lies between the two ends of e: with ``P[i]`` the XOR of the edge bits
     of the first ``i`` ends along the walk, f's bit is set in
@@ -612,8 +603,6 @@ def activities(g: RibbonGraph, q: Iterable[str],
     edges = g.edges
     mask = sum(1 << k for k, e in enumerate(edges) if e in qset)
     kern = g.kernel
-    if len(subset_walks(kern, mask)) != 1:
-        raise RibbonGraphError("not a quasi-tree")
     t0, t1 = kern.t0, kern.t1
     seen = bytearray(len(t0))
     first: dict[int, tuple[int, int]] = {}  # edge -> (parity, entering dart)
@@ -638,8 +627,8 @@ def activities(g: RibbonGraph, q: Iterable[str],
         cur = t1[partner]
         if cur == 0:
             break
-    if not all(seen):
-        raise RibbonGraphError("quasi-tree partial dual has more than one vertex")
+    if not all(seen) or bool(t0) + sum(not r for r in kern.rotations) != 1:
+        raise RibbonGraphError("not a quasi-tree")
     index = {e: k for k, e in enumerate(edges)}
     sets: list[set[str]] = [set() for _ in range(6)]  # D D* O O* N N*
     earlier = 0

@@ -1,18 +1,27 @@
 """Reference code for the tests: isomorphism of packaged ribbon graphs, by
-brute force over the ribbon isomorphisms; the activity minor as a chain of
-string-keyed packaged minors; and the activity classes read off the named
-partial dual G^Q."""
+brute force over the ribbon isomorphisms; the packaging multigraphs and
+their nullities and per-component genus corrections on string-keyed
+graphs; the activity minor as a chain of string-keyed packaged minors, its
+ribbon graph built as a partial dual and its shape check by
+``classify_edge``; the activity classes read off the named partial dual
+G^Q; and the four-variable quasi-tree expansion on restricted string
+graphs."""
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterable
 
-from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
-                                 packaged_delete)
-from ribbonpoly.ribbon import (ActivityReport, RibbonGraph, RibbonGraphError,
-                               isomorphisms, partial_dual, subset_walks,
-                               trace_boundaries)
+from ribbonpoly.invariants import _leaf, _tutte_keys
+from ribbonpoly.packaged import (PackagedRibbonGraph, PackagingError,
+                                 PackagingGraph, component_gamma_values,
+                                 packaged_contract, packaged_delete, quotient)
+from ribbonpoly.poly import HalfExpPoly, HalfMonomial, MultiPoly
+from ribbonpoly.ribbon import (ActivityReport, EdgeKind, RibbonGraph,
+                               RibbonGraphError, activities, classify_edge,
+                               connected_components, enumerate_quasi_trees,
+                               isomorphisms, partial_dual, restrict,
+                               subset_walks, trace_boundaries)
 
 
 def packaged_isomorphic(p1: PackagedRibbonGraph,
@@ -94,3 +103,139 @@ def activities_oracle(g: RibbonGraph, q: Iterable[str],
     return ActivityReport(frozenset(sets["D"]), frozenset(sets["D*"]),
                           frozenset(sets["O"]), frozenset(sets["O*"]),
                           frozenset(sets["N"]), frozenset(sets["N*"]), twisted)
+
+
+# ---------------------------------------------------------------------------
+# packagings of string-keyed graphs
+
+def nullity(pk: PackagingGraph) -> int:
+    """e - v + k of the packaging multigraph."""
+    return len(pk.edges) - len(pk.blocks) + len(pk.components())
+
+
+def packaging(pg: PackagedRibbonGraph) -> PackagingGraph:
+    """Quotient of the underlying graph by the vertex partition."""
+    return quotient(pg.graph, pg.vparts, {v: v for v in pg.graph.vertices})
+
+
+def component_gamma(pg: PackagedRibbonGraph, side: str,
+                    component: Iterable[str]) -> int:
+    """Genus correction of one connected packaging component.
+
+    ``side`` is "vertex" or "boundary"; ``component`` lists the partition
+    elements (vertex ids or boundary ids) of the component's blocks.
+    """
+    if side == "vertex":
+        g = pg.graph
+        parts = pg.vparts
+        elem = {v: v for v in g.vertices}
+    elif side == "boundary":
+        gd, b_to_v, _ = pg.graph.duality
+        g = gd
+        parts = pg.bparts
+        elem = {v: b for b, v in b_to_v.items()}
+    else:
+        raise PackagingError(f"unknown side {side!r}")
+    pk = quotient(g, parts, elem)
+    want = frozenset(parts.block_index(x) for x in component)
+    for comp, gamma in zip(pk.components(), component_gamma_values(g, pk)):
+        if comp == want:
+            return gamma
+    raise PackagingError("not a connected component of the packaging")
+
+
+def restricted_packagings(pg: PackagedRibbonGraph,
+                          a: Iterable[str]) -> tuple[PackagingGraph,
+                                                     PackagingGraph]:
+    """Packagings of (g|A, vertex partition) and (g*|A^c, boundary partition)."""
+    aset = set(a)
+    g = pg.graph
+    first = quotient(restrict(g, aset), pg.vparts, {v: v for v in g.vertices})
+    gd, b_to_v, _ = g.duality
+    elem = {v: b for b, v in b_to_v.items()}
+    second = quotient(restrict(gd, set(g.sign) - aset), pg.bparts, elem)
+    return first, second
+
+
+def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
+    """The polynomial of an edgeless packaged graph."""
+    return MultiPoly({_leaf(pg): 1})
+
+
+def interlaced(g: RibbonGraph, e: str, f: str) -> bool:
+    """True iff loops ``e`` and ``f`` share a vertex with ends in order efef."""
+    if e == f or not (g.is_loop(e) and g.is_loop(f)):
+        return False
+    ve = g.vertex_of_end((e, 1))
+    if ve != g.vertex_of_end((f, 1)):
+        return False
+    pattern = [end[0] for end in g.rotation[ve] if end[0] in (e, f)]
+    return len(pattern) == 4 and pattern[0] != pattern[1] and pattern[1] != pattern[2] \
+        and pattern[2] != pattern[3]
+
+
+# ---------------------------------------------------------------------------
+# activity minors on string graphs
+
+def _minor_graph(g: RibbonGraph, deleted: Iterable[str],
+                 contracted: Iterable[str]) -> RibbonGraph:
+    """The ribbon graph of the minor that deletes B and contracts A, in one
+    step: contracting the set A is the partial dual at A followed by
+    deleting A."""
+    contracted = set(contracted)
+    return restrict(partial_dual(g, contracted),
+                    set(g.sign) - contracted - set(deleted))
+
+
+def minor_shape_check(pg: PackagedRibbonGraph, q: Iterable[str],
+                      order: Iterable[str]) -> bool:
+    """In the activity minor, internal live orientable edges must be bridges
+    and external live orientable edges plane loops."""
+    act = activities(pg.graph, frozenset(q), list(order))
+    return _minor_shape_ok(act, _minor_graph(pg.graph, act.deleted_part(),
+                                             act.contracted_part()))
+
+
+def _minor_shape_ok(act: ActivityReport, mg: RibbonGraph) -> bool:
+    for e in act.internal_live_orientable:
+        if classify_edge(mg, e) != EdgeKind.BRIDGE:
+            return False
+    for e in act.external_live_orientable:
+        if classify_edge(mg, e) != EdgeKind.PLANE_LOOP:
+            return False
+    return True
+
+
+def krushkal_quasitree_oracle(g: RibbonGraph, order: Iterable[str],
+                              subset_nullity: bool = True) -> HalfExpPoly:
+    """:func:`ribbonpoly.invariants.krushkal_quasitree` with each side read
+    off the restricted string graph (of ``g`` or of its dual)."""
+    order = list(order)
+    if len(connected_components(g)) != 1:
+        raise RibbonGraphError("quasi-tree expansion requires a connected graph")
+    gd, _, _ = g.duality
+    total: Counter = Counter()
+    for q in enumerate_quasi_trees(g):
+        act = activities(g, q, order)
+        xs, ga = _krushkal_side(g, act.contracted_part(),
+                                act.internal_live_orientable, subset_nullity)
+        ys, gb = _krushkal_side(gd, act.deleted_part(),
+                                act.external_live_orientable, subset_nullity)
+        for (i, j), c in xs.items():
+            for (i2, j2), c2 in ys.items():
+                total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
+    return HalfExpPoly(total)
+
+
+def _krushkal_side(g: RibbonGraph, kept: Iterable[str], live: Iterable[str],
+                   subset_nullity: bool) -> tuple[Counter, int]:
+    """The ``_tutte_keys`` of the multigraph of ``live`` edges between the
+    connected components of the spanning subgraph on ``kept``, and the
+    Euler genus of that subgraph."""
+    sub = restrict(g, kept)
+    comps = connected_components(sub)
+    comp = {v: i for i, c in enumerate(comps) for v in c}
+    ends = [(comp[u], comp[w]) for u, w in map(g.endpoints, live)]
+    genus = (2 * len(comps) - len(sub.vertices) + len(sub.sign)
+             - len(trace_boundaries(sub)))
+    return _tutte_keys(len(comps), ends, subset_nullity), genus

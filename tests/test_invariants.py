@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rg
-from ribbonpoly.invariants import (Multigraph, _quasitree_terms, _terminal,
+from ribbonpoly.invariants import (Multigraph, _quasitree_terms,
                                    classical_tutte, corpus, cross_validate,
                                    enumerate_connected, krushkal,
                                    krushkal_quasitree, pst_delcon,
@@ -20,7 +20,7 @@ from ribbonpoly.poly import HalfExpPoly, Monomial, MultiPoly, parse_poly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                certificate, connected_components,
                                enumerate_quasi_trees, euler_genus, restrict)
-from packaged_oracle import _quasitree_minor, packaged_isomorphic
+from packaged_oracle import _quasitree_minor, _terminal, packaged_isomorphic
 from test_ribbon import ribbon_graphs
 from test_subset_pass import reference_term
 

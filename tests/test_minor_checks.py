@@ -1,0 +1,72 @@
+"""What the quasi-tree expansion reads off a compiled activity minor G/A∖B,
+against the string-graph references in ``packaged_oracle``: the connected
+components and the split verdicts of its shape check against
+``classify_edge`` on the minor's ribbon graph, its x/y prefactor against
+the packaging nullities, and the four-variable expansion's sides against
+restricted string graphs."""
+
+from __future__ import annotations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ribbonpoly.invariants import _activity_terms, krushkal_quasitree
+from ribbonpoly.ribbon import EdgeKind, classify_edge, connected_components
+from packaged_oracle import (_minor_graph, krushkal_quasitree_oracle,
+                             nullity, restricted_packagings)
+from test_caches import random_packaging
+from test_ribbon import ribbon_graphs
+
+
+@st.composite
+def minor_parts(draw):
+    """A graph of up to 6 edges, disconnected graphs and isolated vertices
+    included, with a random packaging, and disjoint deleted and contracted
+    parts (B, A)."""
+    g = draw(ribbon_graphs(max_edges=6, max_vertices=4))
+    pg = random_packaging(g, draw(st.integers(0, 2 ** 16)))
+    roles = draw(st.lists(st.sampled_from("dck"), min_size=len(g.sign),
+                          max_size=len(g.sign)))
+    return (pg,
+            frozenset(e for e, r in zip(g.edges, roles) if r == "d"),
+            frozenset(e for e, r in zip(g.edges, roles) if r == "c"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(minor_parts())
+def test_split_verdicts_match_classify_edge(parts):
+    """Deleting a live edge splits the minor iff it is a bridge there, and
+    contracting it iff it is an orientable plane loop, for every live edge
+    and not only those the shape check requires."""
+    pg, deleted, contracted = parts
+    g = pg.graph
+    _, minor = _activity_terms(pg)(deleted, contracted)
+    mg = _minor_graph(g, deleted, contracted)
+    assert minor.components() == len(connected_components(mg))
+    for k, e in enumerate(g.edges):
+        if minor.live >> k & 1:
+            kind = classify_edge(mg, e)
+            assert minor.splits(k, False) == (kind == EdgeKind.BRIDGE), e
+            assert minor.splits(k, True) == (kind == EdgeKind.PLANE_LOOP), e
+
+
+@settings(max_examples=300, deadline=None)
+@given(minor_parts())
+def test_prefactor_is_packaging_nullity(parts):
+    """The x exponent is the nullity of B's packaging in the dual, the y
+    exponent that of A's packaging."""
+    pg, deleted, contracted = parts
+    pre, _ = _activity_terms(pg)(deleted, contracted)
+    vertex, _ = restricted_packagings(pg, contracted)
+    _, boundary = restricted_packagings(pg, set(pg.graph.sign) - deleted)
+    assert pre == (nullity(boundary), nullity(vertex))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=4), st.data())
+def test_krushkal_quasitree_matches_string_sides(g, data):
+    assume(len(connected_components(g)) == 1)
+    order = data.draw(st.permutations(g.edges))
+    for subset_nullity in (True, False):
+        assert (krushkal_quasitree(g, order, subset_nullity)
+                == krushkal_quasitree_oracle(g, order, subset_nullity))

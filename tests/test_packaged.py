@@ -8,12 +8,11 @@ from conftest import rg
 from ribbonpoly.invariants import pst_delcon, pst_state_sum
 from ribbonpoly.packaged import (PackagedRibbonGraph, PackagingError,
                                  WeightedPartition, _packaged_contract_case,
-                                 _packaged_delete_case, component_gamma,
-                                 nullity, packaged_contract, packaged_delete,
-                                 packaged_dual, packaging, quotient,
-                                 restricted_packagings)
+                                 _packaged_delete_case, packaged_contract,
+                                 packaged_delete, packaged_dual, quotient)
 from ribbonpoly.ribbon import RibbonGraphError, trace_boundaries
-from packaged_oracle import packaged_isomorphic
+from packaged_oracle import (component_gamma, nullity, packaged_isomorphic,
+                             packaging, restricted_packagings)
 
 
 def theta_pg():

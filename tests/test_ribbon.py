@@ -8,13 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rg
-from packaged_oracle import activities_oracle
+from packaged_oracle import activities_oracle, interlaced
 from ribbonpoly.ribbon import (EdgeKind, RibbonGraph, RibbonGraphError,
                                activities, certificate, classify_edge,
                                connected_components, contract_edge, counts,
                                delete_edge, dual_correspondences,
-                               enumerate_quasi_trees, euler_genus, interlaced,
-                               isomorphic, orientable, partial_dual,
+                               enumerate_quasi_trees, euler_genus, isomorphic, orientable, partial_dual,
                                partial_dual_with_map, restrict,
                                trace_boundaries, validate)
 

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonpoly.invariants import _krushkal_direct, _subset_keys, pst_state_sum
-from ribbonpoly.packaged import (PackagedRibbonGraph, component_gamma_values,
-                                 nullity, restricted_packagings)
+from ribbonpoly.packaged import PackagedRibbonGraph, component_gamma_values
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                connected_components, enumerate_quasi_trees,
                                euler_genus, restrict, trace_boundaries)
+from packaged_oracle import nullity, restricted_packagings
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 
