@@ -73,6 +73,7 @@ def parse(text: str) -> PackagedRibbonGraph:
         if not sep:
             raise ParseError(f"syntax error: expected ':' in {line!r}", lineno)
         head = head.strip()
+        parts = head.split() or [""]   # a directive's keyword, then its words
         fields = [(m.group(), m.start() + 1)
                   for m in _FIELD.finditer(code, code.index(":") + 1)]
         if head == "edges":
@@ -88,8 +89,7 @@ def parse(text: str) -> PackagedRibbonGraph:
                                      col)
                 sign[name] = 1 if m.group(2) == "+" else -1
                 declared[name] = (lineno, col)
-        elif head.startswith("vertex"):
-            parts = head.split()
+        elif parts[0] == "vertex":
             if len(parts) != 2 or not _NAME.match(parts[1]):
                 raise ParseError(f"syntax error: bad vertex header {head!r}",
                                  lineno)
@@ -110,8 +110,7 @@ def parse(text: str) -> PackagedRibbonGraph:
                 ends.append(end)
             vertices.append(vname)
             rotation[vname] = tuple(ends)
-        elif head.startswith("vblock") or head.startswith("bblock"):
-            parts = head.split()
+        elif parts[0] in ("vblock", "bblock"):
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ParseError(
                     f"syntax error: bad block header {head!r} "
@@ -129,7 +128,7 @@ def parse(text: str) -> PackagedRibbonGraph:
                 columns[tok] = col
             if not columns:
                 raise ParseError("partition error: empty block", lineno)
-            (vblocks if head.startswith("vblock") else bblocks).append(
+            (vblocks if parts[0] == "vblock" else bblocks).append(
                 (lineno, columns, weight))
         else:
             raise ParseError(f"syntax error: unknown directive {head!r}",

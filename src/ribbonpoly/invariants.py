@@ -1,7 +1,11 @@
 """Evaluation pipelines for the packaged invariant polynomial.
 
 Three routes compute the same polynomial: a state sum over edge subsets, a
-deletion-contraction recursion, and a quasi-tree expansion.  The recursion
+deletion-contraction recursion, and a quasi-tree expansion.  The state sum
+walks each subset A once and reads both sides of its term, G|A and G*|A^c,
+off the compiled root (:meth:`~ribbonpoly.packaged.Minor.record`) without
+the dual graph; of the expansion's code it shares that root, which
+``tests/test_minor.py`` checks, and none of the minor rule.  The recursion
 steps string-keyed packaged graphs and adds one monomial per leaf to one
 counter; the expansion builds each activity minor, which contracts a set A
 and deletes a set B, as a compiled minor
@@ -10,11 +14,11 @@ its own recursion, started at the x/y exponents of the minor's nullity
 prefactor and adding its leaves to one counter, so the two implement the
 minor rule independently.  The prefactor is the minor's weight growth on
 each side.  On top of these sit the specializations (surface version for
-orientable graphs, the four-variable alpha/beta/a/b polynomial with its
-own quasi-tree expansion, read off the state sum's per-subset records,
-and the classical Tutte polynomial), a small-instance corpus generator and
-a cross-validation driver.  The driver evaluates each activity minor once
-per distinct deleted and contracted part (B, A), however many edge orders
+orientable graphs, the four-variable alpha/beta/a/b polynomial with its own
+quasi-tree expansion, read off the same compiled root's records, and the
+classical Tutte polynomial), a small-instance corpus generator and a
+cross-validation driver.  The driver evaluates each activity minor once per
+distinct deleted and contracted part (B, A), however many edge orders
 produce it, and shape-checks that same compiled minor: a required bridge
 must split it when deleted, a required plane loop when contracted.  The
 string-graph references of these checks live in the tests.
@@ -28,24 +32,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .packaged import (Minor, PackagedRibbonGraph, Side, WeightedPartition,
-                       _packaged_contract_case, _packaged_delete_case,
-                       state_sides)
+from .packaged import (Minor, PackagedRibbonGraph, WeightedPartition,
+                       _packaged_contract_case, _packaged_delete_case)
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
 from .ribbon import (RibbonGraph, RibbonGraphError, activities, certificate,
                      connected_components, enumerate_quasi_trees, orientable,
-                     union_find)
+                     subset_walks, union_find)
 
 
 # ---------------------------------------------------------------------------
 # state sum
 
-def _subset_term(vside: Side, bside: Side, mask: int) -> tuple:
+def _subset_term(root: Minor, mask: int) -> tuple:
     """The exponents of the state-sum term of the edge subset ``mask``:
     (n2, n1, gammas2, gammas1), where 1 is the vertex side at the subset and
-    2 the boundary side at its complement."""
-    n1, gammas1 = vside.record(mask)
-    n2, gammas2 = bside.record(bside.kernel.full ^ mask)
+    2 the boundary side at its complement, both read off ``root`` and the
+    subset's boundary walks."""
+    walks = subset_walks(root.kernel, mask)
+    n1, gammas1 = root.record(0, mask, walks)
+    n2, gammas2 = root.record(1, root.kernel.full ^ mask, walks)
     return n2, n1, gammas2, gammas1
 
 
@@ -60,9 +65,9 @@ def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
     """How many edge subsets give each :func:`_subset_term` key."""
-    vside, bside = state_sides(pg)
-    return Counter(_subset_term(vside, bside, mask)
-                   for mask in range(vside.kernel.full + 1))
+    root = Minor.compile(pg)
+    return Counter(_subset_term(root, mask)
+                   for mask in range(root.kernel.full + 1))
 
 
 def _state_sum(keys: Counter) -> MultiPoly:
@@ -310,15 +315,15 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     order = list(order)
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
-    vside, bside = state_sides(PackagedRibbonGraph.discrete(g))
+    root = Minor.compile(PackagedRibbonGraph.discrete(g))
     index = {e: k for k, e in enumerate(g.edges)}
     total: Counter = Counter()
     for q in enumerate_quasi_trees(g):
         act = activities(g, q, order)
-        xs, ga = _krushkal_side(vside, _mask(index, act.contracted_part()),
+        xs, ga = _krushkal_side(root, 0, _mask(index, act.contracted_part()),
                                 _mask(index, act.internal_live_orientable),
                                 subset_nullity)
-        ys, gb = _krushkal_side(bside, _mask(index, act.deleted_part()),
+        ys, gb = _krushkal_side(root, 1, _mask(index, act.deleted_part()),
                                 _mask(index, act.external_live_orientable),
                                 subset_nullity)
         for (i, j), c in xs.items():
@@ -327,19 +332,19 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     return HalfExpPoly(total)
 
 
-def _krushkal_side(side: Side, kept: int, live: int,
+def _krushkal_side(root: Minor, s: int, kept: int, live: int,
                    subset_nullity: bool) -> tuple[Counter, int]:
     """The :func:`_tutte_keys` of the multigraph of the ``live`` edges
     between the components of the subgraph on ``kept``, and its Euler
-    genus, on a side of the discrete packaging: the components are the
-    roots of the blocks (the other blocks are isolated vertices, which
-    change no key), and their gamma values sum to the Euler genus."""
-    _, roots = side._join(kept)
-    ev, block = side.kernel.end_vertex, side.block
-    ends = [(roots[block[ev[2 * k]]], roots[block[ev[2 * k + 1]]])
-            for k in range(len(ev) // 2) if live >> k & 1]
+    genus, on side ``s`` of the compiled discrete packaging ``root``: the
+    components are the roots of the blocks (the other blocks are isolated
+    vertices, which change no key), and their gamma values sum to the Euler
+    genus."""
+    walks = subset_walks(root.kernel, root.kernel.full ^ kept if s else kept)
+    _, roots = root._join(s, kept)
+    ends = [(roots[i], roots[j]) for i, j in root._join(s, live)[0]]
     return (_tutte_keys(len(roots), ends, subset_nullity),
-            sum(side.record(kept)[1]))
+            sum(root.record(s, kept, walks)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ Minors come in two encodings: string-keyed packaged graphs
 (:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
 the same rule in integers over the root's kernel, one edge at a time
 (:meth:`Minor.step`) or for a deleted and a contracted set at once
-(:meth:`Minor.minor`); its weight growth and :meth:`Minor.splits` give
-the quasi-tree expansion's prefactor and shape check.
+(:meth:`Minor.minor`); its weight growth and :meth:`Minor.splits` give the
+quasi-tree expansion's prefactor and shape check.  The compiled root also
+gives both sides of a state-sum term, G|A by vertex blocks and G*|A^c by
+boundary blocks, from the boundary walks they share (:meth:`Minor.record`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, _boundary_targets,
                      contract_edge, delete_edge, induced_subgraph,
-                     subset_walks, trace_boundaries, union_find)
+                     trace_boundaries, union_find)
 
 
 class PackagingError(ValueError):
@@ -172,62 +174,6 @@ def component_gamma_values(sub: RibbonGraph, pk: PackagingGraph) -> list[int]:
     return out
 
 
-class Side(NamedTuple):
-    """One side of the state sum compiled for a pass over edge subsets: the
-    kernel of a ribbon graph, the packaging block of each of its vertices
-    and the block weights."""
-    kernel: Kernel
-    block: tuple[int, ...]
-    weights: tuple[int, ...]
-
-    @staticmethod
-    def build(g: RibbonGraph, parts: WeightedPartition,
-              elem_of_vertex: dict[str, str]) -> "Side":
-        """The side of ``g`` packaged by ``parts``; ``elem_of_vertex`` is as
-        for :func:`quotient`."""
-        idx = {x: i for i, b in enumerate(parts.blocks) for x in b}
-        return Side(g.kernel, tuple(idx[elem_of_vertex[v]] for v in g.vertices),
-                    parts.weights)
-
-    def record(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        """The nullity e - v + k of the packaging of the spanning subgraph
-        on ``mask`` and the sorted gamma values 2 + e(K) - v(K) + w(K) -
-        b(K) of its components K, where b(K) counts the boundary walks of
-        the subgraph at the vertices of K.  Each boundary walk lies in one
-        component, so it is counted in the bin of its vertex's block
-        instead of re-tracing each component."""
-        pairs, roots = self._join(mask)
-        block = self.block
-        gamma: dict[int, int] = {}   # root -> 2 + e(K) - v(K) + w(K) - b(K)
-        for r, w in zip(roots, self.weights):
-            gamma[r] = gamma.get(r, 2) + w - 1
-        for i, _ in pairs:
-            gamma[roots[i]] += 1
-        for v in subset_walks(self.kernel, mask):
-            gamma[roots[block[v]]] -= 1
-        return (len(pairs) - len(self.weights) + len(gamma),
-                tuple(sorted(gamma.values())))
-
-    def _join(self, mask: int) -> tuple[list[tuple[int, int]], list[int]]:
-        """The block pairs of the edges of ``mask`` and the union-find
-        roots of the blocks they join."""
-        ev, block = self.kernel.end_vertex, self.block
-        pairs = [(block[ev[2 * k]], block[ev[2 * k + 1]])
-                 for k in range(len(ev) // 2) if mask >> k & 1]
-        return pairs, union_find(len(self.weights), pairs)
-
-
-def state_sides(pg: PackagedRibbonGraph) -> tuple[Side, Side]:
-    """The vertex side (g, vertex partition) and the boundary side (g*,
-    boundary partition) of the state sum.  The edges of g* are those of g,
-    so one mask names a subset of both; the term of a subset A reads the
-    vertex side at A and the boundary side at the complement of A."""
-    g = pg.graph
-    gd, b_to_v, _ = g.duality
-    return (Side.build(g, pg.vparts, {v: v for v in g.vertices}),
-            Side.build(gd, pg.bparts, {v: b for b, v in b_to_v.items()}))
-
-
 def packaged_dual(pg: PackagedRibbonGraph) -> PackagedRibbonGraph:
     """Dual graph with both partitions transported across the duality."""
     gd, b_to_v, v_to_b = pg.graph.duality
@@ -331,7 +277,8 @@ class Minor(NamedTuple):
     (boundary walk) through each dart; the block weights, ``None`` for a
     block merged away; and per block its number of isolated elements,
     vertices without edge ends (their empty boundaries).  :meth:`step`
-    removes one edge, :meth:`minor` a deleted and a contracted set."""
+    removes one edge, :meth:`minor` a deleted and a contracted set.  The
+    root (:meth:`compile`) also serves the state sum (:meth:`record`)."""
     kernel: Kernel
     live: int
     t1: tuple[int, ...]
@@ -402,16 +349,13 @@ class Minor(NamedTuple):
         no two blocks, as in :meth:`step`: the side's weights grow by the
         nullity of its packaging on those edges."""
         gone = deleted | contracted
-        darts = len(self.t1)
         t1, lone = self._restitch(
-            [d for d in range(darts) if gone >> (d >> 2) & 1], gone,
+            [d for d in range(len(self.t1)) if gone >> (d >> 2) & 1], gone,
             contracted)
         labels, weights, isolated = [], [], []
-        for s, (x, y, mask) in enumerate(((0, 2, contracted), (0, 1, deleted))):
+        for s, mask in enumerate((contracted, deleted)):
             lab, w, n = self.labels[s], self.weights[s], self.isolated[s]
-            pairs = [(lab[4 * k + x], lab[4 * k + y])
-                     for k in range(darts // 4) if mask >> k & 1]
-            roots = union_find(len(w), pairs)
+            pairs, roots = self._join(s, mask)
             nw: list[int | None] = [None] * len(w)
             iso = [0] * len(w)
             for b, r in enumerate(roots):
@@ -425,9 +369,39 @@ class Minor(NamedTuple):
             labels.append(tuple([roots[b] for b in lab]))
             weights.append(tuple(nw))
             isolated.append(tuple(iso))
-        return Minor(self.kernel, self.live & ~gone, t1,
-                     (labels[0], labels[1]), (weights[0], weights[1]),
-                     (isolated[0], isolated[1]))
+        return Minor(self.kernel, self.live & ~gone, t1, tuple(labels),
+                     tuple(weights), tuple(isolated))
+
+    def _join(self, s: int, mask: int
+              ) -> tuple[list[tuple[int, int]], list[int]]:
+        """The block pairs on side ``s`` of the live edges of ``mask``, their
+        ends on the vertex side and their two sides on the boundary side,
+        and the union-find roots of the blocks they join."""
+        lab, y = self.labels[s], 2 - s   # 4k + 2: e's other end; 4k + 1: side
+        pairs = [(lab[4 * k], lab[4 * k + y])
+                 for k in range(len(lab) // 4) if mask >> k & 1]
+        return pairs, union_find(len(self.weights[s]), pairs)
+
+    def record(self, s: int, mask: int, walks: Iterable[int]
+               ) -> tuple[int, tuple[int, ...]]:
+        """On side ``s`` of a root: the nullity e - v + k of the packaging
+        of the spanning subgraph on ``mask`` and the sorted gamma values
+        2 + e(K) - v(K) + w(K) - b(K) of its components K.  ``walks``
+        (:func:`subset_walks`, of the complement on the boundary side) has
+        a dart of each boundary walk of the subgraph, but none for the
+        vertices without edge ends, whose empty boundaries are the isolated
+        counts: a block starts at w + 1 - its count, as in a leaf."""
+        pairs, roots = self._join(s, mask)
+        lab = self.labels[s]
+        gamma: dict[int, int] = {}   # root -> 2 + e(K) - v(K) + w(K) - b(K)
+        for r, w, n in zip(roots, self.weights[s], self.isolated[s]):
+            gamma[r] = gamma.get(r, 2) + w - 1 - n
+        for i, _ in pairs:
+            gamma[roots[i]] += 1
+        for d in walks:
+            gamma[roots[lab[d]]] -= 1
+        return (len(pairs) - len(roots) + len(gamma),
+                tuple(sorted(gamma.values())))
 
     def _restitch(self, removed: Sequence[int], gone: int, contracted: int
                   ) -> tuple[tuple[int, ...], list[int]]:

@@ -178,27 +178,29 @@ class Kernel(NamedTuple):
 
 
 def subset_walks(kern: Kernel, mask: int) -> list[int]:
-    """One vertex per boundary component of the spanning subgraph on the
-    edges of ``mask``: the vertex of each boundary walk's first dart, then
-    each vertex that keeps no edge end.  The walks are those of
-    :func:`trace_boundaries` on :func:`restrict`, in another order."""
+    """One dart per boundary walk of the spanning subgraph on the edges of
+    ``mask``: the first dart of each walk, then a dart at each vertex that
+    keeps none of its edge ends (an empty boundary); a vertex without edge
+    ends gives none.  The walks are those of :func:`trace_boundaries` on
+    :func:`restrict`, in another order, and also the boundary walks of the
+    dual's spanning subgraph on the other edges."""
     t0 = kern.t0
     t1: dict[int, int] = {}
     out = []
-    for v, rot in enumerate(kern.rotations):
+    for rot in kern.rotations:
         kept = [x for x in rot if mask >> (x >> 1) & 1]
         if not kept:
-            out.append(v)
+            if rot:
+                out.append(2 * rot[0])
             continue
         arrive = 2 * kept[-1] + 1
         for x in kept:
             t1[arrive] = 2 * x
             t1[2 * x] = arrive
             arrive = 2 * x + 1
-    ev = kern.end_vertex
     while t1:  # each corner crossed is dropped from t1
         d0 = next(iter(t1))
-        out.append(ev[d0 >> 1])
+        out.append(d0)
         cur = d0
         while True:
             cur = t1.pop(t0[cur])
@@ -339,13 +341,11 @@ def _fresh_names(taken: set[str]) -> Iterator[str]:
     return (f"w{i}" for i in itertools.count(1) if f"w{i}" not in taken)
 
 
-def partial_dual_with_map(g: RibbonGraph, edges: Iterable[str],
-                          with_map: bool = True
-                          ) -> tuple[RibbonGraph, dict[Dart, Dart] | None]:
+def partial_dual_with_map(g: RibbonGraph, edges: Iterable[str]
+                          ) -> tuple[RibbonGraph, dict[Dart, Dart]]:
     """Partial dual together with the dart relabelling it induces (old dart
     -> dart of the new graph), since end indices and sides on changed
-    vertices may be renamed; with ``with_map=False`` the relabelling is not
-    built and ``None`` stands in its place.
+    vertices may be renamed.
 
     The partial dual swaps t0 and t2 on the darts of ``edges``.  Only the
     vertices that carry an end of those edges change, so only their darts
@@ -359,7 +359,7 @@ def partial_dual_with_map(g: RibbonGraph, edges: Iterable[str],
     if unknown:
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
     if not a:
-        return g, {d: d for d in g.darts()} if with_map else None
+        return g, {d: d for d in g.darts()}
     kern = g.kernel
     t0, t1, names, ev = kern.t0, kern.t1, kern.darts, kern.end_vertex
     swap = {d: t0[d] for d in range(len(t0)) if names[d][0] in a}  # new t2
@@ -410,13 +410,12 @@ def partial_dual_with_map(g: RibbonGraph, edges: Iterable[str],
 
     rotation = {v: rot for _, v, rot in placed}
     rotation.update((v, ()) for v in g.vertices if not g.rotation.get(v, ()))
-    dart_map = ({names[d]: names[image[d]] for d in range(len(t0))}
-                if with_map else None)
-    return RibbonGraph(tuple(rotation), rotation, sign), dart_map
+    return (RibbonGraph(tuple(rotation), rotation, sign),
+            {names[d]: names[image[d]] for d in range(len(t0))})
 
 
 def partial_dual(g: RibbonGraph, edges: Iterable[str]) -> RibbonGraph:
-    return partial_dual_with_map(g, edges, with_map=False)[0]
+    return partial_dual_with_map(g, edges)[0]
 
 
 def dual_correspondences(g: RibbonGraph) -> tuple[RibbonGraph, dict[str, str],
@@ -550,10 +549,12 @@ def enumerate_quasi_trees(g: RibbonGraph) -> list[frozenset[str]]:
         raise RibbonGraphError("quasi-tree enumeration requires a connected graph")
     edges = g.edges
     kern = g.kernel
+    edgeless = sum(not rot for rot in kern.rotations)
     out = []
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(range(len(edges)), r):
-            if len(subset_walks(kern, sum(1 << k for k in combo))) == 1:
+            mask = sum(1 << k for k in combo)
+            if len(subset_walks(kern, mask)) + edgeless == 1:
                 out.append(frozenset(edges[k] for k in combo))
     return out
 

@@ -21,7 +21,7 @@ from ribbonpoly.ribbon import (ActivityReport, EdgeKind, RibbonGraph,
                                RibbonGraphError, activities, classify_edge,
                                connected_components, enumerate_quasi_trees,
                                isomorphisms, partial_dual, restrict,
-                               subset_walks, trace_boundaries)
+                               trace_boundaries)
 
 
 def packaged_isomorphic(p1: PackagedRibbonGraph,
@@ -78,8 +78,7 @@ def activities_oracle(g: RibbonGraph, q: Iterable[str],
     unknown = qset - set(g.sign)
     if unknown:
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
-    mask = sum(1 << k for k, e in enumerate(g.edges) if e in qset)
-    if len(subset_walks(g.kernel, mask)) != 1:
+    if len(trace_boundaries(restrict(g, qset))) != 1:
         raise RibbonGraphError("not a quasi-tree")
     h = partial_dual(g, qset)
     if len([v for v in h.vertices if h.rotation.get(v, ())]) > 1:

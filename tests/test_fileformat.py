@@ -65,6 +65,16 @@ def test_syntax_error_carries_position():
     assert "syntax error" in str(exc.value)
 
 
+@pytest.mark.parametrize("directive", ["vertexes v1: e.1 e.2",
+                                       "vblockz 0: v1", "bblocks 0: b1"])
+def test_directive_keywords_match_exactly(directive):
+    text = THETA_EXAMPLE_RG + directive + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert "syntax error: unknown directive" in str(exc.value)
+    assert exc.value.line == text.count("\n")
+
+
 def test_each_end_used_exactly_once():
     with pytest.raises(ParseError):
         parse("edges: e+\nvertex v1: e.1 e.1\n")

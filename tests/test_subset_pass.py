@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonpoly.invariants import _krushkal_direct, _subset_keys, pst_state_sum
-from ribbonpoly.packaged import PackagedRibbonGraph, component_gamma_values
+from ribbonpoly.invariants import (_krushkal_direct, _subset_keys,
+                                   _subset_term, pst_state_sum)
+from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
+                                 component_gamma_values)
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                connected_components, enumerate_quasi_trees,
-                               euler_genus, restrict, trace_boundaries)
+                               euler_genus, restrict, subset_walks,
+                               trace_boundaries)
 from packaged_oracle import nullity, restricted_packagings
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
@@ -27,17 +30,31 @@ def subsets(g: RibbonGraph):
             yield frozenset(combo)
 
 
-def reference_term(pg: PackagedRibbonGraph, aset: frozenset) -> MultiPoly:
-    """The state-sum term of the edge subset ``aset``: the packagings of
-    (g|A, vertex partition) and (g*|A^c, boundary partition), and the gamma
-    value of each of their components by re-tracing it."""
+def mask_of(g: RibbonGraph, aset: frozenset) -> int:
+    return sum(1 << k for k, e in enumerate(g.edges) if e in aset)
+
+
+def reference_record(pg: PackagedRibbonGraph, aset: frozenset) -> tuple:
+    """The exponents of the state-sum term of the edge subset ``aset``, as
+    :func:`_subset_term` gives them: the nullities of the packagings of
+    (g*|A^c, boundary partition) and (g|A, vertex partition), and the
+    sorted gamma values of their components by re-tracing each one."""
     g = pg.graph
     gd = g.duality[0]
     pk1, pk2 = restricted_packagings(pg, aset)
-    term = MultiPoly.x(nullity(pk2)) * MultiPoly.y(nullity(pk1))
-    for gamma in component_gamma_values(restrict(gd, set(g.sign) - aset), pk2):
+    gammas2 = component_gamma_values(restrict(gd, set(g.sign) - aset), pk2)
+    gammas1 = component_gamma_values(restrict(g, aset), pk1)
+    return (nullity(pk2), nullity(pk1), tuple(sorted(gammas2)),
+            tuple(sorted(gammas1)))
+
+
+def reference_term(pg: PackagedRibbonGraph, aset: frozenset) -> MultiPoly:
+    """The state-sum term of the edge subset ``aset``."""
+    n2, n1, gammas2, gammas1 = reference_record(pg, aset)
+    term = MultiPoly.x(n2) * MultiPoly.y(n1)
+    for gamma in gammas2:
         term = term * MultiPoly.xg(gamma)
-    for gamma in component_gamma_values(restrict(g, aset), pk1):
+    for gamma in gammas1:
         term = term * MultiPoly.yg(gamma)
     return term
 
@@ -64,6 +81,38 @@ def test_state_sum_equals_string_keyed_sum(g, seed):
     pg = random_packaging(g, seed)
     want = sum((reference_term(pg, a) for a in subsets(g)), MultiPoly.zero())
     assert pst_state_sum(pg) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(ribbon_graphs(max_edges=6), st.integers(0, 2 ** 16))
+def test_subset_terms_equal_string_keyed_records(g, seed):
+    """Per subset, not only summed: both sides of the compiled term, read
+    off one walk of A, equal the packagings of g|A and of g*|A^c."""
+    pg = random_packaging(g, seed)
+    root = Minor.compile(pg)
+    for aset in subsets(g):
+        assert (_subset_term(root, mask_of(g, aset))
+                == reference_record(pg, aset)), sorted(aset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=4))
+def test_subset_walks_give_one_dart_per_boundary_walk(g):
+    """A dart of each boundary walk of g|A, a dart at each vertex that
+    keeps none of its edge ends, and nothing for a vertex without edge
+    ends."""
+    kern = g.kernel
+    edgeless = {v for v in g.vertices if not g.rotation.get(v, ())}
+    for aset in subsets(g):
+        walks = subset_walks(kern, mask_of(g, aset))
+        comps = trace_boundaries(restrict(g, aset))
+        assert len(walks) + len(edgeless) == len(comps)
+        of = {d: c.id for c in comps for d in c.visits}
+        at = {c.vertex: c.id for c in comps if c.vertex is not None}
+        hit = [of.get(kern.darts[d]) or at[g.end_vertex[kern.darts[d][:2]]]
+               for d in walks]
+        assert sorted(hit) == sorted(c.id for c in comps
+                                     if c.vertex not in edgeless)
 
 
 @settings(max_examples=60, deadline=None)
