@@ -2,10 +2,10 @@
 
 Three routes compute the same polynomial: a state sum over edge subsets, a
 deletion-contraction recursion, and a quasi-tree expansion.  The state sum
-walks each subset A once and reads both sides of its term, G|A and G*|A^c,
-off the compiled root (:meth:`~ribbonpoly.packaged.Minor.record`) without
-the dual graph; of the expansion's code it shares that root, which
-``tests/test_minor.py`` checks, and none of the minor rule.  The recursion
+builds up both sides of each subset A's term, G|A and G*|A^c, as block
+partitions in one depth-first pass and walks each A once, without the dual
+graph; it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the
+expansion, which ``tests/test_minor.py`` checks.  The recursion
 steps string-keyed packaged graphs and adds one monomial per leaf to one
 counter; the expansion builds each activity minor, which contracts a set A
 and deletes a set B, as a compiled minor
@@ -15,8 +15,8 @@ prefactor and adding its leaves to one counter, so the two implement the
 minor rule independently.  The prefactor is the minor's weight growth on
 each side.  On top of these sit the specializations (surface version for
 orientable graphs, the four-variable alpha/beta/a/b polynomial with its own
-quasi-tree expansion, read off the same compiled root's records, and the
-classical Tutte polynomial), a small-instance corpus generator and a
+quasi-tree expansion, read off the same compiled root, and the classical
+Tutte polynomial), a small-instance corpus generator and a
 cross-validation driver.  The driver evaluates each activity minor once per
 distinct deleted and contracted part (B, A), however many edge orders
 produce it, and shape-checks that same compiled minor: a required bridge
@@ -43,15 +43,34 @@ from .ribbon import (RibbonGraph, RibbonGraphError, activities, certificate,
 # ---------------------------------------------------------------------------
 # state sum
 
-def _subset_term(root: Minor, mask: int) -> tuple:
+def _add_edge(side: tuple, i: int, j: int) -> tuple:
+    """``side`` (each block's component, named by one of its blocks; each
+    component's gamma; the nullity) with an edge between blocks ``i`` and
+    ``j``: it adds 1 to the gamma, after joining two components of gammas a
+    and b into one of a + b - 2, and 1 to the nullity if it joins none."""
+    comp, gamma, null = side
+    a, b = comp[i], comp[j]
+    gamma = gamma.copy()
+    if a == b:
+        gamma[a] += 1
+        return comp, gamma, null + 1
+    gamma[a] += gamma.pop(b) - 1
+    return tuple([a if c == b else c for c in comp]), gamma, null
+
+
+def _subset_term(root: Minor, mask: int, sides: tuple) -> tuple:
     """The exponents of the state-sum term of the edge subset ``mask``:
     (n2, n1, gammas2, gammas1), where 1 is the vertex side at the subset and
-    2 the boundary side at its complement, both read off ``root`` and the
-    subset's boundary walks."""
-    walks = subset_walks(root.kernel, mask)
-    n1, gammas1 = root.record(0, mask, walks)
-    n2, gammas2 = root.record(1, root.kernel.full ^ mask, walks)
-    return n2, n1, gammas2, gammas1
+    2 the boundary side at its complement, from their built-up ``sides``;
+    each boundary walk of the subset takes 1 from its component's gamma."""
+    (vcomp, vgamma, n1), (bcomp, bgamma, n2) = sides
+    vgamma, bgamma = vgamma.copy(), bgamma.copy()
+    vlab, blab = root.labels
+    for d in subset_walks(root.kernel, mask):
+        vgamma[vcomp[vlab[d]]] -= 1
+        bgamma[bcomp[blab[d]]] -= 1
+    return (n2, n1, tuple(sorted(bgamma.values())),
+            tuple(sorted(vgamma.values())))
 
 
 def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -64,10 +83,24 @@ def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 
 def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
-    """How many edge subsets give each :func:`_subset_term` key."""
+    """Edge subsets per :func:`_subset_term` key, by a depth-first pass: an
+    edge in joins its ends on the vertex side, one out its sides on the
+    boundary side; a block's gamma starts at 1 + w - its isolated count."""
     root = Minor.compile(pg)
-    return Counter(_subset_term(root, mask)
-                   for mask in range(root.kernel.full + 1))
+    vends, bends = (root._pairs(s, root.kernel.full) for s in (0, 1))
+    keys: Counter = Counter()
+
+    def visit(k: int, mask: int, vside: tuple, bside: tuple) -> None:
+        if k == len(vends):
+            keys[_subset_term(root, mask, (vside, bside))] += 1
+            return
+        visit(k + 1, mask | 1 << k, _add_edge(vside, *vends[k]), bside)
+        visit(k + 1, mask, vside, _add_edge(bside, *bends[k]))
+
+    visit(0, 0, *((tuple(range(len(ws))),
+                   dict(enumerate(1 + w - n for w, n in zip(ws, ns))), 0)
+                  for ws, ns in zip(root.weights, root.isolated)))
+    return keys
 
 
 def _state_sum(keys: Counter) -> MultiPoly:
@@ -262,17 +295,23 @@ class Multigraph:
 def _tutte_keys(n: int, ends: list[tuple[int, int]],
                 subset_nullity: bool = True) -> Counter:
     """How many edge subsets A of the multigraph on vertices 0 .. n-1 with
-    edges ``ends`` give each (k(A) - k, n(A)); n(A) is the nullity
-    |A| - n + k(A), or the whole multigraph's with ``subset_nullity=False``."""
-    def counts(mask: int) -> tuple[int, int]:
-        pairs = [p for j, p in enumerate(ends) if mask >> j & 1]
-        k = len(set(union_find(n, pairs)))
-        return k, len(pairs) - n + k
+    edges ``ends`` give each (k(A) - k, n(A)), by one depth-first pass:
+    n(A) is the nullity of the :func:`_add_edge` side (the whole graph's with
+    ``subset_nullity=False``) and k(A) the number of its gammas."""
+    k_h = len(set(union_find(n, ends)))
+    n_h = len(ends) - n + k_h
+    keys: Counter = Counter()
 
-    full = (1 << len(ends)) - 1
-    k_h, n_h = counts(full)
-    return Counter((k_a - k_h, n_a if subset_nullity else n_h)
-                   for k_a, n_a in map(counts, range(full + 1)))
+    def visit(k: int, side: tuple) -> None:
+        if k == len(ends):
+            _, comps, null = side
+            keys[len(comps) - k_h, null if subset_nullity else n_h] += 1
+            return
+        visit(k + 1, _add_edge(side, *ends[k]))
+        visit(k + 1, side)
+
+    visit(0, (tuple(range(n)), dict.fromkeys(range(n), 0), 0))
+    return keys
 
 
 def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
@@ -284,12 +323,9 @@ def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
     idx = {v: i for i, v in enumerate(h.vertices)}
     keys = _tutte_keys(len(idx), [(idx[u], idx[w]) for _, u, w in h.edges],
                        subset_nullity)
-    xm1 = MultiPoly.x() - 1
-    ym1 = MultiPoly.y() - 1
-    total = MultiPoly.zero()
-    for (a, b), c in keys.items():
-        total = total + c * (xm1 ** a) * (ym1 ** b)
-    return total
+    xp = {a: (MultiPoly.x() - 1) ** a for a in {a for a, _ in keys}}
+    yp = {b: (MultiPoly.y() - 1) ** b for b in {b for _, b in keys}}
+    return _sum(c * xp[a] * yp[b] for (a, b), c in keys.items())
 
 
 def underlying_multigraph(g: RibbonGraph) -> Multigraph:
@@ -338,13 +374,15 @@ def _krushkal_side(root: Minor, s: int, kept: int, live: int,
     between the components of the subgraph on ``kept``, and its Euler
     genus, on side ``s`` of the compiled discrete packaging ``root``: the
     components are the roots of the blocks (the other blocks are isolated
-    vertices, which change no key), and their gamma values sum to the Euler
-    genus."""
+    vertices, which change no key); the Euler genus sums their gammas: 2 per
+    component, w - 1 - isolated per block, 1 per edge, -1 per boundary walk."""
     walks = subset_walks(root.kernel, root.kernel.full ^ kept if s else kept)
-    _, roots = root._join(s, kept)
-    ends = [(roots[i], roots[j]) for i, j in root._join(s, live)[0]]
-    return (_tutte_keys(len(roots), ends, subset_nullity),
-            sum(root.record(s, kept, walks)[1]))
+    pairs = root._pairs(s, kept)
+    roots = union_find(len(root.weights[s]), pairs)
+    ends = [(roots[i], roots[j]) for i, j in root._pairs(s, live)]
+    genus = (2 * len(set(roots)) + len(pairs) - len(walks) + sum(
+        w - 1 - n for w, n in zip(root.weights[s], root.isolated[s])))
+    return _tutte_keys(len(roots), ends, subset_nullity), genus
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ the same rule in integers over the root's kernel, one edge at a time
 (:meth:`Minor.step`) or for a deleted and a contracted set at once
 (:meth:`Minor.minor`); its weight growth and :meth:`Minor.splits` give the
 quasi-tree expansion's prefactor and shape check.  The compiled root also
-gives both sides of a state-sum term, G|A by vertex blocks and G*|A^c by
-boundary blocks, from the boundary walks they share (:meth:`Minor.record`).
+starts the state sum's build-up of both sides of a term, G|A by vertex
+blocks and G*|A^c by boundary blocks, which share their boundary walks.
 """
 
 from __future__ import annotations
@@ -278,7 +278,7 @@ class Minor(NamedTuple):
     block merged away; and per block its number of isolated elements,
     vertices without edge ends (their empty boundaries).  :meth:`step`
     removes one edge, :meth:`minor` a deleted and a contracted set.  The
-    root (:meth:`compile`) also serves the state sum (:meth:`record`)."""
+    root (:meth:`compile`) also starts the state sum's build-up pass."""
     kernel: Kernel
     live: int
     t1: tuple[int, ...]
@@ -355,7 +355,8 @@ class Minor(NamedTuple):
         labels, weights, isolated = [], [], []
         for s, mask in enumerate((contracted, deleted)):
             lab, w, n = self.labels[s], self.weights[s], self.isolated[s]
-            pairs, roots = self._join(s, mask)
+            pairs = self._pairs(s, mask)
+            roots = union_find(len(w), pairs)
             nw: list[int | None] = [None] * len(w)
             iso = [0] * len(w)
             for b, r in enumerate(roots):
@@ -372,36 +373,12 @@ class Minor(NamedTuple):
         return Minor(self.kernel, self.live & ~gone, t1, tuple(labels),
                      tuple(weights), tuple(isolated))
 
-    def _join(self, s: int, mask: int
-              ) -> tuple[list[tuple[int, int]], list[int]]:
-        """The block pairs on side ``s`` of the live edges of ``mask``, their
-        ends on the vertex side and their two sides on the boundary side,
-        and the union-find roots of the blocks they join."""
+    def _pairs(self, s: int, mask: int) -> list[tuple[int, int]]:
+        """The block pairs on side ``s`` of the edges of ``mask``: their
+        ends on the vertex side and their two sides on the boundary side."""
         lab, y = self.labels[s], 2 - s   # 4k + 2: e's other end; 4k + 1: side
-        pairs = [(lab[4 * k], lab[4 * k + y])
-                 for k in range(len(lab) // 4) if mask >> k & 1]
-        return pairs, union_find(len(self.weights[s]), pairs)
-
-    def record(self, s: int, mask: int, walks: Iterable[int]
-               ) -> tuple[int, tuple[int, ...]]:
-        """On side ``s`` of a root: the nullity e - v + k of the packaging
-        of the spanning subgraph on ``mask`` and the sorted gamma values
-        2 + e(K) - v(K) + w(K) - b(K) of its components K.  ``walks``
-        (:func:`subset_walks`, of the complement on the boundary side) has
-        a dart of each boundary walk of the subgraph, but none for the
-        vertices without edge ends, whose empty boundaries are the isolated
-        counts: a block starts at w + 1 - its count, as in a leaf."""
-        pairs, roots = self._join(s, mask)
-        lab = self.labels[s]
-        gamma: dict[int, int] = {}   # root -> 2 + e(K) - v(K) + w(K) - b(K)
-        for r, w, n in zip(roots, self.weights[s], self.isolated[s]):
-            gamma[r] = gamma.get(r, 2) + w - 1 - n
-        for i, _ in pairs:
-            gamma[roots[i]] += 1
-        for d in walks:
-            gamma[roots[lab[d]]] -= 1
-        return (len(pairs) - len(roots) + len(gamma),
-                tuple(sorted(gamma.values())))
+        return [(lab[4 * k], lab[4 * k + y])
+                for k in range(len(lab) // 4) if mask >> k & 1]
 
     def _restitch(self, removed: Sequence[int], gone: int, contracted: int
                   ) -> tuple[tuple[int, ...], list[int]]:

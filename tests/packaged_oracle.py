@@ -4,15 +4,15 @@ their nullities and per-component genus corrections on string-keyed
 graphs; the activity minor as a chain of string-keyed packaged minors, its
 ribbon graph built as a partial dual and its shape check by
 ``classify_edge``; the activity classes read off the named partial dual
-G^Q; and the four-variable quasi-tree expansion on restricted string
-graphs."""
+G^Q; the four-variable quasi-tree expansion on restricted string graphs;
+and the Tutte keys of a multigraph by one union-find per edge subset."""
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterable
 
-from ribbonpoly.invariants import _leaf, _tutte_keys
+from ribbonpoly.invariants import _leaf
 from ribbonpoly.packaged import (PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, component_gamma_values,
                                  packaged_contract, packaged_delete, quotient)
@@ -21,7 +21,7 @@ from ribbonpoly.ribbon import (ActivityReport, EdgeKind, RibbonGraph,
                                RibbonGraphError, activities, classify_edge,
                                connected_components, enumerate_quasi_trees,
                                isomorphisms, partial_dual, restrict,
-                               trace_boundaries)
+                               trace_boundaries, union_find)
 
 
 def packaged_isomorphic(p1: PackagedRibbonGraph,
@@ -228,7 +228,7 @@ def krushkal_quasitree_oracle(g: RibbonGraph, order: Iterable[str],
 
 def _krushkal_side(g: RibbonGraph, kept: Iterable[str], live: Iterable[str],
                    subset_nullity: bool) -> tuple[Counter, int]:
-    """The ``_tutte_keys`` of the multigraph of ``live`` edges between the
+    """The :func:`tutte_keys` of the multigraph of ``live`` edges between the
     connected components of the spanning subgraph on ``kept``, and the
     Euler genus of that subgraph."""
     sub = restrict(g, kept)
@@ -237,4 +237,21 @@ def _krushkal_side(g: RibbonGraph, kept: Iterable[str], live: Iterable[str],
     ends = [(comp[u], comp[w]) for u, w in map(g.endpoints, live)]
     genus = (2 * len(comps) - len(sub.vertices) + len(sub.sign)
              - len(trace_boundaries(sub)))
-    return _tutte_keys(len(comps), ends, subset_nullity), genus
+    return tutte_keys(len(comps), ends, subset_nullity), genus
+
+
+def tutte_keys(n: int, ends: list[tuple[int, int]],
+               subset_nullity: bool = True) -> Counter:
+    """:func:`ribbonpoly.invariants._tutte_keys` with one union-find per
+    edge subset: how many subsets A of the edges ``ends`` on vertices
+    0 .. n-1 give each (k(A) - k, n(A)), or (k(A) - k, n) with
+    ``subset_nullity=False``."""
+    def counts(mask: int) -> tuple[int, int]:
+        pairs = [p for j, p in enumerate(ends) if mask >> j & 1]
+        k = len(set(union_find(n, pairs)))
+        return k, len(pairs) - n + k
+
+    full = (1 << len(ends)) - 1
+    k_h, n_h = counts(full)
+    return Counter((k_a - k_h, n_a if subset_nullity else n_h)
+                   for k_a, n_a in map(counts, range(full + 1)))

@@ -1,24 +1,26 @@
 """The compiled subset pass against the string-keyed subset sums it
-replaces: packagings and boundary traces of restricted subgraphs."""
+replaces: packagings and boundary traces of restricted subgraphs, and
+per-subset union-finds."""
 
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ribbonpoly import invariants
 from ribbonpoly.invariants import (_krushkal_direct, _subset_keys,
-                                   _subset_term, pst_state_sum)
-from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
-                                 component_gamma_values)
+                                   _subset_term, _tutte_keys, pst_state_sum)
+from ribbonpoly.packaged import PackagedRibbonGraph, component_gamma_values
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                connected_components, enumerate_quasi_trees,
                                euler_genus, restrict, subset_walks,
                                trace_boundaries)
-from packaged_oracle import nullity, restricted_packagings
+from packaged_oracle import nullity, restricted_packagings, tutte_keys
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 
@@ -28,6 +30,16 @@ def subsets(g: RibbonGraph):
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
             yield frozenset(combo)
+
+
+@st.composite
+def multigraphs(draw):
+    """(n, ends): up to 7 edges on vertices 0 .. n-1, loops and parallel
+    edges included; isolated vertices and components come with them."""
+    n = draw(st.integers(0, 5))
+    vertex = st.integers(0, max(n - 1, 0))
+    return n, draw(st.lists(st.tuples(vertex, vertex),
+                            max_size=7 if n else 0))
 
 
 def mask_of(g: RibbonGraph, aset: frozenset) -> int:
@@ -86,13 +98,24 @@ def test_state_sum_equals_string_keyed_sum(g, seed):
 @settings(max_examples=60, deadline=None)
 @given(ribbon_graphs(max_edges=6), st.integers(0, 2 ** 16))
 def test_subset_terms_equal_string_keyed_records(g, seed):
-    """Per subset, not only summed: both sides of the compiled term, read
-    off one walk of A, equal the packagings of g|A and of g*|A^c."""
+    """Per subset, not only summed: the build-up pass makes one
+    ``_subset_term`` call per subset, and both sides of each term, read off
+    one walk of A, equal the packagings of g|A and of g*|A^c."""
     pg = random_packaging(g, seed)
-    root = Minor.compile(pg)
-    for aset in subsets(g):
-        assert (_subset_term(root, mask_of(g, aset))
-                == reference_record(pg, aset)), sorted(aset)
+    calls = []
+
+    def recording(root, mask, sides):
+        term = _subset_term(root, mask, sides)
+        calls.append((mask, term))
+        return term
+
+    with mock.patch.object(invariants, "_subset_term", recording):
+        _subset_keys(pg)
+    assert len(calls) == 2 ** len(g.edges)
+    assert {mask for mask, _ in calls} == set(range(2 ** len(g.edges)))
+    for mask, term in calls:
+        aset = frozenset(e for k, e in enumerate(g.edges) if mask >> k & 1)
+        assert term == reference_record(pg, aset), sorted(aset)
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,3 +155,19 @@ def test_quasi_trees_equal_traced_subsets_in_order(g):
     want = [a for a in subsets(g)
             if len(trace_boundaries(restrict(g, a))) == 1]
     assert enumerate_quasi_trees(g) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+@example((0, []))
+@example((3, []))
+@example((1, [(0, 0), (0, 0)]))
+@example((2, [(0, 1), (1, 0), (0, 1)]))
+@example((5, [(0, 1), (2, 3), (3, 3), (2, 3)]))
+def test_tutte_keys_equal_per_subset_union_finds(h):
+    """The build-up Tutte keys against one union-find per subset, with the
+    subset's nullity and with the whole multigraph's."""
+    n, ends = h
+    for subset_nullity in (True, False):
+        assert (_tutte_keys(n, ends, subset_nullity)
+                == tutte_keys(n, ends, subset_nullity))
