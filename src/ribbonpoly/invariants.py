@@ -3,8 +3,9 @@
 Three routes compute the same polynomial: a state sum over edge subsets, a
 deletion-contraction recursion, and a quasi-tree expansion.  The state sum
 builds up both sides of each subset A's term, G|A and G*|A^c, as block
-partitions in one depth-first pass and walks each A once, without the dual
-graph; it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the
+partitions in one depth-first pass, which splices the edges off A out of
+one corner map in place and walks each A on it, without the dual graph;
+it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the
 expansion, which ``tests/test_minor.py`` checks.  The recursion
 steps string-keyed packaged graphs and adds one monomial per leaf to one
 counter; the expansion builds each activity minor, which contracts a set A
@@ -27,6 +28,7 @@ string-graph references of these checks live in the tests.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -58,17 +60,26 @@ def _add_edge(side: tuple, i: int, j: int) -> tuple:
     return tuple([a if c == b else c for c in comp]), gamma, null
 
 
-def _subset_term(root: Minor, mask: int, sides: tuple) -> tuple:
+def _subset_term(root: Minor, mask: int, sides: tuple, walk: tuple) -> tuple:
     """The exponents of the state-sum term of the edge subset ``mask``:
     (n2, n1, gammas2, gammas1), where 1 is the vertex side at the subset and
     2 the boundary side at its complement, from their built-up ``sides``;
-    each boundary walk of the subset takes 1 from its component's gamma."""
+    each emptied vertex and each boundary walk, traced on the pass's
+    spliced ``walk``, takes 1 from its component's gamma on both sides."""
     (vcomp, vgamma, n1), (bcomp, bgamma, n2) = sides
     vgamma, bgamma = vgamma.copy(), bgamma.copy()
     vlab, blab = root.labels
-    for d in subset_walks(root.kernel, mask):
+    t0, (t1, live, empty, marks), stamp = root.kernel.t0, walk, mask + 1
+    for d in empty:
         vgamma[vcomp[vlab[d]]] -= 1
         bgamma[bcomp[blab[d]]] -= 1
+    for d in live:
+        if marks[d] != stamp:   # a walk not yet traced at this subset
+            vgamma[vcomp[vlab[d]]] -= 1
+            bgamma[bcomp[blab[d]]] -= 1
+            while marks[d] != stamp:
+                marks[d] = marks[t0[d]] = stamp
+                d = t1[t0[d]]
     return (n2, n1, tuple(sorted(bgamma.values())),
             tuple(sorted(vgamma.values())))
 
@@ -84,18 +95,31 @@ def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
     """Edge subsets per :func:`_subset_term` key, by a depth-first pass: an
-    edge in joins its ends on the vertex side, one out its sides on the
-    boundary side; a block's gamma starts at 1 + w - its isolated count."""
+    edge in joins its ends on the vertex side and makes its darts live, one
+    out joins its sides on the boundary side and splices its ends out of
+    ``t1`` as dancing links do; a block's gamma starts at 1 + w - isolated."""
     root = Minor.compile(pg)
     vends, bends = (root._pairs(s, root.kernel.full) for s in (0, 1))
+    walk = t1, live, empty, marks = list(root.t1), [], [], [0] * len(root.t1)
     keys: Counter = Counter()
 
     def visit(k: int, mask: int, vside: tuple, bside: tuple) -> None:
         if k == len(vends):
-            keys[_subset_term(root, mask, (vside, bside))] += 1
+            keys[_subset_term(root, mask, (vside, bside), walk)] += 1
             return
+        live.extend(range(4 * k, 4 * k + 4))
         visit(k + 1, mask | 1 << k, _add_edge(vside, *vends[k]), bside)
+        del live[-4:]
+        n = len(empty)
+        for d in (4 * k, 4 * k + 2):   # the L darts of k's two ends
+            p, q = t1[d], t1[d + 1]
+            t1[p], t1[q] = q, p
+            if p == d + 1:   # the last end at its vertex
+                empty.append(d)
         visit(k + 1, mask, vside, _add_edge(bside, *bends[k]))
+        del empty[n:]
+        for d in (4 * k + 2, 4 * k):
+            t1[t1[d]], t1[t1[d + 1]] = d, d + 1
 
     visit(0, 0, *((tuple(range(len(ws))),
                    dict(enumerate(1 + w - n for w, n in zip(ws, ns))), 0)
@@ -215,12 +239,6 @@ def _minor_poly(m: Minor, ex: int = 0, ey: int = 0) -> MultiPoly:
     return MultiPoly(_minor_leaves(Counter(), m, ex, ey))
 
 
-def _sum(polys: Iterable[MultiPoly]) -> MultiPoly:
-    """One sum of ``polys``, without a copy per term."""
-    return MultiPoly(itertools.chain.from_iterable(p.terms.items()
-                                                   for p in polys))
-
-
 def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
     """Quasi-tree expansion; each quasi-tree contributes its activity minor's
     polynomial with a nullity prefactor, whose exponents start the minor's
@@ -315,7 +333,8 @@ def _tutte_keys(n: int, ends: list[tuple[int, int]],
 
 
 def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
-    """Subset sum of (x-1)^{k(h|A)-k(h)} (y-1)^{n(h|A)}.
+    """Subset sum of (x-1)^{k(h|A)-k(h)} (y-1)^{n(h|A)}, each power
+    expanded by the binomial theorem.
 
     ``subset_nullity=False`` uses n(h) instead of n(h|A); that variant is not
     the Tutte polynomial and exists only as a pinned regression contrast.
@@ -323,9 +342,10 @@ def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
     idx = {v: i for i, v in enumerate(h.vertices)}
     keys = _tutte_keys(len(idx), [(idx[u], idx[w]) for _, u, w in h.edges],
                        subset_nullity)
-    xp = {a: (MultiPoly.x() - 1) ** a for a in {a for a, _ in keys}}
-    yp = {b: (MultiPoly.y() - 1) ** b for b in {b for _, b in keys}}
-    return _sum(c * xp[a] * yp[b] for (a, b), c in keys.items())
+    return MultiPoly((Monomial(i, j), (-1) ** (a + b - i - j) * c
+                      * math.comb(a, i) * math.comb(b, j))
+                     for (a, b), c in keys.items()
+                     for i in range(a + 1) for j in range(b + 1))
 
 
 def underlying_multigraph(g: RibbonGraph) -> Multigraph:
@@ -525,11 +545,12 @@ def cross_validate(pg: PackagedRibbonGraph,
                 minors[key] = minor, _minor_poly(minor, *pre)
             minor, contribution = minors[key]
             if (q, *key) not in shapes:   # bridges in Q, plane loops off Q
+                base = minor.components() if minor.live else 0
                 shapes[(q, *key)] = all(
-                    minor.splits(k, e not in q) for e, k in index.items()
-                    if minor.live >> k & 1)
+                    minor.splits(k, e not in q, base)
+                    for e, k in index.items() if minor.live >> k & 1)
             rows.append((tuple(sorted(q)), act, contribution))
-        qt[order] = _sum(c for _, _, c in rows)
+        qt[order] = MultiPoly.sum(c for _, _, c in rows)
         breakdown[order] = rows
     equal = ss == dc and all(p == ss for p in qt.values())
     return ValidationReport(ss, dc, qt, equal, all(shapes.values()),

@@ -14,9 +14,10 @@ render to a canonical text form that parses back exactly.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 
 class PolyError(ValueError):
@@ -83,6 +84,12 @@ class _PolyBase:
     @classmethod
     def const(cls, c: int):
         return cls({cls._unit(): c})
+
+    @classmethod
+    def sum(cls, polys: Iterable["_PolyBase"]):
+        """One sum of ``polys``, without a copy per term."""
+        return cls(itertools.chain.from_iterable(p.terms.items()
+                                                 for p in polys))
 
     def __bool__(self):
         return bool(self.terms)
@@ -209,27 +216,23 @@ class MultiPoly(_PolyBase):
         MultiPoly).
         """
         ring = ring or MultiPoly
-        out = ring.zero()
+        powers: dict = {}   # (variable, index, exponent) -> its image
+        terms = []
         for m, c in self.terms.items():
             term = ring.const(c)
-            if m.ex:
-                if x is None:
-                    raise PolyError("no substitution rule for x")
-                term = term * (x ** m.ex)
-            if m.ey:
-                if y is None:
-                    raise PolyError("no substitution rule for y")
-                term = term * (y ** m.ey)
-            for g, e in m.exg:
-                if xg is None:
-                    raise PolyError(f"no substitution rule for x_{g}")
-                term = term * (xg(g) ** e)
-            for g, e in m.eyg:
-                if yg is None:
-                    raise PolyError(f"no substitution rule for y_{g}")
-                term = term * (yg(g) ** e)
-            out = out + term
-        return out
+            for var, rule, g, e in (("x", x, None, m.ex), ("y", y, None, m.ey),
+                                    *(("x", xg, g, e) for g, e in m.exg),
+                                    *(("y", yg, g, e) for g, e in m.eyg)):
+                if not e:
+                    continue
+                if (var, g, e) not in powers:
+                    if rule is None:
+                        raise PolyError("no substitution rule for " + (
+                            var if g is None else f"{var}_{g}"))
+                    powers[var, g, e] = (rule if g is None else rule(g)) ** e
+                term = term * powers[var, g, e]
+            terms.append(term)
+        return ring.sum(terms)
 
 
 @dataclass(frozen=True)
@@ -302,32 +305,30 @@ class HalfExpPoly(_PolyBase):
         half-integer exponents never leak into the target ring.
         """
         ring = ring or MultiPoly
-        out = ring.zero()
+        powers: dict = {}   # (variable, exponent) -> its image
+        terms = []
         for m, c in self.terms.items():
             if (a not in (None, 0, 1)) or (b not in (None, 0, 1)):
                 raise PolyError("a/b may only be substituted by 0 or 1")
-            if m.ea2:
-                if a is None:
-                    raise PolyError("no substitution rule for a")
-                if a == 0:
-                    continue
-            if m.eb2:
-                if b is None:
-                    raise PolyError("no substitution rule for b")
-                if b == 0:
-                    continue
             term = ring.const(c)
-            for e, repl, name in ((m.ealpha, alpha, "alpha"),
+            for e, repl, name in ((m.ea2, a, "a"), (m.eb2, b, "b"),
+                                  (m.ealpha, alpha, "alpha"),
                                   (m.ebeta, beta, "beta")):
-                if e:
-                    if repl is None:
-                        raise PolyError(f"no substitution rule for {name}")
-                    if e < 0:
-                        raise PolyError(f"negative {name} exponent under "
-                                        "polynomial substitution")
-                    term = term * (repl ** e)
-            out = out + term
-        return out
+                if not e:
+                    continue
+                if repl is None:
+                    raise PolyError(f"no substitution rule for {name}")
+                if name in ("a", "b") and not repl:
+                    break   # the term vanishes
+                if e < 0:
+                    raise PolyError(f"negative {name} exponent under "
+                                    "polynomial substitution")
+                if (name, e) not in powers:
+                    powers[name, e] = repl ** e
+                term = term * powers[name, e]
+            else:
+                terms.append(term)
+        return ring.sum(terms)
 
 
 # ---------------------------------------------------------------------------

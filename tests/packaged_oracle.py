@@ -5,7 +5,9 @@ graphs; the activity minor as a chain of string-keyed packaged minors, its
 ribbon graph built as a partial dual and its shape check by
 ``classify_edge``; the activity classes read off the named partial dual
 G^Q; the four-variable quasi-tree expansion on restricted string graphs;
-and the Tutte keys of a multigraph by one union-find per edge subset."""
+the Tutte keys of a multigraph by one union-find per edge subset; and the
+state-sum leaf that walks each subset with its own :func:`subset_walks`
+call."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from collections import Counter
 from typing import Iterable
 
 from ribbonpoly.invariants import _leaf
-from ribbonpoly.packaged import (PackagedRibbonGraph, PackagingError,
+from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, component_gamma_values,
                                  packaged_contract, packaged_delete, quotient)
 from ribbonpoly.poly import HalfExpPoly, HalfMonomial, MultiPoly
@@ -21,7 +23,7 @@ from ribbonpoly.ribbon import (ActivityReport, EdgeKind, RibbonGraph,
                                RibbonGraphError, activities, classify_edge,
                                connected_components, enumerate_quasi_trees,
                                isomorphisms, partial_dual, restrict,
-                               trace_boundaries, union_find)
+                               subset_walks, trace_boundaries, union_find)
 
 
 def packaged_isomorphic(p1: PackagedRibbonGraph,
@@ -255,3 +257,19 @@ def tutte_keys(n: int, ends: list[tuple[int, int]],
     k_h, n_h = counts(full)
     return Counter((k_a - k_h, n_a if subset_nullity else n_h)
                    for k_a, n_a in map(counts, range(full + 1)))
+
+
+def subset_walks_term(root: Minor, mask: int, sides: tuple) -> tuple:
+    """:func:`ribbonpoly.invariants._subset_term` with the boundary walks
+    of the subset ``mask`` from one :func:`subset_walks` call, which builds
+    the subset's corner map afresh: each walk, and each vertex the subset
+    leaves without edge ends, takes 1 from its component's gamma on both
+    of the built-up ``sides``."""
+    (vcomp, vgamma, n1), (bcomp, bgamma, n2) = sides
+    vgamma, bgamma = vgamma.copy(), bgamma.copy()
+    vlab, blab = root.labels
+    for d in subset_walks(root.kernel, mask):
+        vgamma[vcomp[vlab[d]]] -= 1
+        bgamma[bcomp[blab[d]]] -= 1
+    return (n2, n1, tuple(sorted(bgamma.values())),
+            tuple(sorted(vgamma.values())))

@@ -23,6 +23,76 @@ def multi_polys(draw):
     return MultiPoly(terms)
 
 
+@st.composite
+def half_polys(draw, min_exp=0):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        m = HalfMonomial(*(draw(st.integers(min_exp, 3)) for _ in range(2)),
+                         *(draw(st.integers(0, 3)) for _ in range(2)))
+        terms[m] = draw(st.integers(-5, 5))
+    return HalfExpPoly(terms)
+
+
+def outcome(substitution):
+    """The image, or the message of the PolyError raised instead."""
+    try:
+        return substitution()
+    except PolyError as ex:
+        return str(ex)
+
+
+def substitute_term_by_term(p, x=None, y=None, xg=None, yg=None, ring=None):
+    """:meth:`MultiPoly.substitute` one term at a time, each power
+    recomputed and each image added to the running sum."""
+    ring = ring or MultiPoly
+    out = ring.zero()
+    for m, c in p.terms.items():
+        term = ring.const(c)
+        for name, rule, e in (("x", x, m.ex), ("y", y, m.ey)):
+            if e:
+                if rule is None:
+                    raise PolyError(f"no substitution rule for {name}")
+                term = term * rule ** e
+        for name, rule, pairs in (("x", xg, m.exg), ("y", yg, m.eyg)):
+            for g, e in pairs:
+                if rule is None:
+                    raise PolyError(f"no substitution rule for {name}_{g}")
+                term = term * rule(g) ** e
+        out = out + term
+    return out
+
+
+def half_substitute_term_by_term(p, alpha=None, beta=None, a=None, b=None,
+                                 ring=None):
+    """:meth:`HalfExpPoly.substitute` one term at a time, each power
+    recomputed and each image added to the running sum."""
+    ring = ring or MultiPoly
+    out = ring.zero()
+    for m, c in p.terms.items():
+        if a not in (None, 0, 1) or b not in (None, 0, 1):
+            raise PolyError("a/b may only be substituted by 0 or 1")
+        if m.ea2 and a is None:
+            raise PolyError("no substitution rule for a")
+        if m.ea2 and a == 0:
+            continue
+        if m.eb2 and b is None:
+            raise PolyError("no substitution rule for b")
+        if m.eb2 and b == 0:
+            continue
+        term = ring.const(c)
+        for e, rule, name in ((m.ealpha, alpha, "alpha"),
+                              (m.ebeta, beta, "beta")):
+            if e:
+                if rule is None:
+                    raise PolyError(f"no substitution rule for {name}")
+                if e < 0:
+                    raise PolyError(f"negative {name} exponent under "
+                                    "polynomial substitution")
+                term = term * rule ** e
+        out = out + term
+    return out
+
+
 def test_basic_arithmetic():
     p = MultiPoly.xg(0) * MultiPoly.yg(0)
     assert p * MultiPoly.yg(0) == MultiPoly({
@@ -126,3 +196,63 @@ def test_swap_xy():
     assert p.swap_xy() == MultiPoly.y(2) * MultiPoly.yg(1) + \
         MultiPoly.x() * MultiPoly.xg(3)
     assert p.swap_xy().swap_xy() == p
+
+
+@st.composite
+def family_rules(draw, polys, complete=False):
+    """A rule for every index the strategies use, or ``None`` (no rule)
+    unless ``complete``."""
+    if not complete and draw(st.booleans()):
+        return None
+    table = {g: draw(polys) for g in range(-2, 4)}
+    return table.__getitem__
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_polys(), st.sampled_from([MultiPoly, HalfExpPoly]), st.data())
+def test_substitute_equals_term_by_term(p, ring, data):
+    """Into both rings: the same image, or, with some rules missing, the
+    same PolyError, raised at the same first missing rule."""
+    polys = multi_polys() if ring is MultiPoly else half_polys()
+    complete = data.draw(st.booleans())   # else some rules may be missing
+    rules = {name: data.draw(polys if complete else st.none() | polys)
+             for name in ("x", "y")}
+    rules.update({name: data.draw(family_rules(polys, complete))
+                  for name in ("xg", "yg")})
+    assert (outcome(lambda: p.substitute(**rules, ring=ring))
+            == outcome(lambda: substitute_term_by_term(p, **rules,
+                                                       ring=ring)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_half_substitute_equals_term_by_term(data):
+    """The same image, or the same PolyError with rules missing, negative
+    alpha/beta exponents, or a or b outside 0 and 1."""
+    complete = data.draw(st.booleans())
+    p = data.draw(half_polys(min_exp=0 if complete else -1))
+    rules = {name: data.draw(multi_polys() if complete
+                             else st.none() | multi_polys())
+             for name in ("alpha", "beta")}
+    rules.update({name: data.draw(st.sampled_from(
+        [0, 1] if complete else [None, 0, 1, 2])) for name in ("a", "b")})
+    assert (outcome(lambda: p.substitute(**rules, ring=MultiPoly))
+            == outcome(lambda: half_substitute_term_by_term(
+                p, **rules, ring=MultiPoly)))
+
+
+def test_substitute_reports_the_first_missing_rule():
+    p = MultiPoly({Monomial(ex=1, eyg=((2, 1),)): 1,
+                   Monomial(exg=((-1, 2),)): 3})
+    with pytest.raises(PolyError, match=r"^no substitution rule for y_2$"):
+        p.substitute(x=MultiPoly.y())
+    with pytest.raises(PolyError, match=r"^no substitution rule for x_-1$"):
+        p.substitute(x=MultiPoly.y(), yg=MultiPoly.xg)
+    with pytest.raises(PolyError, match=r"^no substitution rule for x$"):
+        p.substitute(xg=MultiPoly.yg, yg=MultiPoly.xg)
+    h = HalfExpPoly({HalfMonomial(ealpha=1, ea2=1): 1})
+    with pytest.raises(PolyError, match=r"^no substitution rule for a$"):
+        h.substitute(alpha=MultiPoly.x())
+    with pytest.raises(PolyError, match=r"^no substitution rule for alpha$"):
+        h.substitute(a=1)
+    assert h.substitute(a=0) == MultiPoly.zero()

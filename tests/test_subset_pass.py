@@ -1,10 +1,12 @@
 """The compiled subset pass against the string-keyed subset sums it
-replaces: packagings and boundary traces of restricted subgraphs, and
-per-subset union-finds."""
+replaces: packagings and boundary traces of restricted subgraphs,
+per-subset union-finds, one :func:`subset_walks` call per subset, and the
+classical Tutte polynomial as a sum of products of powers."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -12,15 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ribbonpoly import invariants
-from ribbonpoly.invariants import (_krushkal_direct, _subset_keys,
-                                   _subset_term, _tutte_keys, pst_state_sum)
+from ribbonpoly.invariants import (Multigraph, _krushkal_direct,
+                                   _subset_keys, _subset_term, _tutte_keys,
+                                   classical_tutte, pst_state_sum)
 from ribbonpoly.packaged import PackagedRibbonGraph, component_gamma_values
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                connected_components, enumerate_quasi_trees,
                                euler_genus, restrict, subset_walks,
                                trace_boundaries)
-from packaged_oracle import nullity, restricted_packagings, tutte_keys
+from packaged_oracle import (nullity, restricted_packagings,
+                             subset_walks_term, tutte_keys)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 
@@ -40,6 +44,10 @@ def multigraphs(draw):
     vertex = st.integers(0, max(n - 1, 0))
     return n, draw(st.lists(st.tuples(vertex, vertex),
                             max_size=7 if n else 0))
+
+
+def rg(rotation: dict, sign: dict) -> RibbonGraph:
+    return RibbonGraph.build(list(rotation), rotation, sign)
 
 
 def mask_of(g: RibbonGraph, aset: frozenset) -> int:
@@ -104,8 +112,8 @@ def test_subset_terms_equal_string_keyed_records(g, seed):
     pg = random_packaging(g, seed)
     calls = []
 
-    def recording(root, mask, sides):
-        term = _subset_term(root, mask, sides)
+    def recording(root, mask, sides, walk):
+        term = _subset_term(root, mask, sides, walk)
         calls.append((mask, term))
         return term
 
@@ -116,6 +124,37 @@ def test_subset_terms_equal_string_keyed_records(g, seed):
     for mask, term in calls:
         aset = frozenset(e for k, e in enumerate(g.edges) if mask >> k & 1)
         assert term == reference_record(pg, aset), sorted(aset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=4), st.integers(0, 2 ** 16))
+@example(rg({"v1": [("e", 1), ("e", 2)], "v2": [], "v3": []}, {"e": 1}), 0)
+@example(rg({"v1": [("e", 1), ("e", 2), ("f", 1)], "v2": [("f", 2)]},
+            {"e": 1, "f": -1}), 1)
+@example(rg({"v1": [("e", 1), ("f", 1), ("e", 2), ("f", 2)]},
+            {"e": -1, "f": -1}), 2)
+@example(rg({"v1": [("e", 1)], "v2": [("e", 2), ("f", 1), ("f", 2)],
+             "v3": [("g", 1), ("g", 2)], "v4": []},
+            {"e": 1, "f": 1, "g": -1}), 3)
+def test_spliced_walks_equal_one_subset_walks_call_per_subset(g, seed):
+    """Each leaf of the pass, walked on the corner map spliced in place,
+    equals the leaf that builds the subset's corner map afresh with
+    :func:`subset_walks`, given the same built-up sides; so do the keys.
+    The examples hold isolated vertices, loops whose ends are adjacent,
+    twisted edges, vertices that exclusions leave empty (every vertex with
+    edge ends, at the empty subset) and a disconnected graph."""
+    pg = random_packaging(g, seed)
+    want: Counter = Counter()
+
+    def both(root, mask, sides, walk):
+        term = _subset_term(root, mask, sides, walk)
+        assert term == subset_walks_term(root, mask, sides), mask
+        want[term] += 1
+        return term
+
+    with mock.patch.object(invariants, "_subset_term", both):
+        assert _subset_keys(pg) == want
+    assert sum(want.values()) == 2 ** len(g.edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,3 +210,26 @@ def test_tutte_keys_equal_per_subset_union_finds(h):
     for subset_nullity in (True, False):
         assert (_tutte_keys(n, ends, subset_nullity)
                 == tutte_keys(n, ends, subset_nullity))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+@example((0, []))
+@example((3, []))
+@example((1, [(0, 0), (0, 0)]))
+@example((5, [(0, 1), (2, 3), (3, 3), (2, 3)]))
+def test_classical_tutte_equals_products_of_powers(h):
+    """The binomial expansion of each key against the sum of
+    c (x-1)^a (y-1)^b as products of polynomial powers, read off the
+    per-subset union-find keys, with the subset's nullity and with the
+    whole multigraph's."""
+    n, ends = h
+    graph = Multigraph(tuple(f"v{i}" for i in range(n)),
+                       tuple((f"e{j}", f"v{u}", f"v{w}")
+                             for j, (u, w) in enumerate(ends)))
+    x1, y1 = MultiPoly.x() - 1, MultiPoly.y() - 1
+    for subset_nullity in (True, False):
+        want = MultiPoly.zero()
+        for (a, b), c in tutte_keys(n, ends, subset_nullity).items():
+            want = want + c * x1 ** a * y1 ** b
+        assert classical_tutte(graph, subset_nullity) == want
