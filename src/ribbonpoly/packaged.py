@@ -423,9 +423,8 @@ class Minor(NamedTuple):
                                                (d, d ^ 1))])
         return len({roots[d] for d in live}) + sum(self.isolated[0])
 
-    def splits(self, k: int, contract: bool, base: int | None = None) -> bool:
+    def splits(self, k: int, contract: bool, base: int) -> bool:
         """Whether deleting (contracting) live edge ``k`` adds a connected
-        component, that is, whether it is a bridge (a plane loop); ``base``
-        is this minor's :meth:`components`, if the caller has counted it."""
-        return self.step(k, contract)[0].components() > (
-            self.components() if base is None else base)
+        component to the ``base`` = :meth:`components` of this minor, that
+        is, whether it is a bridge (a plane loop)."""
+        return self.step(k, contract)[0].components() > base

@@ -103,12 +103,7 @@ class _PolyBase:
     def __add__(self, other):
         if isinstance(other, int):
             other = type(self).const(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, 0) + c
-            if not t[m]:
-                del t[m]
-        return type(self)(t)
+        return type(self).sum((self, other))
 
     __radd__ = __add__
 
@@ -116,8 +111,6 @@ class _PolyBase:
         return type(self)({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = type(self).const(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -194,16 +187,14 @@ class MultiPoly(_PolyBase):
 
     def reindex_halved(self) -> "MultiPoly":
         """Map x_g -> x_{g/2}, y_g -> y_{g/2}; every index must be even."""
-        out = {}
-        for m, c in self.terms.items():
+        for m in self.terms:
             for g, _ in m.exg + m.eyg:
                 if g % 2:
                     raise PolyError(f"odd family index {g} under a half reindex")
-            mm = Monomial(m.ex, m.ey,
-                          tuple((g // 2, e) for g, e in m.exg),
-                          tuple((g // 2, e) for g, e in m.eyg))
-            out[mm] = out.get(mm, 0) + c
-        return MultiPoly(out)
+        return MultiPoly((Monomial(m.ex, m.ey,
+                                   tuple((g // 2, e) for g, e in m.exg),
+                                   tuple((g // 2, e) for g, e in m.eyg)), c)
+                         for m, c in self.terms.items())
 
     def substitute(self, x=None, y=None,
                    xg: Callable[[int], "_PolyBase"] | None = None,
@@ -305,29 +296,31 @@ class HalfExpPoly(_PolyBase):
         half-integer exponents never leak into the target ring.
         """
         ring = ring or MultiPoly
-        powers: dict = {}   # (variable, exponent) -> its image
         terms = []
         for m, c in self.terms.items():
             if (a not in (None, 0, 1)) or (b not in (None, 0, 1)):
                 raise PolyError("a/b may only be substituted by 0 or 1")
-            term = ring.const(c)
-            for e, repl, name in ((m.ea2, a, "a"), (m.eb2, b, "b"),
-                                  (m.ealpha, alpha, "alpha"),
-                                  (m.ebeta, beta, "beta")):
-                if not e:
+            if m.ea2:
+                if a is None:
+                    raise PolyError("no substitution rule for a")
+                if a == 0:
                     continue
-                if repl is None:
-                    raise PolyError(f"no substitution rule for {name}")
-                if name in ("a", "b") and not repl:
-                    break   # the term vanishes
-                if e < 0:
-                    raise PolyError(f"negative {name} exponent under "
-                                    "polynomial substitution")
-                if (name, e) not in powers:
-                    powers[name, e] = repl ** e
-                term = term * powers[name, e]
-            else:
-                terms.append(term)
+            if m.eb2:
+                if b is None:
+                    raise PolyError("no substitution rule for b")
+                if b == 0:
+                    continue
+            term = ring.const(c)
+            for e, repl, name in ((m.ealpha, alpha, "alpha"),
+                                  (m.ebeta, beta, "beta")):
+                if e:
+                    if repl is None:
+                        raise PolyError(f"no substitution rule for {name}")
+                    if e < 0:
+                        raise PolyError(f"negative {name} exponent under "
+                                        "polynomial substitution")
+                    term = term * (repl ** e)
+            terms.append(term)
         return ring.sum(terms)
 
 
@@ -385,14 +378,11 @@ def parse_poly(text: str):
             exp2 = 2  # exponents stored doubled during parsing
             if i < n and toks[i] == "^":
                 i += 1
+                neg = i < n and toks[i] == "-"
+                i += neg
                 if i >= n:
                     raise PolyError("dangling exponent")
                 val = toks[i]
-                neg = False
-                if val == "-":
-                    neg = True
-                    i += 1
-                    val = toks[i]
                 if not val.isdigit():
                     raise PolyError(f"bad exponent {val}")
                 exp2 = 2 * int(val) * (-1 if neg else 1)
@@ -432,35 +422,19 @@ def parse_poly(text: str):
                 families.add("multi")
             else:
                 raise PolyError(f"unknown variable {var}")
-    if families == {"half"}:
-        out_h = HalfExpPoly.zero()
-        for coeff, factors in terms:
-            m = HalfMonomial(
-                ealpha=factors.get("alpha", 0) // 2,
-                ebeta=factors.get("beta", 0) // 2,
-                ea2=factors.get("a", 0),
-                eb2=factors.get("b", 0))
-            out_h = out_h + HalfExpPoly({m: coeff})
-        return out_h
+    if families == {"half"}:   # one term at a time, so each is checked
+        return HalfExpPoly.sum(HalfExpPoly({HalfMonomial(
+            f.get("alpha", 0) // 2, f.get("beta", 0) // 2, f.get("a", 0),
+            f.get("b", 0)): coeff}) for coeff, f in terms)
     if "half" in families:
         raise PolyError("mixed variable families")
-    out = MultiPoly.zero()
+    monos = []
     for coeff, factors in terms:
-        exg = []
-        eyg = []
-        ex = ey = 0
-        for var, e2 in factors.items():
-            if e2 % 2:
-                raise PolyError("half exponents only allowed on a and b")
-            e = e2 // 2
-            if var == "x":
-                ex = e
-            elif var == "y":
-                ey = e
-            elif var.startswith("x_"):
-                exg.append((int(var[2:]), e))
-            else:
-                eyg.append((int(var[2:]), e))
-        m = Monomial(ex, ey, tuple(sorted(exg)), tuple(sorted(eyg)))
-        out = out + MultiPoly({m: coeff})
-    return out
+        if any(e2 % 2 for e2 in factors.values()):
+            raise PolyError("half exponents only allowed on a and b")
+        exps = {var: e2 // 2 for var, e2 in factors.items()}
+        xg, yg = (tuple(sorted((int(var[2:]), e) for var, e in exps.items()
+                               if var.startswith(p))) for p in ("x_", "y_"))
+        monos.append((Monomial(exps.get("x", 0), exps.get("y", 0), xg, yg),
+                      coeff))
+    return MultiPoly(monos)

@@ -42,12 +42,14 @@ def test_split_verdicts_match_classify_edge(parts):
     g = pg.graph
     _, minor = _activity_terms(pg)(deleted, contracted)
     mg = _minor_graph(g, deleted, contracted)
-    assert minor.components() == len(connected_components(mg))
+    base = minor.components()
+    assert base == len(connected_components(mg))
     for k, e in enumerate(g.edges):
         if minor.live >> k & 1:
             kind = classify_edge(mg, e)
-            assert minor.splits(k, False) == (kind == EdgeKind.BRIDGE), e
-            assert minor.splits(k, True) == (kind == EdgeKind.PLANE_LOOP), e
+            assert minor.splits(k, False, base) == (kind == EdgeKind.BRIDGE), e
+            assert minor.splits(k, True, base) == (
+                kind == EdgeKind.PLANE_LOOP), e
 
 
 @settings(max_examples=300, deadline=None)

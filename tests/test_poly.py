@@ -256,3 +256,84 @@ def test_substitute_reports_the_first_missing_rule():
     with pytest.raises(PolyError, match=r"^no substitution rule for alpha$"):
         h.substitute(a=1)
     assert h.substitute(a=0) == MultiPoly.zero()
+
+
+def merged(*term_lists):
+    """The term dict of the sum of ``term_lists``, zeros dropped."""
+    out: dict = {}
+    for terms in term_lists:
+        for m, c in terms:
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.tuples(multi_polys(), multi_polys()),
+                 st.tuples(half_polys(min_exp=-1), half_polys())),
+       st.integers(-3, 3))
+def test_sum_and_difference_merge_terms(pq, k):
+    """In both rings, with a polynomial or an int on either side."""
+    p, q = pq
+    unit = type(p)._unit()
+    assert (p + q).terms == merged(p.terms.items(), q.terms.items())
+    assert (p - q).terms == merged(p.terms.items(),
+                                   ((m, -c) for m, c in q.terms.items()))
+    assert (p + k).terms == (k + p).terms == merged(p.terms.items(),
+                                                    [(unit, k)])
+    assert (p - k).terms == merged(p.terms.items(), [(unit, -k)])
+
+
+FACTORS = {"x": MultiPoly.x(), "y": MultiPoly.y(), "x_0": MultiPoly.xg(0),
+           "x_-1": MultiPoly.xg(-1), "y_2": MultiPoly.yg(2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.lists(st.tuples(
+    st.sampled_from(sorted(FACTORS)), st.integers(1, 2)), max_size=4)),
+    min_size=1, max_size=5))
+def test_parse_multiplies_factors_and_adds_terms(raw):
+    """Text that is not canonical, with repeated and unordered factors,
+    repeated monomials and terms that cancel, parses to the sum of the
+    products it spells."""
+    text, want = "", {}
+    for i, (c, factors) in enumerate(raw):
+        text += ("-" if c < 0 else "") if i == 0 else (" - " if c < 0
+                                                      else " + ")
+        text += "*".join([str(abs(c))] + [f"{v}^{e}" for v, e in factors])
+        term = MultiPoly.const(c)
+        for v, e in factors:
+            term = term * FACTORS[v] ** e
+        want = merged(want.items(), term.terms.items())
+    assert parse_poly(text).terms == want
+
+
+def test_parse_rejects_a_dangling_exponent():
+    for text in ("x^", "x^-", "a^-"):
+        with pytest.raises(PolyError, match=r"^dangling exponent$"):
+            parse_poly(text)
+    with pytest.raises(PolyError, match=r"^bad exponent -$"):
+        parse_poly("x^--1")
+
+
+def test_parse_checks_each_half_term():
+    assert parse_poly("a^1/2*alpha^-1 + alpha^-1*a^1/2 - b") == HalfExpPoly(
+        {HalfMonomial(ealpha=-1, ea2=1): 2, HalfMonomial(eb2=2): -1})
+    with pytest.raises(PolyError, match=r"^negative a/b exponent$"):
+        parse_poly("a^-1 - a^-1")
+    with pytest.raises(PolyError,
+                       match=r"^half exponents only allowed on a and b$"):
+        parse_poly("x + y^1/2")
+
+
+@settings(max_examples=120, deadline=None)
+@given(multi_polys())
+def test_reindex_halved_term_by_term(p):
+    odd = [g for m in p.terms for g, _ in m.exg + m.eyg if g % 2]
+    if odd:
+        with pytest.raises(PolyError, match=rf"^odd family index {odd[0]} "):
+            p.reindex_halved()
+        return
+    assert p.reindex_halved().terms == {
+        Monomial(m.ex, m.ey, tuple((g // 2, e) for g, e in m.exg),
+                 tuple((g // 2, e) for g, e in m.eyg)): c
+        for m, c in p.terms.items()}
