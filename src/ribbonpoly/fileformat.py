@@ -31,6 +31,18 @@ _END_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\.([12])$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _FIELD = re.compile(r"\S+")
 
+
+def _weight(word: str) -> int | None:
+    """A block weight: ASCII digits that :func:`int` takes (not past the
+    int-string digit limit), else None."""
+    if not (word.isascii() and word.isdigit()):
+        return None
+    try:
+        return int(word)
+    except ValueError:
+        return None
+
+
 # a vblock/bblock directive: its line, the column of each id, its weight
 Block = tuple[int, dict[str, int], int]
 
@@ -111,11 +123,11 @@ def parse(text: str) -> PackagedRibbonGraph:
             vertices.append(vname)
             rotation[vname] = tuple(ends)
         elif parts[0] in ("vblock", "bblock"):
-            if len(parts) != 2 or not parts[1].isdigit():
+            weight = _weight(parts[1]) if len(parts) == 2 else None
+            if weight is None:
                 raise ParseError(
                     f"syntax error: bad block header {head!r} "
                     "(expected weight)", lineno)
-            weight = int(parts[1])
             columns: dict[str, int] = {}
             for tok, col in fields:
                 if not _NAME.match(tok):

@@ -10,19 +10,20 @@ expansion, which ``tests/test_minor.py`` checks.  The recursion
 steps string-keyed packaged graphs and adds one monomial per leaf to one
 counter; the expansion builds each activity minor, which contracts a set A
 and deletes a set B, as a compiled minor
-(:class:`~ribbonpoly.packaged.Minor`) in one set step and evaluates it with
-its own recursion, started at the x/y exponents of the minor's nullity
-prefactor and adding its leaves to one counter, so the two implement the
-minor rule independently.  The prefactor is the minor's weight growth on
-each side.  On top of these sit the specializations (surface version for
-orientable graphs, the four-variable alpha/beta/a/b polynomial with its own
-quasi-tree expansion, read off the same compiled root, and the classical
-Tutte polynomial), a small-instance corpus generator and a
-cross-validation driver.  The driver evaluates each activity minor once per
-distinct deleted and contracted part (B, A), however many edge orders
-produce it, and shape-checks that same compiled minor: a required bridge
-must split it when deleted, a required plane loop when contracted.  The
-string-graph references of these checks live in the tests.
+(:class:`~ribbonpoly.packaged.Minor`) by stepping its edges, and evaluates
+it with its own recursion, started at the x/y exponents of the minor's
+nullity prefactor and adding its leaves to one counter, so the two
+implement the minor rule independently.  The prefactor is the minor's
+weight growth on each side.  On top of these sit the specializations
+(surface version for orientable graphs, the four-variable alpha/beta/a/b
+polynomial with its own quasi-tree expansion, read off the same compiled
+root, and the classical Tutte polynomial), a small-instance corpus
+generator and a cross-validation driver.  The driver evaluates each
+activity minor once per distinct deleted and contracted part (B, A),
+however many edge orders produce it, and shape-checks that same compiled
+minor: a required bridge must split it when deleted, a required plane loop
+when contracted.  The string-graph references of these checks live in the
+tests.
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ def _mask(index: dict[str, int], edges: Iterable[str]) -> int:
 def _activity_terms(pg: PackagedRibbonGraph):
     """The function of an activity minor's deleted part B and contracted
     part A that gives its x/y prefactor exponents, the weight growth of
-    its boundary and vertex side, and its compiled minor, built in one set
-    step; the string-minor reference is ``_quasitree_minor`` in
-    ``tests/packaged_oracle.py``."""
+    its boundary and vertex side, and its compiled minor, built by
+    stepping its edges; the string-minor reference is ``_quasitree_minor``
+    in ``tests/packaged_oracle.py``."""
     root = Minor.compile(pg)
     index = {e: k for k, e in enumerate(pg.graph.edges)}
     base = [sum(w) for w in root.weights]

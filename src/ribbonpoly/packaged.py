@@ -10,18 +10,19 @@ corrections used by the invariant polynomials.
 
 Minors come in two encodings: string-keyed packaged graphs
 (:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
-the same rule in integers over the root's kernel, one edge at a time
-(:meth:`Minor.step`) or for a deleted and a contracted set at once
-(:meth:`Minor.minor`); its weight growth and :meth:`Minor.splits` give the
-quasi-tree expansion's prefactor and shape check.  The compiled root also
-starts the state sum's build-up of both sides of a term, G|A by vertex
-blocks and G*|A^c by boundary blocks, which share their boundary walks.
+the same rule in integers over the root's kernel, applied one edge at a
+time by :meth:`Minor.step`; :meth:`Minor.minor` steps through a deleted
+and a contracted set.  A minor's weight growth and :meth:`Minor.splits`
+give the quasi-tree expansion's prefactor and shape check.  The compiled
+root also starts the state sum's build-up of both sides of a term, G|A by
+vertex blocks and G*|A^c by boundary blocks, which share their boundary
+walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, _boundary_targets,
                      contract_edge, delete_edge, induced_subgraph,
@@ -277,8 +278,9 @@ class Minor(NamedTuple):
     (boundary walk) through each dart; the block weights, ``None`` for a
     block merged away; and per block its number of isolated elements,
     vertices without edge ends (their empty boundaries).  :meth:`step`
-    removes one edge, :meth:`minor` a deleted and a contracted set.  The
-    root (:meth:`compile`) also starts the state sum's build-up pass."""
+    removes one edge, and every other minor is a chain of steps
+    (:meth:`minor`).  The root (:meth:`compile`) also starts the state
+    sum's build-up pass."""
     kernel: Kernel
     live: int
     t1: tuple[int, ...]
@@ -306,16 +308,17 @@ class Minor(NamedTuple):
                      (tuple(viso), tuple(biso)))
 
     def step(self, k: int, contract: bool) -> tuple["Minor", bool]:
-        """Delete (contract) live edge ``k``; also return whether
-        :func:`_minor_parts`' rule merged two blocks at e's sides (ends).
+        """Delete (contract) live edge ``k`` by the one compiled minor
+        rule; also return whether :func:`_minor_parts`' rule merged two
+        blocks at e's sides (ends).  A block's weight grows by one for each
+        step that merged nothing there.
 
         A contraction crosses e's ends by ``t0``, since the partial dual at
         e makes ``t0`` its ``t2`` (:meth:`_restitch`).  On contraction an
         orbit on e's darts alone is also a boundary walk of e's darts alone,
         so each such walk of the root keeps its block, as
         :func:`contract_edge`'s bijection requires."""
-        t1, lone = self._restitch(range(4 * k, 4 * k + 4), 1 << k,
-                                  contract << k)
+        t1, lone = self._restitch(k, contract)
         s = 0 if contract else 1   # the side of the rule
         x, y = 4 * k, 4 * k + (2 if contract else 1)
         labels = list(self.labels)
@@ -340,38 +343,12 @@ class Minor(NamedTuple):
 
     def minor(self, deleted: int, contracted: int) -> "Minor":
         """Delete the live edges of the mask ``deleted`` and contract those
-        of ``contracted`` at once: the result of :meth:`step` on each, in
-        any order, up to the names of the blocks.
-
-        On each side the blocks are joined along the ends of the
-        contracted edges (the sides of the deleted edges); a merged block
-        has weight sum(w) + |edges| - |blocks| + 1, one per edge that joined
-        no two blocks, as in :meth:`step`: the side's weights grow by the
-        nullity of its packaging on those edges."""
-        gone = deleted | contracted
-        t1, lone = self._restitch(
-            [d for d in range(len(self.t1)) if gone >> (d >> 2) & 1], gone,
-            contracted)
-        labels, weights, isolated = [], [], []
-        for s, mask in enumerate((contracted, deleted)):
-            lab, w, n = self.labels[s], self.weights[s], self.isolated[s]
-            pairs = self._pairs(s, mask)
-            roots = union_find(len(w), pairs)
-            nw: list[int | None] = [None] * len(w)
-            iso = [0] * len(w)
-            for b, r in enumerate(roots):
-                if w[b] is not None:
-                    nw[r] = (1 if nw[r] is None else nw[r]) + w[b] - 1
-                    iso[r] += n[b]
-            for b, _ in pairs:
-                nw[roots[b]] += 1
-            for a in lone:
-                iso[roots[lab[a]]] += 1
-            labels.append(tuple([roots[b] for b in lab]))
-            weights.append(tuple(nw))
-            isolated.append(tuple(iso))
-        return Minor(self.kernel, self.live & ~gone, t1, tuple(labels),
-                     tuple(weights), tuple(isolated))
+        of ``contracted``, by :meth:`step` on each, lowest edge first."""
+        m, gone = self, deleted | contracted
+        for k in range(gone.bit_length()):
+            if gone >> k & 1:
+                m = m.step(k, contracted >> k & 1)[0]
+        return m
 
     def _pairs(self, s: int, mask: int) -> list[tuple[int, int]]:
         """The block pairs on side ``s`` of the edges of ``mask``: their
@@ -380,34 +357,34 @@ class Minor(NamedTuple):
         return [(lab[4 * k], lab[4 * k + y])
                 for k in range(len(lab) // 4) if mask >> k & 1]
 
-    def _restitch(self, removed: Sequence[int], gone: int, contracted: int
+    def _restitch(self, k: int, contract: bool
                   ) -> tuple[tuple[int, ...], list[int]]:
-        """``t1`` without the darts ``removed`` of the edges of ``gone``,
-        and a dart of each orbit of removed darts alone (an isolated vertex
-        with an empty boundary).  Each live corner into a removed dart is
-        joined to the live dart where the walk through removed darts leaves,
-        crossing each removed end by ``t0`` if its edge is in ``contracted``
-        and by ``d ^ 1`` if it is deleted."""
+        """``t1`` without edge ``k``'s four darts, and a dart of each orbit
+        of those darts alone (an isolated vertex with an empty boundary).
+        Each live corner into one of them is joined to the live dart where
+        the walk through them leaves, crossing each end by ``t0`` on
+        contraction and by ``d ^ 1`` on deletion."""
         t0, old = self.kernel.t0, self.t1
         t1 = list(old)
-        seen = bytearray(len(old))
+        darts = range(4 * k, 4 * k + 4)
+        seen = bytearray(4)   # by d & 3
 
         def walk(cur: int) -> int:
             """Mark the darts from ``cur`` on; the first live dart."""
-            while gone >> (cur >> 2) & 1 and not seen[cur]:
-                cross = t0[cur] if contracted >> (cur >> 2) & 1 else cur ^ 1
-                seen[cur] = seen[cross] = 1
+            while cur >> 2 == k and not seen[cur & 3]:
+                cross = t0[cur] if contract else cur ^ 1
+                seen[cur & 3] = seen[cross & 3] = 1
                 cur = old[cross]
             return cur
 
-        for a in removed:
-            if not gone >> (old[a] >> 2) & 1 and not seen[a]:
+        for a in darts:
+            if old[a] >> 2 != k and not seen[a & 3]:
                 b, c = old[a], walk(a)
                 t1[b], t1[c] = c, b
         lone = []
-        for a in removed:
+        for a in darts:
             t1[a] = -1
-            if not seen[a]:
+            if not seen[a & 3]:
                 lone.append(a)
                 walk(a)
         return tuple(t1), lone

@@ -295,11 +295,11 @@ class HalfExpPoly(_PolyBase):
         a and b replacements are restricted to the constants 0 and 1 so that
         half-integer exponents never leak into the target ring.
         """
+        if a not in (None, 0, 1) or b not in (None, 0, 1):
+            raise PolyError("a/b may only be substituted by 0 or 1")
         ring = ring or MultiPoly
         terms = []
         for m, c in self.terms.items():
-            if (a not in (None, 0, 1)) or (b not in (None, 0, 1)):
-                raise PolyError("a/b may only be substituted by 0 or 1")
             if m.ea2:
                 if a is None:
                     raise PolyError("no substitution rule for a")

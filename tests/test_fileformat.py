@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import THETA_EXAMPLE_RG
+from ribbonpoly import cli
 from ribbonpoly.fileformat import ParseError, parse, render
 from ribbonpoly.invariants import corpus
 from ribbonpoly.ribbon import counts
@@ -141,3 +142,20 @@ def test_graph_errors_point_at_their_token(text, where, words):
         parse(text)
     assert (exc.value.line, exc.value.column) == where
     assert words in str(exc.value)
+
+
+@pytest.mark.parametrize("weight", ["\u00b2", "\u0663", "7" * 5000],
+                         ids=["superscript-two", "arabic-indic-three",
+                              "past-int-digit-limit"])
+def test_block_weight_must_be_ascii_digits(weight, tmp_path, capsys):
+    """A weight that is not ASCII digits ``int`` takes is a syntax error
+    at its header's line, and the CLI exits 2 without a traceback."""
+    text = ANNULUS_RG + "# blocks\nvblock " + weight + ": v1\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line == 4
+    assert "bad block header" in str(exc.value)
+    path = tmp_path / "bad.rg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["compute", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

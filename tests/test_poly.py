@@ -66,11 +66,11 @@ def half_substitute_term_by_term(p, alpha=None, beta=None, a=None, b=None,
                                  ring=None):
     """:meth:`HalfExpPoly.substitute` one term at a time, each power
     recomputed and each image added to the running sum."""
+    if a not in (None, 0, 1) or b not in (None, 0, 1):
+        raise PolyError("a/b may only be substituted by 0 or 1")
     ring = ring or MultiPoly
     out = ring.zero()
     for m, c in p.terms.items():
-        if a not in (None, 0, 1) or b not in (None, 0, 1):
-            raise PolyError("a/b may only be substituted by 0 or 1")
         if m.ea2 and a is None:
             raise PolyError("no substitution rule for a")
         if m.ea2 and a == 0:
@@ -239,6 +239,12 @@ def test_half_substitute_equals_term_by_term(data):
     assert (outcome(lambda: p.substitute(**rules, ring=MultiPoly))
             == outcome(lambda: half_substitute_term_by_term(
                 p, **rules, ring=MultiPoly)))
+
+
+@pytest.mark.parametrize("rules", [{"a": 5}, {"b": 2}, {"a": 0, "b": -1}])
+def test_half_substitute_checks_a_and_b_without_terms(rules):
+    with pytest.raises(PolyError, match="a/b may only be substituted"):
+        HalfExpPoly.zero().substitute(**rules)
 
 
 def test_substitute_reports_the_first_missing_rule():
