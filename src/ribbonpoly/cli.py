@@ -76,7 +76,7 @@ def _cmd_compute(args) -> int:
         p = pst_delcon(pg, _counter=counter)
         counters["delcon_nodes"] = counter[0]
     else:
-        if set(order) != set(pg.graph.edges):
+        if sorted(order) != sorted(pg.graph.edges):
             print("error: --order must list every edge exactly once",
                   file=sys.stderr)
             return 2

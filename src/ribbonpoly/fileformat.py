@@ -43,6 +43,12 @@ def _weight(word: str) -> int | None:
         return None
 
 
+def _quote(text: str) -> str:
+    """``text`` quoted for an error message, cut after 40 characters with
+    an ellipsis, so an error never echoes a whole long line."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
 # a vblock/bblock directive: its line, the column of each id, its weight
 Block = tuple[int, dict[str, int], int]
 
@@ -83,7 +89,8 @@ def parse(text: str) -> PackagedRibbonGraph:
             continue
         head, sep, _ = line.partition(":")
         if not sep:
-            raise ParseError(f"syntax error: expected ':' in {line!r}", lineno)
+            raise ParseError(f"syntax error: expected ':' in {_quote(line)}",
+                             lineno)
         head = head.strip()
         parts = head.split() or [""]   # a directive's keyword, then its words
         fields = [(m.group(), m.start() + 1)
@@ -93,7 +100,7 @@ def parse(text: str) -> PackagedRibbonGraph:
                 m = _EDGE_DECL.match(tok)
                 if not m:
                     raise ParseError(
-                        f"syntax error: bad edge declaration {tok!r}",
+                        f"syntax error: bad edge declaration {_quote(tok)}",
                         lineno, col)
                 name = m.group(1)
                 if name in sign:
@@ -103,8 +110,8 @@ def parse(text: str) -> PackagedRibbonGraph:
                 declared[name] = (lineno, col)
         elif parts[0] == "vertex":
             if len(parts) != 2 or not _NAME.match(parts[1]):
-                raise ParseError(f"syntax error: bad vertex header {head!r}",
-                                 lineno)
+                raise ParseError(
+                    f"syntax error: bad vertex header {_quote(head)}", lineno)
             vname = parts[1]
             if vname in rotation:
                 raise ParseError(f"vertex {vname} declared twice", lineno)
@@ -113,7 +120,8 @@ def parse(text: str) -> PackagedRibbonGraph:
                 m = _END_REF.match(tok)
                 if not m:
                     raise ParseError(
-                        f"syntax error: bad edge end {tok!r}", lineno, col)
+                        f"syntax error: bad edge end {_quote(tok)}", lineno,
+                        col)
                 end = (m.group(1), int(m.group(2)))
                 if end in placed:
                     raise ParseError(f"invalid ribbon graph: end {tok} placed "
@@ -126,13 +134,13 @@ def parse(text: str) -> PackagedRibbonGraph:
             weight = _weight(parts[1]) if len(parts) == 2 else None
             if weight is None:
                 raise ParseError(
-                    f"syntax error: bad block header {head!r} "
+                    f"syntax error: bad block header {_quote(head)} "
                     "(expected weight)", lineno)
             columns: dict[str, int] = {}
             for tok, col in fields:
                 if not _NAME.match(tok):
-                    raise ParseError(f"syntax error: bad id {tok!r}", lineno,
-                                     col)
+                    raise ParseError(f"syntax error: bad id {_quote(tok)}",
+                                     lineno, col)
                 if tok in columns:
                     raise ParseError(
                         f"partition error: element {tok} listed twice in "
@@ -143,7 +151,7 @@ def parse(text: str) -> PackagedRibbonGraph:
             (vblocks if parts[0] == "vblock" else bblocks).append(
                 (lineno, columns, weight))
         else:
-            raise ParseError(f"syntax error: unknown directive {head!r}",
+            raise ParseError(f"syntax error: unknown directive {_quote(head)}",
                              lineno)
 
     if not vertices:

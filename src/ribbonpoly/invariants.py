@@ -8,22 +8,22 @@ one corner map in place and walks each A on it, without the dual graph;
 it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the
 expansion, which ``tests/test_minor.py`` checks.  The recursion
 steps string-keyed packaged graphs and adds one monomial per leaf to one
-counter; the expansion builds each activity minor, which contracts a set A
-and deletes a set B, as a compiled minor
-(:class:`~ribbonpoly.packaged.Minor`) by stepping its edges, and evaluates
-it with its own recursion, started at the x/y exponents of the minor's
-nullity prefactor and adding its leaves to one counter, so the two
-implement the minor rule independently.  The prefactor is the minor's
-weight growth on each side.  On top of these sit the specializations
-(surface version for orientable graphs, the four-variable alpha/beta/a/b
-polynomial with its own quasi-tree expansion, read off the same compiled
-root, and the classical Tutte polynomial), a small-instance corpus
-generator and a cross-validation driver.  The driver evaluates each
-activity minor once per distinct deleted and contracted part (B, A),
-however many edge orders produce it, and shape-checks that same compiled
-minor: a required bridge must split it when deleted, a required plane loop
-when contracted.  The string-graph references of these checks live in the
-tests.
+counter; the expansion walks compiled minor steps
+(:class:`~ribbonpoly.packaged.Minor`) in reverse edge order to each
+quasi-tree's activity minor, which contracts a set A and deletes a set B,
+and evaluates it with its own recursion, started at the x/y exponents of
+the minor's nullity prefactor and adding its leaves to one counter, so the
+two implement the minor rule independently.  On top of these sit the
+specializations (surface version for orientable graphs, the four-variable
+alpha/beta/a/b polynomial with its own quasi-tree expansion, read off the
+same compiled root, and the classical Tutte polynomial), a small-instance
+corpus generator and a cross-validation driver.  The driver keeps the
+expansion's definition by ``activities``: it evaluates each activity minor,
+by stepping its edges, once per distinct deleted and contracted part (B,
+A), however many edge orders produce it, and shape-checks that same
+compiled minor: a required bridge must split it when deleted, a required
+plane loop when contracted.  The string-graph references of these checks
+live in the tests.
 """
 
 from __future__ import annotations
@@ -206,17 +206,6 @@ def _activity_terms(pg: PackagedRibbonGraph):
     return term
 
 
-def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
-                     quasi_trees: list[frozenset[str]]):
-    """Yield (Q, activity report, x/y prefactor exponents, compiled
-    activity minor) per quasi-tree of ``quasi_trees``, the list
-    :func:`enumerate_quasi_trees` gives."""
-    term = _activity_terms(pg)
-    for q in quasi_trees:
-        act = activities(pg.graph, q, order)
-        yield (q, act, *term(act.deleted_part(), act.contracted_part()))
-
-
 def _minor_leaves(leaves: Counter, m: Minor, ex: int, ey: int) -> Counter:
     """Deletion-contraction on the compiled minor ``m``, pivoting on its
     lowest live edge: add to ``leaves`` x^ex y^ey times each leaf's x^(its
@@ -240,16 +229,48 @@ def _minor_poly(m: Minor, ex: int = 0, ey: int = 0) -> MultiPoly:
     return MultiPoly(_minor_leaves(Counter(), m, ex, ey))
 
 
-def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
-    """Quasi-tree expansion; each quasi-tree contributes its activity minor's
-    polynomial with a nullity prefactor, whose exponents start the minor's
-    recursion, so every leaf of every minor adds to one counter."""
-    order = list(order)
-    if len(connected_components(pg.graph)) != 1:
+def _quasitree_walk(pg: PackagedRibbonGraph, order: Iterable[str]):
+    """Yield (Q, B, A, (ex, ey), minor) per quasi-tree Q, as edge masks: B
+    and A are the deleted and contracted parts of Q's activity minor under
+    ``order``, ``minor`` is that compiled minor and ex, ey its prefactor.
+
+    Deletion-contraction in reverse edge order (Gordon and Traldi's
+    resolution tree): a bridge of the current minor joins Q, a plane loop
+    stays off Q, both live; any other edge is contracted into A and Q (y
+    unless the step merged) or deleted into B (x unless it merged).  Only a
+    non-loop's deletion or a loop's contraction can split, so one is tried.
+    """
+    g, order = pg.graph, list(order)
+    if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
+    if sorted(order) != sorted(g.sign):
+        raise RibbonGraphError("order must be a total order on the edges")
+    index = {e: k for k, e in enumerate(g.edges)}
+    ks = [index[e] for e in reversed(order)]
+    stack = [(0, Minor.compile(pg), 0, 0, 0, 0, 0)]
+    while stack:
+        i, m, q, b, a, ex, ey = stack.pop()
+        if i == len(ks):
+            yield q, b, a, (ex, ey), m
+            continue
+        k = ks[i]
+        bit, loop = 1 << k, m.is_loop(k)
+        split = m.step(k, loop)
+        if split[0].components() > 1:
+            stack.append((i + 1, m, q if loop else q | bit, b, a, ex, ey))
+            continue
+        (c, cmerged), (d, dmerged) = ((split, m.step(k, False)) if loop
+                                      else (m.step(k, True), split))
+        stack.append((i + 1, d, q, b | bit, a, ex + (not dmerged), ey))
+        stack.append((i + 1, c, q | bit, b, a | bit, ex, ey + (not cmerged)))
+
+
+def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
+    """Quasi-tree expansion; each activity minor is evaluated as
+    :func:`_quasitree_walk` reaches it, its prefactor's exponents starting
+    its recursion, so every leaf of every minor adds to one counter."""
     leaves: Counter = Counter()
-    for _, _, pre, minor in _quasitree_terms(pg, order,
-                                             enumerate_quasi_trees(pg.graph)):
+    for _, _, _, pre, minor in _quasitree_walk(pg, order):
         _minor_leaves(leaves, minor, *pre)
     return MultiPoly(leaves)
 

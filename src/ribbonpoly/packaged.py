@@ -12,11 +12,12 @@ Minors come in two encodings: string-keyed packaged graphs
 (:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
 the same rule in integers over the root's kernel, applied one edge at a
 time by :meth:`Minor.step`; :meth:`Minor.minor` steps through a deleted
-and a contracted set.  A minor's weight growth and :meth:`Minor.splits`
-give the quasi-tree expansion's prefactor and shape check.  The compiled
-root also starts the state sum's build-up of both sides of a term, G|A by
-vertex blocks and G*|A^c by boundary blocks, which share their boundary
-walks.
+and a contracted set.  A step's merge flag gives the quasi-tree
+expansion's prefactor, :meth:`Minor.is_loop` and :meth:`Minor.components`
+its split tests, and :meth:`Minor.splits` cross-validation's shape check.
+The compiled root also starts the state sum's build-up of both sides of a
+term, G|A by vertex blocks and G*|A^c by boundary blocks, which share
+their boundary walks.
 """
 
 from __future__ import annotations
@@ -391,14 +392,36 @@ class Minor(NamedTuple):
 
     def components(self) -> int:
         """The number of connected components of the minor: the classes of
-        its live darts under ``t0``, ``t1`` and ``d ^ 1``, and one per
-        isolated vertex."""
-        t0, t1 = self.kernel.t0, self.t1
-        live = [d for d, c in enumerate(t1) if c >= 0]
-        roots = union_find(len(t1), [p for d in live
-                                     for p in ((d, t0[d]), (d, t1[d]),
-                                               (d, d ^ 1))])
-        return len({roots[d] for d in live}) + sum(self.isolated[0])
+        its live darts under ``t0``, ``t1`` and ``d ^ 1``, walked edge by
+        edge (``t0`` and ``d ^ 1`` stay on an edge), and one per isolated
+        vertex."""
+        t1, live = self.t1, self.live
+        seen = bytearray(len(t1) >> 2)
+        n = sum(self.isolated[0])
+        for k in range(live.bit_length()):
+            if live >> k & 1 and not seen[k]:
+                n += 1
+                seen[k] = 1
+                stack = [k]
+                while stack:
+                    j = stack.pop()
+                    for d in range(4 * j, 4 * j + 4):
+                        if not seen[t1[d] >> 2]:
+                            seen[t1[d] >> 2] = 1
+                            stack.append(t1[d] >> 2)
+        return n
+
+    def is_loop(self, k: int) -> bool:
+        """Whether live edge ``k`` is a loop: whether the walk round the
+        vertex of its end 2k, by ``t1`` then ``d ^ 1``, which meets each
+        end there once, meets its end 2k + 1."""
+        t1, d = self.t1, 4 * k
+        cur = t1[d] ^ 1
+        while cur != d:
+            if cur >> 1 == 2 * k + 1:
+                return True
+            cur = t1[cur] ^ 1
+        return False
 
     def splits(self, k: int, contract: bool, base: int) -> bool:
         """Whether deleting (contracting) live edge ``k`` adds a connected

@@ -5,16 +5,17 @@ graphs; the activity minor as a chain of string-keyed packaged minors, its
 ribbon graph built as a partial dual and its shape check by
 ``classify_edge``; the activity classes read off the named partial dual
 G^Q; the four-variable quasi-tree expansion on restricted string graphs;
-the Tutte keys of a multigraph by one union-find per edge subset; and the
+the Tutte keys of a multigraph by one union-find per edge subset; the
 state-sum leaf that walks each subset with its own :func:`subset_walks`
-call."""
+call; and the quasi-tree expansion's activities route, one
+:func:`activities` call and one compiled minor per quasi-tree."""
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterable
 
-from ribbonpoly.invariants import _leaf
+from ribbonpoly.invariants import _activity_terms, _leaf
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, component_gamma_values,
                                  packaged_contract, packaged_delete, quotient)
@@ -273,3 +274,15 @@ def subset_walks_term(root: Minor, mask: int, sides: tuple) -> tuple:
         bgamma[bcomp[blab[d]]] -= 1
     return (n2, n1, tuple(sorted(bgamma.values())),
             tuple(sorted(vgamma.values())))
+
+
+def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
+                     quasi_trees: list[frozenset[str]]):
+    """Yield (Q, activity report, x/y prefactor exponents, compiled
+    activity minor) per quasi-tree of ``quasi_trees``, the list
+    :func:`enumerate_quasi_trees` gives: the reference for the reverse-order
+    walk of :func:`~ribbonpoly.invariants.pst_quasitree`."""
+    term = _activity_terms(pg)
+    for q in quasi_trees:
+        act = activities(pg.graph, q, order)
+        yield (q, act, *term(act.deleted_part(), act.contracted_part()))

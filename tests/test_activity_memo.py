@@ -8,12 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribbonpoly import invariants
-from ribbonpoly.invariants import (_quasitree_terms, cross_validate,
-                                   pst_quasitree)
+from ribbonpoly.invariants import cross_validate, pst_quasitree
 from ribbonpoly.ribbon import (RibbonGraph, activities, classify_edge,
                                connected_components, counts,
                                enumerate_quasi_trees, orientable)
-from packaged_oracle import _minor_graph, _quasitree_minor
+from packaged_oracle import _minor_graph, _quasitree_minor, _quasitree_terms
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 

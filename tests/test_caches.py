@@ -7,15 +7,14 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribbonpoly.invariants import (_quasitree_terms, _random_partition,
-                                   cross_validate)
+from ribbonpoly.invariants import _random_partition, cross_validate
 from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
                                  packaged_delete)
 from ribbonpoly.ribbon import (RibbonGraph, connected_components,
                                dual_correspondences, enumerate_quasi_trees,
                                trace_boundaries)
 from packaged_oracle import (_minor_shape_ok, _quasitree_minor,
-                             minor_shape_check)
+                             _quasitree_terms, minor_shape_check)
 from test_ribbon import ribbon_graphs
 
 

@@ -55,10 +55,12 @@ def test_compute_structured(theta_file, capsys):
 
 
 def test_compute_quasitree_rejects_partial_order(theta_file, capsys):
-    code, _, err = run(capsys, "compute", theta_file, "--method", "quasitree",
-                       "--order", "e,f")
-    assert code == 2
-    assert "every edge" in err
+    """An edge left out, and an edge named twice."""
+    for order in ("e,f", "e,f,g,e"):
+        code, _, err = run(capsys, "compute", theta_file, "--method",
+                           "quasitree", "--order", order)
+        assert code == 2
+        assert "every edge" in err
 
 
 def test_validate_ok(theta_file, capsys):

@@ -159,3 +159,22 @@ def test_block_weight_must_be_ascii_digits(weight, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert cli.main(["compute", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["vblock " + "7" * 5000 + ": v1",
+                                  "x" * 5000],
+                         ids=["long-weight", "long-line-without-colon"])
+def test_errors_cut_long_input(line, tmp_path, capsys):
+    """An error quotes at most 40 characters of the input, then an
+    ellipsis, at the same line and column as for short input."""
+    text = ANNULUS_RG + "# blocks\n" + line + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (4, 1)
+    assert len(str(exc.value)) < 120
+    assert "..." in str(exc.value)
+    path = tmp_path / "bad.rg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["compute", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 160 and "(line 4, column 1)" in err

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rg
-from ribbonpoly.invariants import (Multigraph, _quasitree_terms,
-                                   classical_tutte, corpus, cross_validate,
-                                   enumerate_connected, krushkal,
-                                   krushkal_quasitree, pst_delcon,
+from ribbonpoly.invariants import (Multigraph, _activity_terms,
+                                   _quasitree_walk, classical_tutte, corpus,
+                                   cross_validate, enumerate_connected,
+                                   krushkal, krushkal_quasitree, pst_delcon,
                                    pst_quasitree, pst_state_sum, surface_tutte,
                                    underlying_multigraph)
 from ribbonpoly.packaged import (PackagedRibbonGraph, WeightedPartition,
@@ -20,7 +21,9 @@ from ribbonpoly.poly import HalfExpPoly, Monomial, MultiPoly, parse_poly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                certificate, connected_components,
                                enumerate_quasi_trees, euler_genus, restrict)
-from packaged_oracle import _quasitree_minor, _terminal, packaged_isomorphic
+from packaged_oracle import (_quasitree_minor, _quasitree_terms, _terminal,
+                             packaged_isomorphic)
+from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 from test_subset_pass import reference_term
 
@@ -139,6 +142,55 @@ def test_quasitree_requires_connected():
     g = rg({"v1": [], "v2": []}, {})
     with pytest.raises(RibbonGraphError):
         pst_quasitree(PackagedRibbonGraph.discrete(g), [])
+
+
+def test_quasitree_rejects_repeated_edge_in_order(theta):
+    with pytest.raises(RibbonGraphError,
+                       match="order must be a total order on the edges"):
+        pst_quasitree(theta, ["e", "f", "g", "e"])
+
+
+def assert_walk_matches_activities(pg: PackagedRibbonGraph,
+                                   order: list[str]) -> None:
+    """The reverse-order walk reaches each quasi-tree once, with the
+    deleted and contracted parts that ``activities`` gives under ``order``,
+    and with the prefactor exponents and live edges of that activity minor
+    built by stepping its edges."""
+    g = pg.graph
+
+    def names(mask: int) -> frozenset[str]:
+        return frozenset(e for k, e in enumerate(g.edges) if mask >> k & 1)
+
+    term = _activity_terms(pg)
+    reached = Counter()
+    for q, b, a, pre, minor in _quasitree_walk(pg, order):
+        q, b, a = names(q), names(b), names(a)
+        reached[q] += 1
+        act = activities(g, q, order)
+        assert (b, a) == (act.deleted_part(), act.contracted_part())
+        want_pre, want_minor = term(b, a)
+        assert (pre, minor.live) == (want_pre, want_minor.live)
+    assert reached == Counter(enumerate_quasi_trees(g))
+
+
+def test_walk_leaves_match_activities_on_corpus4():
+    """Every graph of ``enumerate_connected(4)``, discrete and with one
+    random packaging, under two seeded orders each."""
+    rng = random.Random(17)
+    for g, pg in corpus(4, seed=7, random_packagings=1):
+        for _ in range(2):
+            order = list(g.edges)
+            rng.shuffle(order)
+            assert_walk_matches_activities(pg, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ribbon_graphs(max_edges=8, min_edges=5), st.integers(0, 2 ** 16),
+       st.data())
+def test_walk_leaves_match_activities_on_larger_graphs(g, seed, data):
+    assume(len(connected_components(g)) == 1)
+    order = data.draw(st.permutations(g.edges))
+    assert_walk_matches_activities(random_packaging(g, seed), list(order))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import THETA_EXAMPLE_RG
-from ribbonpoly import cli, invariants, packaged
+from ribbonpoly import cli, invariants, packaged, ribbon
 from ribbonpoly.fileformat import parse, render
 from ribbonpoly.invariants import _minor_poly, pst_delcon, pst_quasitree
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
@@ -156,14 +156,18 @@ def test_quasitree_builds_no_string_minor(name, monkeypatch):
     pg = FIXTURES[name]()
     want = pst_delcon(pg)
     calls: dict[str, list] = {}
-    for module in (packaged, invariants):
-        for fn in ("packaged_delete", "packaged_contract", "pst_delcon"):
+    for module in (ribbon, packaged, invariants):
+        for fn in ("packaged_delete", "packaged_contract", "pst_delcon",
+                   "activities", "enumerate_quasi_trees"):
             if fn in vars(module):
                 monkeypatch.setattr(module, fn, _counting(
                     calls.setdefault(fn, []), getattr(module, fn)))
     monkeypatch.setattr(PackagedRibbonGraph, "build", staticmethod(
         _counting(calls.setdefault("build", []), PackagedRibbonGraph.build)))
+    monkeypatch.setattr(Minor, "minor", _counting(
+        calls.setdefault("Minor.minor", []), Minor.minor))
     assert pst_quasitree(pg, sorted(pg.graph.edges)) == want
     assert {fn: len(c) for fn, c in calls.items()} == {
         "packaged_delete": 0, "packaged_contract": 0, "pst_delcon": 0,
-        "build": 0}
+        "activities": 0, "enumerate_quasi_trees": 0, "build": 0,
+        "Minor.minor": 0}

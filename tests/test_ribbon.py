@@ -19,8 +19,8 @@ from ribbonpoly.ribbon import (EdgeKind, RibbonGraph, RibbonGraphError,
 
 
 @st.composite
-def ribbon_graphs(draw, max_edges=3, max_vertices=3):
-    m = draw(st.integers(0, max_edges))
+def ribbon_graphs(draw, max_edges=3, max_vertices=3, min_edges=0):
+    m = draw(st.integers(min_edges, max_edges))
     names = [f"e{i + 1}" for i in range(m)]
     signs = {n: draw(st.sampled_from([1, -1])) for n in names}
     ends = [(n, i) for n in names for i in (1, 2)]
