@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 validation inequality, 2 usage or parse error.
+Exit codes: 0 success, 1 validation inequality, 2 usage, parse or write error.
 """
 
 from __future__ import annotations
@@ -156,18 +156,20 @@ def _cmd_pdual(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    out = Path(args.out) if args.out else None
-    if out:
+    instances = corpus(args.max_edges, args.seed, args.random)
+    if not args.out:
+        for i, (_, pg) in enumerate(instances):
+            print(f"# instance {i}\n{render(pg)}")
+        return 0
+    path = out = Path(args.out)
+    try:
         out.mkdir(parents=True, exist_ok=True)
-    for i, (_, pg) in enumerate(corpus(args.max_edges, args.seed,
-                                       random_packagings=args.random)):
-        text = render(pg)
-        if out:
-            (out / f"instance-{i:05d}.rg").write_text(text)
-        else:
-            print(f"# instance {i}")
-            sys.stdout.write(text)
-            print()
+        for i, (_, pg) in enumerate(instances):
+            path = out / f"instance-{i:05d}.rg"
+            path.write_text(render(pg))
+    except OSError as ex:
+        print(f"error: cannot write {path}: {ex.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -16,7 +16,7 @@ the minor's nullity prefactor and adding its leaves to one counter, so the
 two implement the minor rule independently.  On top of these sit the
 specializations (surface version for orientable graphs, the four-variable
 alpha/beta/a/b polynomial with its own quasi-tree expansion, read off the
-same compiled root, and the classical Tutte polynomial), a small-instance
+same walk's leaf minors, and the classical Tutte polynomial), a small-instance
 corpus generator and a cross-validation driver.  The driver keeps the
 expansion's definition by ``activities``: it evaluates each activity minor,
 by stepping its edges, once per distinct deleted and contracted part (B,
@@ -40,7 +40,7 @@ from .packaged import (Minor, PackagedRibbonGraph, WeightedPartition,
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
 from .ribbon import (RibbonGraph, RibbonGraphError, activities, certificate,
                      connected_components, enumerate_quasi_trees, orientable,
-                     subset_walks, union_find)
+                     union_find)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +182,6 @@ def pst_delcon(pg: PackagedRibbonGraph,
 # ---------------------------------------------------------------------------
 # quasi-tree expansion
 
-def _mask(index: dict[str, int], edges: Iterable[str]) -> int:
-    return sum(1 << index[e] for e in edges)
-
-
 def _activity_terms(pg: PackagedRibbonGraph):
     """The function of an activity minor's deleted part B and contracted
     part A that gives its x/y prefactor exponents, the weight growth of
@@ -198,7 +194,8 @@ def _activity_terms(pg: PackagedRibbonGraph):
 
     def term(deleted: frozenset[str], contracted: frozenset[str]
              ) -> tuple[tuple[int, int], Minor]:
-        m = root.minor(_mask(index, deleted), _mask(index, contracted))
+        m = root.minor(*(sum(1 << index[e] for e in part)
+                         for part in (deleted, contracted)))
         ey, ex = (sum(w for w in ws if w is not None) - w0
                   for ws, w0 in zip(m.weights, base))
         return (ex, ey), m
@@ -377,7 +374,8 @@ def underlying_multigraph(g: RibbonGraph) -> Multigraph:
 
 def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
                        subset_nullity: bool = True) -> HalfExpPoly:
-    """Quasi-tree expansion of the four-variable polynomial.
+    """Quasi-tree expansion of the four-variable polynomial, on the leaf
+    minors of :func:`_quasitree_walk` (see :func:`_krushkal_side`).
 
     Each quasi-tree contributes T(alpha+1, a+1) of the live orientable
     internal edges between the components of the contracted part, times
@@ -390,41 +388,36 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     :func:`classical_tutte`; it provably breaks the expansion and exists only
     for the pinning regression test.
     """
-    order = list(order)
-    if len(connected_components(g)) != 1:
-        raise RibbonGraphError("quasi-tree expansion requires a connected graph")
-    root = Minor.compile(PackagedRibbonGraph.discrete(g))
-    index = {e: k for k, e in enumerate(g.edges)}
     total: Counter = Counter()
-    for q in enumerate_quasi_trees(g):
-        act = activities(g, q, order)
-        xs, ga = _krushkal_side(root, 0, _mask(index, act.contracted_part()),
-                                _mask(index, act.internal_live_orientable),
-                                subset_nullity)
-        ys, gb = _krushkal_side(root, 1, _mask(index, act.deleted_part()),
-                                _mask(index, act.external_live_orientable),
-                                subset_nullity)
+    for q, _, _, (ex, ey), m in _quasitree_walk(
+            PackagedRibbonGraph.discrete(g), order):
+        xs, ga = _krushkal_side(m, 0, m.live & q, ey, subset_nullity)
+        ys, gb = _krushkal_side(m, 1, m.live & ~q, ex, subset_nullity)
         for (i, j), c in xs.items():
             for (i2, j2), c2 in ys.items():
                 total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
     return HalfExpPoly(total)
 
 
-def _krushkal_side(root: Minor, s: int, kept: int, live: int,
+def _krushkal_side(m: Minor, s: int, live: int, n: int,
                    subset_nullity: bool) -> tuple[Counter, int]:
     """The :func:`_tutte_keys` of the multigraph of the ``live`` edges
-    between the components of the subgraph on ``kept``, and its Euler
-    genus, on side ``s`` of the compiled discrete packaging ``root``: the
-    components are the roots of the blocks (the other blocks are isolated
-    vertices, which change no key); the Euler genus sums their gammas: 2 per
-    component, w - 1 - isolated per block, 1 per edge, -1 per boundary walk."""
-    walks = subset_walks(root.kernel, root.kernel.full ^ kept if s else kept)
-    pairs = root._pairs(s, kept)
-    roots = union_find(len(root.weights[s]), pairs)
-    ends = [(roots[i], roots[j]) for i, j in root._pairs(s, live)]
-    genus = (2 * len(set(roots)) + len(pairs) - len(walks) + sum(
-        w - 1 - n for w, n in zip(root.weights[s], root.isolated[s])))
-    return _tutte_keys(len(roots), ends, subset_nullity), genus
+    between the blocks on side ``s`` of a leaf minor ``m`` (merged-away
+    blocks are isolated vertices, which change no key), and the Euler genus
+    k + n - f of its contracted (deleted) part: k its blocks, ``n`` its
+    nullity (the prefactor's y or x), f the isolated elements plus the
+    orbits of m's live darts under ``t1`` and ``d ^ 1`` (``t0``)."""
+    t0, t1, seen = m.kernel.t0, m.t1, bytearray(len(m.t1))
+    genus = n + sum(w is not None for w in m.weights[s]) - sum(m.isolated[s])
+    for d in range(len(t1)):
+        if t1[d] >= 0 and not seen[d]:
+            genus -= 1
+            while not seen[d]:
+                cross = t0[d] if s else d ^ 1
+                seen[d] = seen[cross] = 1
+                d = t1[cross]
+    keys = _tutte_keys(len(m.weights[s]), m._pairs(s, live), subset_nullity)
+    return keys, genus
 
 
 # ---------------------------------------------------------------------------

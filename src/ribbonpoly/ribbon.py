@@ -177,39 +177,6 @@ class Kernel(NamedTuple):
     darts: tuple[Dart, ...]                 # dart -> its (edge, i, side)
 
 
-def subset_walks(kern: Kernel, mask: int) -> list[int]:
-    """One dart per boundary walk of the spanning subgraph on the edges of
-    ``mask``: the first dart of each walk, then a dart at each vertex that
-    keeps none of its edge ends (an empty boundary); a vertex without edge
-    ends gives none.  The walks are those of :func:`trace_boundaries` on
-    :func:`restrict`, in another order, and also the boundary walks of the
-    dual's spanning subgraph on the other edges."""
-    t0 = kern.t0
-    t1: dict[int, int] = {}
-    out = []
-    for rot in kern.rotations:
-        kept = [x for x in rot if mask >> (x >> 1) & 1]
-        if not kept:
-            if rot:
-                out.append(2 * rot[0])
-            continue
-        arrive = 2 * kept[-1] + 1
-        for x in kept:
-            t1[arrive] = 2 * x
-            t1[2 * x] = arrive
-            arrive = 2 * x + 1
-    while t1:  # each corner crossed is dropped from t1
-        d0 = next(iter(t1))
-        out.append(d0)
-        cur = d0
-        while True:
-            cur = t1.pop(t0[cur])
-            del t1[cur]
-            if cur == d0:
-                break
-    return out
-
-
 def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """The root of each of ``0 .. n-1`` once every pair is joined; two
     elements are connected iff their roots are equal."""
@@ -544,17 +511,26 @@ def classify_edge(g: RibbonGraph, e: str) -> EdgeKind:
 # quasi-trees and activities
 
 def enumerate_quasi_trees(g: RibbonGraph) -> list[frozenset[str]]:
-    """All spanning edge subsets with exactly one boundary component."""
+    """All spanning edge subsets Q with one boundary component, by size,
+    then in combination order: those whose G^Q has one vertex, as in
+    :func:`activities`: the orbit of ``t1`` and the new ``t2`` (``t0`` on
+    Q's darts, ``d ^ 1`` elsewhere) through dart 0 covers every dart (of
+    which one vertex without edge ends has none)."""
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree enumeration requires a connected graph")
     edges = g.edges
-    kern = g.kernel
-    edgeless = sum(not rot for rot in kern.rotations)
+    t0, t1 = g.kernel.t0, g.kernel.t1
     out = []
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(range(len(edges)), r):
             mask = sum(1 << k for k in combo)
-            if len(subset_walks(kern, mask)) + edgeless == 1:
+            walked = cur = 0
+            while t0:
+                cur = t1[t0[cur] if mask >> (cur >> 2) & 1 else cur ^ 1]
+                walked += 2
+                if cur == 0:
+                    break
+            if walked == len(t0):
                 out.append(frozenset(edges[k] for k in combo))
     return out
 

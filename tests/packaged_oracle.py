@@ -5,10 +5,11 @@ graphs; the activity minor as a chain of string-keyed packaged minors, its
 ribbon graph built as a partial dual and its shape check by
 ``classify_edge``; the activity classes read off the named partial dual
 G^Q; the four-variable quasi-tree expansion on restricted string graphs;
-the Tutte keys of a multigraph by one union-find per edge subset; the
-state-sum leaf that walks each subset with its own :func:`subset_walks`
-call; and the quasi-tree expansion's activities route, one
-:func:`activities` call and one compiled minor per quasi-tree."""
+the Tutte keys of a multigraph by one union-find per edge subset;
+:func:`subset_walks`, which rebuilds a spanning subgraph's corner map to
+give one dart per boundary walk, and the state-sum leaf that walks each
+subset with its own call of it; and the quasi-tree expansion's activities
+route, one :func:`activities` call and one compiled minor per quasi-tree."""
 
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, component_gamma_values,
                                  packaged_contract, packaged_delete, quotient)
 from ribbonpoly.poly import HalfExpPoly, HalfMonomial, MultiPoly
-from ribbonpoly.ribbon import (ActivityReport, EdgeKind, RibbonGraph,
+from ribbonpoly.ribbon import (ActivityReport, EdgeKind, Kernel, RibbonGraph,
                                RibbonGraphError, activities, classify_edge,
                                connected_components, enumerate_quasi_trees,
                                isomorphisms, partial_dual, restrict,
-                               subset_walks, trace_boundaries, union_find)
+                               trace_boundaries, union_find)
 
 
 def packaged_isomorphic(p1: PackagedRibbonGraph,
@@ -258,6 +259,39 @@ def tutte_keys(n: int, ends: list[tuple[int, int]],
     k_h, n_h = counts(full)
     return Counter((k_a - k_h, n_a if subset_nullity else n_h)
                    for k_a, n_a in map(counts, range(full + 1)))
+
+
+def subset_walks(kern: Kernel, mask: int) -> list[int]:
+    """One dart per boundary walk of the spanning subgraph on the edges of
+    ``mask``: the first dart of each walk, then a dart at each vertex that
+    keeps none of its edge ends (an empty boundary); a vertex without edge
+    ends gives none.  The walks are those of :func:`trace_boundaries` on
+    :func:`restrict`, in another order, and also the boundary walks of the
+    dual's spanning subgraph on the other edges."""
+    t0 = kern.t0
+    t1: dict[int, int] = {}
+    out = []
+    for rot in kern.rotations:
+        kept = [x for x in rot if mask >> (x >> 1) & 1]
+        if not kept:
+            if rot:
+                out.append(2 * rot[0])
+            continue
+        arrive = 2 * kept[-1] + 1
+        for x in kept:
+            t1[arrive] = 2 * x
+            t1[2 * x] = arrive
+            arrive = 2 * x + 1
+    while t1:  # each corner crossed is dropped from t1
+        d0 = next(iter(t1))
+        out.append(d0)
+        cur = d0
+        while True:
+            cur = t1.pop(t0[cur])
+            del t1[cur]
+            if cur == d0:
+                break
+    return out
 
 
 def subset_walks_term(root: Minor, mask: int, sides: tuple) -> tuple:

@@ -163,6 +163,15 @@ def test_corpus_to_directory(tmp_path, capsys):
         parse(f.read_text())
 
 
+def test_corpus_to_unwritable_path(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run(capsys, "corpus", "--max-edges", "1",
+                       "--out", str(taken))
+    assert code == 2
+    assert f"error: cannot write {taken}" in err
+
+
 def test_corpus_stream_deterministic(capsys):
     _, out1, _ = run(capsys, "corpus", "--max-edges", "1", "--seed", "9")
     _, out2, _ = run(capsys, "corpus", "--max-edges", "1", "--seed", "9")

@@ -144,10 +144,13 @@ def test_quasitree_requires_connected():
         pst_quasitree(PackagedRibbonGraph.discrete(g), [])
 
 
-def test_quasitree_rejects_repeated_edge_in_order(theta):
+@pytest.mark.parametrize("expand", [
+    pst_quasitree, lambda pg, order: krushkal_quasitree(pg.graph, order)],
+    ids=["pst_quasitree", "krushkal_quasitree"])
+def test_quasitree_rejects_repeated_edge_in_order(theta, expand):
     with pytest.raises(RibbonGraphError,
                        match="order must be a total order on the edges"):
-        pst_quasitree(theta, ["e", "f", "g", "e"])
+        expand(theta, ["e", "f", "g", "e"])
 
 
 def assert_walk_matches_activities(pg: PackagedRibbonGraph,

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from conftest import THETA_EXAMPLE_RG
 from ribbonpoly import cli, invariants, packaged, ribbon
 from ribbonpoly.fileformat import parse, render
-from ribbonpoly.invariants import _minor_poly, pst_delcon, pst_quasitree
+from ribbonpoly.invariants import (_minor_poly, krushkal,
+                                   krushkal_quasitree, pst_delcon,
+                                   pst_quasitree)
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
                                  _packaged_contract_case,
                                  _packaged_delete_case)
@@ -153,8 +155,11 @@ def test_delcon_counts_one_call_per_node(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_quasitree_builds_no_string_minor(name, monkeypatch):
+    """Both quasi-tree expansions, the packaged one and the four-variable
+    one, run on the reverse-order walk: no string minor, no scan, no
+    ``activities`` call and no ``Minor.minor`` call."""
     pg = FIXTURES[name]()
-    want = pst_delcon(pg)
+    want, want_krushkal = pst_delcon(pg), krushkal(pg.graph)[0]
     calls: dict[str, list] = {}
     for module in (ribbon, packaged, invariants):
         for fn in ("packaged_delete", "packaged_contract", "pst_delcon",
@@ -167,6 +172,8 @@ def test_quasitree_builds_no_string_minor(name, monkeypatch):
     monkeypatch.setattr(Minor, "minor", _counting(
         calls.setdefault("Minor.minor", []), Minor.minor))
     assert pst_quasitree(pg, sorted(pg.graph.edges)) == want
+    assert (krushkal_quasitree(pg.graph, sorted(pg.graph.edges))
+            == want_krushkal)
     assert {fn: len(c) for fn, c in calls.items()} == {
         "packaged_delete": 0, "packaged_contract": 0, "pst_delcon": 0,
         "activities": 0, "enumerate_quasi_trees": 0, "build": 0,

@@ -21,9 +21,8 @@ from ribbonpoly.packaged import PackagedRibbonGraph, component_gamma_values
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                connected_components, enumerate_quasi_trees,
-                               euler_genus, restrict, subset_walks,
-                               trace_boundaries)
-from packaged_oracle import (nullity, restricted_packagings,
+                               euler_genus, restrict, trace_boundaries)
+from packaged_oracle import (nullity, restricted_packagings, subset_walks,
                              subset_walks_term, tutte_keys)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
