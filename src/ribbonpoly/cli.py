@@ -1,6 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 validation inequality, 2 usage, parse or write error.
+Exit codes: 0 success, 1 validation inequality or output closed early,
+2 usage, parse or write error.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -264,7 +266,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe; Python flushes stdout again on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, PackagingError, RibbonGraphError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

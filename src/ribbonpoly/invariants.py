@@ -237,14 +237,14 @@ def _quasitree_walk(pg: PackagedRibbonGraph, order: Iterable[str]):
     unless the step merged) or deleted into B (x unless it merged).  Only a
     non-loop's deletion or a loop's contraction can split, so one is tried.
     """
-    g, order = pg.graph, list(order)
-    if len(connected_components(g)) != 1:
+    g, order, root = pg.graph, list(order), Minor.compile(pg)
+    if root.components() != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
     if sorted(order) != sorted(g.sign):
         raise RibbonGraphError("order must be a total order on the edges")
     index = {e: k for k, e in enumerate(g.edges)}
     ks = [index[e] for e in reversed(order)]
-    stack = [(0, Minor.compile(pg), 0, 0, 0, 0, 0)]
+    stack = [(0, root, 0, 0, 0, 0, 0)]
     while stack:
         i, m, q, b, a, ex, ey = stack.pop()
         if i == len(ks):

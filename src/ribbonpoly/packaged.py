@@ -89,11 +89,6 @@ class WeightedPartition:
                 return i
         raise KeyError(x)
 
-    def shape(self) -> frozenset:
-        """Partition structure with weights, for equality up to relabelling
-        of block order."""
-        return frozenset(zip(self.blocks, self.weights))
-
     def relabel(self, mapping: dict[str, str]) -> "WeightedPartition":
         return WeightedPartition.build(
             {mapping[x] for x in self.ground},

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -118,19 +117,9 @@ class RibbonGraph:
         """:func:`dual_correspondences` of this graph."""
         return dual_correspondences(self)
 
-    def vertex_of_end(self, end: End) -> str:
-        return self.end_vertex[end]
-
     def endpoints(self, e: str) -> tuple[str, str]:
         """Vertices of the two ends of ``e`` (equal for a loop)."""
-        return (self.vertex_of_end((e, 1)), self.vertex_of_end((e, 2)))
-
-    def is_loop(self, e: str) -> bool:
-        u, v = self.endpoints(e)
-        return u == v
-
-    def darts(self) -> list[Dart]:
-        return sorted((e, i, s) for e in self.sign for i in (1, 2) for s in "LR")
+        return (self.end_vertex[(e, 1)], self.end_vertex[(e, 2)])
 
 
 def validate(g: RibbonGraph) -> list[str]:
@@ -326,7 +315,7 @@ def partial_dual_with_map(g: RibbonGraph, edges: Iterable[str]
     if unknown:
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
     if not a:
-        return g, {d: d for d in g.darts()}
+        return g, {d: d for d in g.kernel.darts}
     kern = g.kernel
     t0, t1, names, ev = kern.t0, kern.t1, kern.darts, kern.end_vertex
     swap = {d: t0[d] for d in range(len(t0)) if names[d][0] in a}  # new t2
@@ -469,45 +458,6 @@ def contract_edge(g: RibbonGraph, e: str) -> tuple[RibbonGraph, dict[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# edge classification
-
-class EdgeKind(Enum):
-    BRIDGE = "bridge"
-    ORDINARY = "ordinary non-loop"
-    PLANE_LOOP = "orientable plane loop"
-    NONPLANE_LOOP = "orientable non-plane loop"
-    NONORIENTABLE_LOOP = "non-orientable loop"
-
-
-def classify_edge(g: RibbonGraph, e: str) -> EdgeKind:
-    """A non-loop is a bridge iff the other edges leave its end vertices
-    apart.  An orientable loop is plane iff they leave apart the two arcs
-    its ends cut its vertex into: the ends between the loop's ends move to
-    one extra vertex, as contracting the loop does."""
-    if e not in g.sign:
-        raise RibbonGraphError(f"unknown edge {e}")
-    kern = g.kernel
-    k = g.edges.index(e)
-    ev = list(kern.end_vertex)
-    u, v = ev[2 * k], ev[2 * k + 1]
-    loop = u == v
-    if loop:
-        if g.sign[e] == -1:
-            return EdgeKind.NONORIENTABLE_LOOP
-        rot = kern.rotations[u]
-        lo, hi = sorted((rot.index(2 * k), rot.index(2 * k + 1)))
-        v = len(g.vertices)
-        for x in rot[lo + 1:hi]:
-            ev[x] = v
-    roots = union_find(len(g.vertices) + 1,
-                       [(ev[2 * j], ev[2 * j + 1])
-                        for j in range(len(g.sign)) if j != k])
-    if roots[u] != roots[v]:
-        return EdgeKind.PLANE_LOOP if loop else EdgeKind.BRIDGE
-    return EdgeKind.NONPLANE_LOOP if loop else EdgeKind.ORDINARY
-
-
-# ---------------------------------------------------------------------------
 # quasi-trees and activities
 
 def enumerate_quasi_trees(g: RibbonGraph) -> list[frozenset[str]]:
@@ -628,15 +578,6 @@ class Isomorphism:
     end_map: dict[End, End]
     edge_map: dict[str, str] = field(default_factory=dict)
     flip: dict[str, int] = field(default_factory=dict)
-
-    def dart_map(self, g1: RibbonGraph) -> dict[Dart, Dart]:
-        out = {}
-        for end, img in self.end_map.items():
-            flipped = self.flip[g1.vertex_of_end(end)]
-            for s in "LR":
-                t = ("R" if s == "L" else "L") if flipped else s
-                out[(end[0], end[1], s)] = (img[0], img[1], t)
-        return out
 
 
 def isomorphisms(g1: RibbonGraph, g2: RibbonGraph) -> Iterator[Isomorphism]:

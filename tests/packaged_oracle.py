@@ -3,29 +3,98 @@ brute force over the ribbon isomorphisms; the packaging multigraphs and
 their nullities and per-component genus corrections on string-keyed
 graphs; the activity minor as a chain of string-keyed packaged minors, its
 ribbon graph built as a partial dual and its shape check by
-``classify_edge``; the activity classes read off the named partial dual
+:func:`classify_edge`; the activity classes read off the named partial dual
 G^Q; the four-variable quasi-tree expansion on restricted string graphs;
 the Tutte keys of a multigraph by one union-find per edge subset;
 :func:`subset_walks`, which rebuilds a spanning subgraph's corner map to
 give one dart per boundary walk, and the state-sum leaf that walks each
 subset with its own call of it; and the quasi-tree expansion's activities
-route, one :func:`activities` call and one compiled minor per quasi-tree."""
+route, one :func:`activities` call and one compiled minor per quasi-tree.
+
+Queries on string graphs that only the tests ask, moved here from the
+library with their bodies unchanged: :class:`EdgeKind` and
+:func:`classify_edge` (the oracle of ``Minor.splits``), :func:`is_loop`
+(was ``RibbonGraph.is_loop``), :func:`shape` (was
+``WeightedPartition.shape``) and :func:`dart_map` (was
+``Isomorphism.dart_map``)."""
 
 from __future__ import annotations
 
 from collections import Counter
+from enum import Enum
 from typing import Iterable
 
 from ribbonpoly.invariants import _activity_terms, _leaf
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
-                                 PackagingGraph, component_gamma_values,
-                                 packaged_contract, packaged_delete, quotient)
+                                 PackagingGraph, WeightedPartition,
+                                 component_gamma_values, packaged_contract,
+                                 packaged_delete, quotient)
 from ribbonpoly.poly import HalfExpPoly, HalfMonomial, MultiPoly
-from ribbonpoly.ribbon import (ActivityReport, EdgeKind, Kernel, RibbonGraph,
-                               RibbonGraphError, activities, classify_edge,
+from ribbonpoly.ribbon import (ActivityReport, Dart, Isomorphism, Kernel,
+                               RibbonGraph, RibbonGraphError, activities,
                                connected_components, enumerate_quasi_trees,
                                isomorphisms, partial_dual, restrict,
                                trace_boundaries, union_find)
+
+
+# ---------------------------------------------------------------------------
+# queries on string graphs
+
+class EdgeKind(Enum):
+    BRIDGE = "bridge"
+    ORDINARY = "ordinary non-loop"
+    PLANE_LOOP = "orientable plane loop"
+    NONPLANE_LOOP = "orientable non-plane loop"
+    NONORIENTABLE_LOOP = "non-orientable loop"
+
+
+def classify_edge(g: RibbonGraph, e: str) -> EdgeKind:
+    """A non-loop is a bridge iff the other edges leave its end vertices
+    apart.  An orientable loop is plane iff they leave apart the two arcs
+    its ends cut its vertex into: the ends between the loop's ends move to
+    one extra vertex, as contracting the loop does."""
+    if e not in g.sign:
+        raise RibbonGraphError(f"unknown edge {e}")
+    kern = g.kernel
+    k = g.edges.index(e)
+    ev = list(kern.end_vertex)
+    u, v = ev[2 * k], ev[2 * k + 1]
+    loop = u == v
+    if loop:
+        if g.sign[e] == -1:
+            return EdgeKind.NONORIENTABLE_LOOP
+        rot = kern.rotations[u]
+        lo, hi = sorted((rot.index(2 * k), rot.index(2 * k + 1)))
+        v = len(g.vertices)
+        for x in rot[lo + 1:hi]:
+            ev[x] = v
+    roots = union_find(len(g.vertices) + 1,
+                       [(ev[2 * j], ev[2 * j + 1])
+                        for j in range(len(g.sign)) if j != k])
+    if roots[u] != roots[v]:
+        return EdgeKind.PLANE_LOOP if loop else EdgeKind.BRIDGE
+    return EdgeKind.NONPLANE_LOOP if loop else EdgeKind.ORDINARY
+
+
+def is_loop(g: RibbonGraph, e: str) -> bool:
+    u, v = g.endpoints(e)
+    return u == v
+
+
+def shape(parts: WeightedPartition) -> frozenset:
+    """Partition structure with weights, for equality up to relabelling
+    of block order."""
+    return frozenset(zip(parts.blocks, parts.weights))
+
+
+def dart_map(iso: Isomorphism, g1: RibbonGraph) -> dict[Dart, Dart]:
+    out = {}
+    for end, img in iso.end_map.items():
+        flipped = iso.flip[g1.end_vertex[end]]
+        for s in "LR":
+            t = ("R" if s == "L" else "L") if flipped else s
+            out[(end[0], end[1], s)] = (img[0], img[1], t)
+    return out
 
 
 def packaged_isomorphic(p1: PackagedRibbonGraph,
@@ -34,9 +103,9 @@ def packaged_isomorphic(p1: PackagedRibbonGraph,
         return False
     b2 = trace_boundaries(p2.graph)
     for iso in isomorphisms(p1.graph, p2.graph):
-        if p1.vparts.relabel(iso.vertex_map).shape() != p2.vparts.shape():
+        if shape(p1.vparts.relabel(iso.vertex_map)) != shape(p2.vparts):
             continue
-        dm = iso.dart_map(p1.graph)
+        dm = dart_map(iso, p1.graph)
         by_dart = {d: c.id for c in b2 for d in c.visits}
         by_vertex = {c.vertex: c.id for c in b2 if c.vertex is not None}
         bmap = {}
@@ -52,7 +121,7 @@ def packaged_isomorphic(p1: PackagedRibbonGraph,
             bmap[comp.id] = targets.pop()
         if not ok:
             continue
-        if p1.bparts.relabel(bmap).shape() == p2.bparts.shape():
+        if shape(p1.bparts.relabel(bmap)) == shape(p2.bparts):
             return True
     return False
 
@@ -167,10 +236,10 @@ def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
 
 def interlaced(g: RibbonGraph, e: str, f: str) -> bool:
     """True iff loops ``e`` and ``f`` share a vertex with ends in order efef."""
-    if e == f or not (g.is_loop(e) and g.is_loop(f)):
+    if e == f or not (is_loop(g, e) and is_loop(g, f)):
         return False
-    ve = g.vertex_of_end((e, 1))
-    if ve != g.vertex_of_end((f, 1)):
+    ve = g.end_vertex[(e, 1)]
+    if ve != g.end_vertex[(f, 1)]:
         return False
     pattern = [end[0] for end in g.rotation[ve] if end[0] in (e, f)]
     return len(pattern) == 4 and pattern[0] != pattern[1] and pattern[1] != pattern[2] \

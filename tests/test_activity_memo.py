@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from ribbonpoly import invariants
 from ribbonpoly.invariants import cross_validate, pst_quasitree
-from ribbonpoly.ribbon import (RibbonGraph, activities, classify_edge,
-                               connected_components, counts,
-                               enumerate_quasi_trees, orientable)
-from packaged_oracle import _minor_graph, _quasitree_minor, _quasitree_terms
+from ribbonpoly.ribbon import (RibbonGraph, activities, connected_components,
+                               counts, enumerate_quasi_trees, orientable)
+from packaged_oracle import (_minor_graph, _quasitree_minor, _quasitree_terms,
+                             classify_edge)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ribbonpoly
 from conftest import THETA_EXAMPLE_RG
 from ribbonpoly.cli import main
 from ribbonpoly.fileformat import parse
@@ -176,6 +181,21 @@ def test_corpus_stream_deterministic(capsys):
     _, out1, _ = run(capsys, "corpus", "--max-edges", "1", "--seed", "9")
     _, out2, _ = run(capsys, "corpus", "--max-edges", "1", "--seed", "9")
     assert out1 == out2
+
+
+def test_output_closed_early_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ribbonpoly.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ribbonpoly.cli", "corpus",
+             "--max-edges", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

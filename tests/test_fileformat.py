@@ -9,7 +9,7 @@ from ribbonpoly import cli
 from ribbonpoly.fileformat import ParseError, parse, render
 from ribbonpoly.invariants import corpus
 from ribbonpoly.ribbon import counts
-from packaged_oracle import packaged_isomorphic
+from packaged_oracle import packaged_isomorphic, shape
 
 
 def test_parse_example():
@@ -37,7 +37,7 @@ def test_parse_explicit_blocks():
             + "vblock 2: v1 v2\n"
             + "bblock 1: b1\n")
     pg = parse(text)
-    assert pg.vparts.shape() == frozenset({(frozenset({"v1", "v2"}), 2)})
+    assert shape(pg.vparts) == frozenset({(frozenset({"v1", "v2"}), 2)})
     assert pg.bparts.weights == (1,)
 
 

@@ -34,8 +34,9 @@ from ribbonpoly.invariants import (_random_partition, corpus,
                                    pst_quasitree, pst_state_sum)
 from ribbonpoly.packaged import (PackagedRibbonGraph, _packaged_contract_case,
                                  _packaged_delete_case, packaged_dual)
+from packaged_oracle import classify_edge
 from ribbonpoly.ribbon import (ActivityReport, RibbonGraph, activities,
-                               classify_edge, connected_components,
+                               connected_components,
                                contract_edge, enumerate_quasi_trees,
                                orientable, partial_dual)
 

@@ -157,13 +157,15 @@ def test_delcon_counts_one_call_per_node(name, tmp_path, monkeypatch):
 def test_quasitree_builds_no_string_minor(name, monkeypatch):
     """Both quasi-tree expansions, the packaged one and the four-variable
     one, run on the reverse-order walk: no string minor, no scan, no
-    ``activities`` call and no ``Minor.minor`` call."""
+    ``activities`` call, no ``Minor.minor`` call and no string-level
+    ``connected_components`` call."""
     pg = FIXTURES[name]()
     want, want_krushkal = pst_delcon(pg), krushkal(pg.graph)[0]
     calls: dict[str, list] = {}
     for module in (ribbon, packaged, invariants):
         for fn in ("packaged_delete", "packaged_contract", "pst_delcon",
-                   "activities", "enumerate_quasi_trees"):
+                   "activities", "enumerate_quasi_trees",
+                   "connected_components"):
             if fn in vars(module):
                 monkeypatch.setattr(module, fn, _counting(
                     calls.setdefault(fn, []), getattr(module, fn)))
@@ -176,5 +178,5 @@ def test_quasitree_builds_no_string_minor(name, monkeypatch):
             == want_krushkal)
     assert {fn: len(c) for fn, c in calls.items()} == {
         "packaged_delete": 0, "packaged_contract": 0, "pst_delcon": 0,
-        "activities": 0, "enumerate_quasi_trees": 0, "build": 0,
-        "Minor.minor": 0}
+        "activities": 0, "enumerate_quasi_trees": 0,
+        "connected_components": 0, "build": 0, "Minor.minor": 0}

@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribbonpoly.invariants import _activity_terms, krushkal_quasitree
-from ribbonpoly.ribbon import EdgeKind, classify_edge, connected_components
-from packaged_oracle import (_minor_graph, krushkal_quasitree_oracle,
-                             nullity, restricted_packagings)
+from ribbonpoly.ribbon import connected_components
+from packaged_oracle import (EdgeKind, _minor_graph, classify_edge,
+                             krushkal_quasitree_oracle, nullity,
+                             restricted_packagings)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 

@@ -24,46 +24,57 @@ from ribbonpoly.fileformat import render
 from ribbonpoly.invariants import corpus
 from ribbonpoly.ribbon import enumerate_quasi_trees, orientable
 
-# the functions no CLI command enters, as module.qualname
+# the functions no CLI command enters, as module.qualname, keyed by what
+# keeps each one in the library: a file of the benchmark or of the
+# acceptance gate that names it, the exported API, or the pinned function
+# a helper serves
 NEVER_ENTERED = {
-    "invariants._krushkal_side",
-    "invariants.krushkal_quasitree",
-    "packaged.PackagingError.__init__",
-    "packaged.PackagingGraph.components",
-    "packaged.WeightedPartition.shape",
-    "packaged.component_gamma_values",
-    "packaged.packaged_contract",
-    "packaged.packaged_delete",
-    "packaged.quotient",
-    "poly.HalfExpPoly.substitute",
-    "poly.Monomial.mul",
-    "poly.MultiPoly._unit",
-    "poly.MultiPoly.swap_xy",
-    "poly.MultiPoly.x",
-    "poly.MultiPoly.xg",
-    "poly.MultiPoly.y",
-    "poly.MultiPoly.yg",
-    "poly._PolyBase.__add__",
-    "poly._PolyBase.__bool__",
-    "poly._PolyBase.__hash__",
-    "poly._PolyBase.__neg__",
-    "poly._PolyBase.__repr__",
-    "poly._PolyBase.__sub__",
-    "poly._PolyBase.zero",
-    "poly._merge",
-    "poly._tokenize",
-    "poly.parse_poly",
-    "poly.parse_poly.<locals>.parse_term",
-    "ribbon.Isomorphism.dart_map",
-    "ribbon.RibbonGraph.is_loop",
-    "ribbon.classify_edge",
-    "ribbon.counts",
-    "ribbon.euler_genus",
-    "ribbon.induced_subgraph",
-    "ribbon.isomorphic",
-    "ribbon.isomorphisms",
-    "ribbon.isomorphisms.<locals>.extend",
+    "bench/spans.py": {
+        "packaged.component_gamma_values",
+        "packaged.packaged_contract",
+        "packaged.packaged_delete",
+        "packaged.quotient",
+        "poly._PolyBase.__add__",
+    },
+    "bench/checks.py": {
+        "invariants.krushkal_quasitree",
+        "ribbon.isomorphisms",
+    },
+    "tests/test_acceptance.py": {
+        "poly.HalfExpPoly.substitute",
+        "poly.MultiPoly.swap_xy",
+        "poly.parse_poly",
+        "ribbon.counts",
+        "ribbon.euler_genus",
+        "ribbon.isomorphic",
+    },
+    "ribbonpoly.__all__": {
+        "poly.MultiPoly.x",
+        "poly.MultiPoly.xg",
+        "poly.MultiPoly.y",
+        "poly.MultiPoly.yg",
+        "poly._PolyBase.__bool__",
+        "poly._PolyBase.__hash__",
+        "poly._PolyBase.__neg__",
+        "poly._PolyBase.__repr__",
+        "poly._PolyBase.__sub__",
+        "poly._PolyBase.zero",
+    },
+    "helpers": {
+        "invariants._krushkal_side": "invariants.krushkal_quasitree",
+        "packaged.PackagingError.__init__": "packaged.WeightedPartition.build",
+        "packaged.PackagingGraph.components":
+            "packaged.component_gamma_values",
+        "poly.Monomial.mul": "poly.HalfExpPoly.substitute",
+        "poly.MultiPoly._unit": "poly.HalfExpPoly.substitute",
+        "poly._merge": "poly.Monomial.mul",
+        "poly._tokenize": "poly.parse_poly",
+        "poly.parse_poly.<locals>.parse_term": "poly.parse_poly",
+        "ribbon.induced_subgraph": "packaged.component_gamma_values",
+        "ribbon.isomorphisms.<locals>.extend": "ribbon.isomorphisms",
+    },
 }
+PINNED = set().union(*NEVER_ENTERED.values())
 
 
 def library_functions() -> dict[tuple[str, int, str], str]:
@@ -146,4 +157,30 @@ def test_cli_reaches_all_but_the_pinned_functions(tmp_path):
     assert codes == [code for _, code in runs]
     never = set(functions.values()) - entered
     assert "packaged.Minor.minor" not in never
-    assert never == NEVER_ENTERED
+    assert never == PINNED
+
+
+def exported(name: str) -> bool:
+    """True iff the module.qualname ``name`` is an object of
+    ``ribbonpoly.__all__`` or an attribute of one."""
+    qualname = name.split(".", 1)[1]
+    for obj in (getattr(ribbonpoly, n) for n in ribbonpoly.__all__):
+        attr = getattr(obj, qualname.rsplit(".", 1)[-1], None)
+        for f in (obj, attr, getattr(attr, "__func__", None)):
+            if getattr(f, "__qualname__", None) == qualname:
+                return True
+    return False
+
+
+def test_every_unreached_function_names_what_keeps_it():
+    root = Path(__file__).parents[1]
+    for pin in ("bench/spans.py", "bench/checks.py",
+                "tests/test_acceptance.py"):
+        text = (root / pin).read_text(encoding="utf-8")
+        for name in NEVER_ENTERED[pin]:
+            assert name.rsplit(".", 1)[-1] in text, (pin, name)
+    for name in NEVER_ENTERED["ribbonpoly.__all__"]:
+        assert exported(name), name
+    for name, served in NEVER_ENTERED["helpers"].items():
+        assert served in PINNED or exported(served), (name, served)
+    assert sum(map(len, NEVER_ENTERED.values())) == len(PINNED)

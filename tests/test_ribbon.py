@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rg
-from packaged_oracle import activities_oracle, interlaced
-from ribbonpoly.ribbon import (EdgeKind, RibbonGraph, RibbonGraphError,
-                               activities, certificate, classify_edge,
+from packaged_oracle import (EdgeKind, activities_oracle, classify_edge,
+                             interlaced, is_loop)
+from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
+                               activities, certificate,
                                connected_components, contract_edge, counts,
                                delete_edge, dual_correspondences,
                                enumerate_quasi_trees, euler_genus, isomorphic, orientable, partial_dual,
@@ -98,7 +99,7 @@ def test_theta_has_one_boundary_and_genus_two():
 def test_side_visits_partition_the_darts(g):
     comps = trace_boundaries(g)
     seen = [d for c in comps for d in c.visits]
-    assert sorted(seen) == g.darts()
+    assert sorted(seen) == list(g.kernel.darts)
     assert len(set(seen)) == len(seen)
     isolated = [v for v in g.vertices if not g.rotation.get(v, ())]
     assert sorted(c.vertex for c in comps if c.vertex is not None) \
@@ -239,15 +240,15 @@ def test_partial_dual_rebuilds_only_the_vertices_at_its_edges(g, data):
     a = data.draw(st.sets(st.sampled_from(g.edges))) if g.edges else set()
     h, dart_map = partial_dual_with_map(g, a)
     assert validate(h) == []
-    at_a = {g.vertex_of_end((e, i)) for e in a for i in (1, 2)}
+    at_a = {g.end_vertex[(e, i)] for e in a for i in (1, 2)}
     kept = [v for v in g.vertices if v not in at_a]
     assert all(h.rotation[v] == g.rotation[v] for v in kept)
     assert all(h.sign[e] == g.sign[e] for e in g.edges
-               if not {g.vertex_of_end((e, 1)), g.vertex_of_end((e, 2))}
+               if not {g.end_vertex[(e, 1)], g.end_vertex[(e, 2)]}
                & at_a)
     assert all(v.startswith("w") for v in set(h.vertices) - set(kept))
-    assert sorted(dart_map) == g.darts()
-    assert sorted(dart_map.values()) == h.darts()
+    assert sorted(dart_map) == list(g.kernel.darts)
+    assert sorted(dart_map.values()) == list(h.kernel.darts)
     # v(G^A) = f(G|A) and f(G^A) = f(G|A^c)
     assert len(h.vertices) == len(trace_boundaries(restrict(g, a)))
     assert len(trace_boundaries(h)) == \
@@ -327,7 +328,7 @@ def _kind_from_minors(g: RibbonGraph, e: str) -> EdgeKind:
     """The definition: a bridge disconnects when deleted, an orientable
     plane loop when contracted."""
     k = len(connected_components(g))
-    if not g.is_loop(e):
+    if not is_loop(g, e):
         split = len(connected_components(delete_edge(g, e))) > k
         return EdgeKind.BRIDGE if split else EdgeKind.ORDINARY
     if g.sign[e] == -1:
