@@ -2,10 +2,11 @@
 
 Every CLI command runs under ``sys.setprofile`` on a sample of the corpus,
 including the error paths, and the functions of ``src/ribbonpoly`` that no
-run enters must be exactly the pinned list below: code the CLI cannot
-reach is either a reference kept for the tests and the benchmark, or dead.
-A function that drops off the CLI's paths, or a new one it never calls,
-changes the list and fails the test.
+run enters must be exactly the pinned names below: code the CLI cannot
+reach is either kept by the benchmark, the acceptance gate or the exported
+API, or dead.  A function that drops off the CLI's paths, or a new one it
+never calls, changes the set and fails the test, and each pinned name
+states what keeps it.
 """
 
 from __future__ import annotations
