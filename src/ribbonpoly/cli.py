@@ -68,8 +68,11 @@ def _edge_list(arg: str) -> list[str]:
 
 def _cmd_compute(args) -> int:
     pg = _load(args.file)
-    order = (_edge_list(args.order) if args.order
-             else sorted(pg.graph.edges))
+    order = _edge_list(args.order) if args.order else pg.graph.edges
+    if tuple(sorted(order)) != pg.graph.edges:
+        print("error: --order must list every edge exactly once",
+              file=sys.stderr)
+        return 2
     counters: dict = {}
     if args.method == "statesum":
         p = pst_state_sum(pg)
@@ -78,10 +81,6 @@ def _cmd_compute(args) -> int:
         p = pst_delcon(pg, _counter=counter)
         counters["delcon_nodes"] = counter[0]
     else:
-        if sorted(order) != sorted(pg.graph.edges):
-            print("error: --order must list every edge exactly once",
-                  file=sys.stderr)
-            return 2
         p = pst_quasitree(pg, order)
     print(render_poly(p, args.format, method=args.method, counters=counters))
     return 0
@@ -116,10 +115,10 @@ def _cmd_quasitrees(args) -> int:
 def _cmd_activities(args) -> int:
     pg = _load(args.file)
     q = frozenset(_edge_list(args.quasitree))
-    order = _edge_list(args.order) if args.order else sorted(pg.graph.edges)
+    order = _edge_list(args.order) if args.order else pg.graph.edges
     rep = activities(pg.graph, q, order)
     dead = rep.internal_dead | rep.external_dead
-    for e in sorted(pg.graph.edges):
+    for e in pg.graph.edges:
         print(f"{e}: {'internal' if e in q else 'external'} "
               f"{'dead' if e in dead else 'live'} "
               f"{'non-orientable' if e in rep.twisted else 'orientable'}")

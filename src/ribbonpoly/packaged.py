@@ -309,14 +309,24 @@ class Minor(NamedTuple):
         blocks at e's sides (ends).  A block's weight grows by one for each
         step that merged nothing there.
 
-        A contraction crosses e's ends by ``t0``, since the partial dual at
-        e makes ``t0`` its ``t2`` (:meth:`_restitch`).  On contraction an
-        orbit on e's darts alone is also a boundary walk of e's darts alone,
-        so each such walk of the root keeps its block, as
-        :func:`contract_edge`'s bijection requires."""
-        t1, lone = self._restitch(k, contract)
+        Each end of e is spliced out of ``t1`` as dancing links do, unless
+        its two darts are joined to each other: then the end is an orbit of
+        e's darts alone (an isolated vertex with an empty boundary).  A
+        contraction crosses e's ends by ``t0``, since the partial dual at e
+        makes ``t0`` its ``t2``; an orbit on e's darts alone is then also a
+        boundary walk of e's darts alone, so each such walk of the root
+        keeps its block, as :func:`contract_edge`'s bijection requires."""
+        t0, t1, lone, x = self.kernel.t0, list(self.t1), [], 4 * k
+        for a, b in (((x, t0[x]), (x + 1, t0[x + 1])) if contract
+                     else ((x, x + 1), (x + 2, x + 3))):
+            p, q = t1[a], t1[b]
+            if p == b:
+                lone.append(a)
+            else:
+                t1[p], t1[q] = q, p
+        t1[x:x + 4] = -1, -1, -1, -1
         s = 0 if contract else 1   # the side of the rule
-        x, y = 4 * k, 4 * k + (2 if contract else 1)
+        y = x + (2 if contract else 1)
         labels = list(self.labels)
         weights = [list(w) for w in self.weights]
         isolated = [list(n) for n in self.isolated]
@@ -331,7 +341,7 @@ class Minor(NamedTuple):
         isolated[s][ly] += len(lone)
         for a in lone:
             isolated[1 - s][labels[1 - s][a]] += 1
-        return (Minor(self.kernel, self.live & ~(1 << k), t1,
+        return (Minor(self.kernel, self.live & ~(1 << k), tuple(t1),
                       (labels[0], labels[1]),
                       (tuple(weights[0]), tuple(weights[1])),
                       (tuple(isolated[0]), tuple(isolated[1]))),
@@ -352,38 +362,6 @@ class Minor(NamedTuple):
         lab, y = self.labels[s], 2 - s   # 4k + 2: e's other end; 4k + 1: side
         return [(lab[4 * k], lab[4 * k + y])
                 for k in range(len(lab) // 4) if mask >> k & 1]
-
-    def _restitch(self, k: int, contract: bool
-                  ) -> tuple[tuple[int, ...], list[int]]:
-        """``t1`` without edge ``k``'s four darts, and a dart of each orbit
-        of those darts alone (an isolated vertex with an empty boundary).
-        Each live corner into one of them is joined to the live dart where
-        the walk through them leaves, crossing each end by ``t0`` on
-        contraction and by ``d ^ 1`` on deletion."""
-        t0, old = self.kernel.t0, self.t1
-        t1 = list(old)
-        darts = range(4 * k, 4 * k + 4)
-        seen = bytearray(4)   # by d & 3
-
-        def walk(cur: int) -> int:
-            """Mark the darts from ``cur`` on; the first live dart."""
-            while cur >> 2 == k and not seen[cur & 3]:
-                cross = t0[cur] if contract else cur ^ 1
-                seen[cur & 3] = seen[cross & 3] = 1
-                cur = old[cross]
-            return cur
-
-        for a in darts:
-            if old[a] >> 2 != k and not seen[a & 3]:
-                b, c = old[a], walk(a)
-                t1[b], t1[c] = c, b
-        lone = []
-        for a in darts:
-            t1[a] = -1
-            if not seen[a & 3]:
-                lone.append(a)
-                walk(a)
-        return tuple(t1), lone
 
     def components(self) -> int:
         """The number of connected components of the minor: the classes of

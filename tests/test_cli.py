@@ -59,12 +59,14 @@ def test_compute_structured(theta_file, capsys):
     assert sum(t["coeff"] for t in doc["terms"]) == 8
 
 
-def test_compute_quasitree_rejects_partial_order(theta_file, capsys):
-    """An edge left out, and an edge named twice."""
-    for order in ("e,f", "e,f,g,e"):
-        code, _, err = run(capsys, "compute", theta_file, "--method",
-                           "quasitree", "--order", order)
-        assert code == 2
+@pytest.mark.parametrize("method", ["statesum", "delcon", "quasitree"])
+def test_compute_rejects_malformed_order(theta_file, capsys, method):
+    """An edge left out, an edge named twice and an unknown edge, whatever
+    the method."""
+    for order in ("e,f", "e,f,g,e", "zz"):
+        code, out, err = run(capsys, "compute", theta_file, "--method",
+                             method, "--order", order)
+        assert (code, out) == (2, "")
         assert "every edge" in err
 
 
