@@ -101,6 +101,8 @@ def _cmd_validate(args) -> int:
     print(f"del-con:        {rep.delcon.canonical_text()}")
     for order, p in rep.quasitree.items():
         print(f"quasi-tree {','.join(order)}: {p.canonical_text()}")
+    if not rep.quasitree:   # --orders is at least 1: a disconnected graph
+        print("quasi-tree:     skipped (graph is not connected)")
     print(f"equal: {rep.equal}  shape-checks: {rep.shape_checks_passed}")
     return 0 if ok else 1
 

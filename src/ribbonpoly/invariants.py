@@ -18,12 +18,12 @@ specializations (surface version for orientable graphs, the four-variable
 alpha/beta/a/b polynomial with its own quasi-tree expansion, read off the
 same walk's leaf minors, and the classical Tutte polynomial), a small-instance
 corpus generator and a cross-validation driver.  The driver keeps the
-expansion's definition by ``activities``: it evaluates each activity minor,
-by stepping its edges, once per distinct deleted and contracted part (B,
-A), however many edge orders produce it, and shape-checks that same
-compiled minor: a required bridge must split it when deleted, a required
-plane loop when contracted.  The string-graph references of these checks
-live in the tests.
+expansion's definition by ``activities``: it steps each activity minor and
+its prefactor (:meth:`~ribbonpoly.packaged.Minor.minor`) once per distinct
+deleted and contracted part (B, A), however many edge orders produce it,
+and shape-checks that same compiled minor: a required bridge must split it
+when deleted, a required plane loop when contracted.  The string-graph
+references of these checks and of the prefactor live in the tests.
 """
 
 from __future__ import annotations
@@ -181,27 +181,6 @@ def pst_delcon(pg: PackagedRibbonGraph,
 
 # ---------------------------------------------------------------------------
 # quasi-tree expansion
-
-def _activity_terms(pg: PackagedRibbonGraph):
-    """The function of an activity minor's deleted part B and contracted
-    part A that gives its x/y prefactor exponents, the weight growth of
-    its boundary and vertex side, and its compiled minor, built by
-    stepping its edges; the string-minor reference is ``_quasitree_minor``
-    in ``tests/packaged_oracle.py``."""
-    root = Minor.compile(pg)
-    index = {e: k for k, e in enumerate(pg.graph.edges)}
-    base = [sum(w) for w in root.weights]
-
-    def term(deleted: frozenset[str], contracted: frozenset[str]
-             ) -> tuple[tuple[int, int], Minor]:
-        m = root.minor(*(sum(1 << index[e] for e in part)
-                         for part in (deleted, contracted)))
-        ey, ex = (sum(w for w in ws if w is not None) - w0
-                  for ws, w0 in zip(m.weights, base))
-        return (ex, ey), m
-
-    return term
-
 
 def _minor_leaves(leaves: Counter, m: Minor, ex: int, ey: int) -> Counter:
     """Deletion-contraction on the compiled minor ``m``, pivoting on its
@@ -534,16 +513,16 @@ def cross_validate(pg: PackagedRibbonGraph,
 
     A quasi-tree's term depends only on its activity minor's deleted and
     contracted parts (B, A), and its shape verdict only on (Q, B, A), not
-    on the order that produced them, so each is computed once per call."""
+    on the order that produced them, so each is computed once per call, by
+    :meth:`~ribbonpoly.packaged.Minor.minor` on one compiled root."""
     counter = [0]
     ss = pst_state_sum(pg)
     dc = pst_delcon(pg, _counter=counter)
     qt: dict[tuple[str, ...], MultiPoly] = {}
     breakdown: dict[tuple[str, ...], list] = {}
-    g = pg.graph
-    connected = len(connected_components(g)) == 1
+    g, root = pg.graph, Minor.compile(pg)
+    connected = root.components() == 1
     quasi_trees = enumerate_quasi_trees(g) if connected else []
-    term = _activity_terms(pg)
     index = {e: k for k, e in enumerate(g.edges)}
     minors: dict[tuple[frozenset, frozenset], tuple[Minor, MultiPoly]] = {}
     shapes: dict[tuple[frozenset, frozenset, frozenset], bool] = {}
@@ -556,7 +535,8 @@ def cross_validate(pg: PackagedRibbonGraph,
             act = activities(g, q, order)
             key = (act.deleted_part(), act.contracted_part())
             if key not in minors:
-                pre, minor = term(*key)
+                minor, pre = root.minor(*(sum(1 << index[e] for e in part)
+                                          for part in key))
                 minors[key] = minor, _minor_poly(minor, *pre)
             minor, contribution = minors[key]
             if (q, *key) not in shapes:   # bridges in Q, plane loops off Q

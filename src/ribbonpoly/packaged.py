@@ -12,9 +12,9 @@ Minors come in two encodings: string-keyed packaged graphs
 (:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
 the same rule in integers over the root's kernel, applied one edge at a
 time by :meth:`Minor.step`; :meth:`Minor.minor` steps through a deleted
-and a contracted set.  A step's merge flag gives the quasi-tree
-expansion's prefactor, :meth:`Minor.is_loop` and :meth:`Minor.components`
-its split tests, and :meth:`Minor.splits` cross-validation's shape check.
+and a contracted set.  Steps' merge flags give the quasi-tree expansion's
+prefactor, :meth:`Minor.is_loop` and :meth:`Minor.components` its split
+tests, and :meth:`Minor.splits` cross-validation's shape check.
 The compiled root also starts the state sum's build-up of both sides of a
 term, G|A by vertex blocks and G*|A^c by boundary blocks, which share
 their boundary walks.
@@ -347,14 +347,18 @@ class Minor(NamedTuple):
                       (tuple(isolated[0]), tuple(isolated[1]))),
                 lx != ly)
 
-    def minor(self, deleted: int, contracted: int) -> "Minor":
+    def minor(self, deleted: int, contracted: int
+              ) -> tuple["Minor", tuple[int, int]]:
         """Delete the live edges of the mask ``deleted`` and contract those
-        of ``contracted``, by :meth:`step` on each, lowest edge first."""
-        m, gone = self, deleted | contracted
+        of ``contracted``, by :meth:`step` on each, lowest edge first; also
+        return (ex, ey), the deletions and the contractions whose step
+        merged no two blocks: an activity minor's x/y prefactor."""
+        m, gone, grown = self, deleted | contracted, [0, 0]
         for k in range(gone.bit_length()):
             if gone >> k & 1:
-                m = m.step(k, contracted >> k & 1)[0]
-        return m
+                m, merged = m.step(k, contracted >> k & 1)
+                grown[contracted >> k & 1] += not merged
+        return m, (grown[0], grown[1])
 
     def _pairs(self, s: int, mask: int) -> list[tuple[int, int]]:
         """The block pairs on side ``s`` of the edges of ``mask``: their

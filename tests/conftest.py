@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from ribbonpoly.fileformat import parse
+from ribbonpoly.invariants import corpus
 from ribbonpoly.packaged import PackagedRibbonGraph
 from ribbonpoly.ribbon import RibbonGraph
 
@@ -15,6 +16,27 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+CORPUS_SEED = 2024
+
+
+@pytest.fixture(scope="session")
+def corpus4():
+    """Connected instances up to 4 edges / 4 vertices, discrete plus three
+    seeded random packagings each: the acceptance gate's inputs, enumerated
+    once per session for every test that sweeps them."""
+    return list(corpus(4, seed=CORPUS_SEED, random_packagings=3))
+
+
+@pytest.fixture(scope="session")
+def graphs4(corpus4):
+    out, seen = [], set()
+    for g, _ in corpus4:
+        if id(g) not in seen:
+            seen.add(id(g))
+            out.append(g)
+    return out
 
 
 THETA_EXAMPLE_RG = """\

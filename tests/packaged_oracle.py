@@ -9,7 +9,8 @@ the Tutte keys of a multigraph by one union-find per edge subset;
 :func:`subset_walks`, which rebuilds a spanning subgraph's corner map to
 give one dart per boundary walk, and the state-sum leaf that walks each
 subset with its own call of it; and the quasi-tree expansion's activities
-route, one :func:`activities` call and one compiled minor per quasi-tree.
+route, one :func:`activities` call and one compiled minor per quasi-tree,
+with the prefactor read as the weight growth of the minor's two sides.
 
 Queries on string graphs that only the tests ask, moved here from the
 library with their bodies unchanged: :class:`EdgeKind` and
@@ -24,7 +25,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterable
 
-from ribbonpoly.invariants import _activity_terms, _leaf
+from ribbonpoly.invariants import _leaf
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, WeightedPartition,
                                  component_gamma_values, packaged_contract,
@@ -377,6 +378,28 @@ def subset_walks_term(root: Minor, mask: int, sides: tuple) -> tuple:
         bgamma[bcomp[blab[d]]] -= 1
     return (n2, n1, tuple(sorted(bgamma.values())),
             tuple(sorted(vgamma.values())))
+
+
+def _activity_terms(pg: PackagedRibbonGraph):
+    """The function of an activity minor's deleted part B and contracted
+    part A that gives its x/y prefactor exponents, read as the weight growth
+    of its boundary and vertex side, and its compiled minor, built by
+    stepping its edges: the reference for the prefactor that
+    :meth:`~ribbonpoly.packaged.Minor.minor` reads off its steps' merge
+    flags.  The string-minor reference is :func:`_quasitree_minor`."""
+    root = Minor.compile(pg)
+    index = {e: k for k, e in enumerate(pg.graph.edges)}
+    base = [sum(w) for w in root.weights]
+
+    def term(deleted: frozenset[str], contracted: frozenset[str]
+             ) -> tuple[tuple[int, int], Minor]:
+        m, _ = root.minor(*(sum(1 << index[e] for e in part)
+                            for part in (deleted, contracted)))
+        ey, ex = (sum(w for w in ws if w is not None) - w0
+                  for ws, w0 in zip(m.weights, base))
+        return (ex, ey), m
+
+    return term
 
 
 def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],

@@ -13,8 +13,8 @@ import time
 import pytest
 
 import conftest
-from conftest import rg
-from ribbonpoly.invariants import (corpus, cross_validate, classical_tutte,
+from conftest import CORPUS_SEED, rg
+from ribbonpoly.invariants import (cross_validate, classical_tutte,
                                    krushkal, krushkal_quasitree, pst_delcon,
                                    pst_quasitree, pst_state_sum,
                                    underlying_multigraph)
@@ -28,7 +28,6 @@ from ribbonpoly.ribbon import (activities, certificate, contract_edge, counts,
 THETA_POLY = ("x^3*x_2*y_0^2 + 2*x^2*x_2*y_0 + x^2*y*x_0*y_0^2"
               " + 3*x*y*x_0*y_0 + y^2*x_0*y_2")
 
-CORPUS_SEED = 2024
 SWEEP_ORDERS = 3
 
 
@@ -38,23 +37,6 @@ def report(n: int, desc: str, ok: bool) -> None:
     conftest.ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stderr__)
     assert ok, f"acceptance criterion {n} failed: {desc}"
-
-
-@pytest.fixture(scope="session")
-def corpus4():
-    """Connected instances up to 4 edges / 4 vertices, discrete plus three
-    seeded random packagings each."""
-    return list(corpus(4, seed=CORPUS_SEED, random_packagings=3))
-
-
-@pytest.fixture(scope="session")
-def graphs4(corpus4):
-    out, seen = [], set()
-    for g, _ in corpus4:
-        if id(g) not in seen:
-            seen.add(id(g))
-            out.append(g)
-    return out
 
 
 @pytest.fixture(scope="session")

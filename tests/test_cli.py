@@ -77,6 +77,18 @@ def test_validate_ok(theta_file, capsys):
     assert "equal: True  shape-checks: True" in out
 
 
+def test_validate_says_it_skips_the_expansion(tmp_path, capsys):
+    """A disconnected graph has no quasi-tree expansion: ``validate`` says
+    so in place of the expansion's lines, and still exits 0."""
+    f = tmp_path / "two.rg"
+    f.write_text("edges: e+\nvertex v1: e.1 e.2\nvertex v2:\n")
+    code, out, err = run(capsys, "validate", str(f), "--orders", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == [
+        "quasi-tree:     skipped (graph is not connected)",
+        "equal: True  shape-checks: True"]
+
+
 def test_quasitrees_listing(theta_file, capsys):
     code, out, _ = run(capsys, "quasitrees", theta_file)
     assert code == 0

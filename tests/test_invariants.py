@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rg
-from ribbonpoly.invariants import (Multigraph, _activity_terms,
-                                   _quasitree_walk, classical_tutte, corpus,
-                                   cross_validate, enumerate_connected,
-                                   krushkal, krushkal_quasitree, pst_delcon,
+from ribbonpoly.invariants import (Multigraph, _quasitree_walk,
+                                   classical_tutte, corpus, cross_validate,
+                                   enumerate_connected, krushkal,
+                                   krushkal_quasitree, pst_delcon,
                                    pst_quasitree, pst_state_sum, surface_tutte,
                                    underlying_multigraph)
 from ribbonpoly.packaged import (PackagedRibbonGraph, WeightedPartition,
@@ -21,8 +21,9 @@ from ribbonpoly.poly import HalfExpPoly, Monomial, MultiPoly, parse_poly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                certificate, connected_components,
                                enumerate_quasi_trees, euler_genus, restrict)
-from packaged_oracle import (_quasitree_minor, _quasitree_terms, _terminal,
-                             packaged_isomorphic, shape)
+from packaged_oracle import (_activity_terms, _quasitree_minor,
+                             _quasitree_terms, _terminal, packaged_isomorphic,
+                             shape)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 from test_subset_pass import reference_term
@@ -176,11 +177,12 @@ def assert_walk_matches_activities(pg: PackagedRibbonGraph,
     assert reached == Counter(enumerate_quasi_trees(g))
 
 
-def test_walk_leaves_match_activities_on_corpus4():
-    """Every graph of ``enumerate_connected(4)``, discrete and with one
-    random packaging, under two seeded orders each."""
+def test_walk_leaves_match_activities_on_corpus4(corpus4):
+    """Every instance of the acceptance corpus (each graph of
+    ``enumerate_connected(4)``, discrete and with three random packagings),
+    under two seeded orders each."""
     rng = random.Random(17)
-    for g, pg in corpus(4, seed=7, random_packagings=1):
+    for g, pg in corpus4:
         for _ in range(2):
             order = list(g.edges)
             rng.shuffle(order)

@@ -118,20 +118,23 @@ def test_every_corpus_step_matches_string_minors():
 @given(ribbon_graphs(max_edges=6), st.integers(0, 2 ** 16), st.data())
 def test_set_minor_matches_step_chain(g, seed, data):
     """``Minor.minor(B, A)`` equals stepping each edge of B and A in a
-    random order and the string minor chain, and doing it in two parts
-    equals doing it at once.  Disconnected graphs and isolated vertices
-    included."""
+    random order and the string minor chain, its (ex, ey) counts the
+    chain's deletions and contractions that merged no two blocks, and doing
+    it in two parts equals doing it at once, prefactors added.
+    Disconnected graphs and isolated vertices included."""
     pg = random_packaging(g, seed)
     root = Minor.compile(pg)
     roles = data.draw(st.lists(st.sampled_from("dck"), min_size=len(g.sign),
                                max_size=len(g.sign)))
     deleted = sum(1 << k for k, r in enumerate(roles) if r == "d")
     contracted = sum(1 << k for k, r in enumerate(roles) if r == "c")
-    one = root.minor(deleted, contracted)
-    chain = root
+    one, pre = root.minor(deleted, contracted)
+    chain, grown = root, [0, 0]
     for k in data.draw(st.permutations([k for k, r in enumerate(roles)
                                         if r != "k"])):
-        chain = chain.step(k, contracted >> k & 1)[0]
+        chain, merged = chain.step(k, contracted >> k & 1)
+        grown[contracted >> k & 1] += not merged
+    assert pre == tuple(grown)
     assert (one.live, one.t1) == (chain.live, chain.t1)
     assert compiled_blocks(one) == compiled_blocks(chain)
     assert _minor_poly(one) == _minor_poly(chain)
@@ -139,8 +142,9 @@ def test_set_minor_matches_step_chain(g, seed, data):
              for role in "dc"]
     assert compiled_blocks(one) == string_blocks(_quasitree_minor(pg, *names))
     first = data.draw(st.integers(0, root.kernel.full))
-    two = root.minor(deleted & first, contracted & first).minor(
-        deleted & ~first, contracted & ~first)
+    half, pre1 = root.minor(deleted & first, contracted & first)
+    two, pre2 = half.minor(deleted & ~first, contracted & ~first)
+    assert (pre1[0] + pre2[0], pre1[1] + pre2[1]) == pre
     assert (two.live, two.t1) == (one.live, one.t1)
     assert compiled_blocks(two) == compiled_blocks(one)
 

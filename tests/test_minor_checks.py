@@ -10,11 +10,12 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribbonpoly.invariants import _activity_terms, krushkal_quasitree
+from ribbonpoly.invariants import krushkal_quasitree
+from ribbonpoly.packaged import Minor
 from ribbonpoly.ribbon import connected_components
-from packaged_oracle import (EdgeKind, _minor_graph, classify_edge,
-                             krushkal_quasitree_oracle, nullity,
-                             restricted_packagings)
+from packaged_oracle import (EdgeKind, _activity_terms, _minor_graph,
+                             classify_edge, krushkal_quasitree_oracle,
+                             nullity, restricted_packagings)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 
@@ -56,10 +57,14 @@ def test_split_verdicts_match_classify_edge(parts):
 @settings(max_examples=300, deadline=None)
 @given(minor_parts())
 def test_prefactor_is_packaging_nullity(parts):
-    """The x exponent is the nullity of B's packaging in the dual, the y
-    exponent that of A's packaging."""
+    """The x exponent that ``Minor.minor`` reads off its steps' merge flags
+    is the nullity of B's packaging in the dual, the y exponent that of A's
+    packaging, and both are the growth of the minor's block weights."""
     pg, deleted, contracted = parts
-    pre, _ = _activity_terms(pg)(deleted, contracted)
+    index = {e: k for k, e in enumerate(pg.graph.edges)}
+    _, pre = Minor.compile(pg).minor(*(sum(1 << index[e] for e in part)
+                                       for part in (deleted, contracted)))
+    assert pre == _activity_terms(pg)(deleted, contracted)[0]
     vertex, _ = restricted_packagings(pg, contracted)
     _, boundary = restricted_packagings(pg, set(pg.graph.sign) - deleted)
     assert pre == (nullity(boundary), nullity(vertex))
