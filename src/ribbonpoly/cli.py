@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation inequality or output closed early,
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import os
@@ -26,7 +27,7 @@ from .ribbon import (RibbonGraphError, activities, enumerate_quasi_trees,
 
 def _load(path: str) -> PackagedRibbonGraph:
     try:
-        data = Path(path).read_bytes()
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     except OSError as ex:
         raise ParseError(f"cannot read {path}: {ex.strerror}", 1) from ex
     try:
@@ -100,7 +101,7 @@ def _cmd_validate(args) -> int:
     print(f"state-sum:      {rep.state_sum.canonical_text()}")
     print(f"del-con:        {rep.delcon.canonical_text()}")
     for order, p in rep.quasitree.items():
-        print(f"quasi-tree {','.join(order)}: {p.canonical_text()}")
+        print(f"quasi-tree {','.join(order) or '-'}: {p.canonical_text()}")
     if not rep.quasitree:   # --orders is at least 1: a disconnected graph
         print("quasi-tree:     skipped (graph is not connected)")
     print(f"equal: {rep.equal}  shape-checks: {rep.shape_checks_passed}")

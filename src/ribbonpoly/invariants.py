@@ -98,7 +98,7 @@ def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
     """Edge subsets per :func:`_subset_term` key, by a depth-first pass: an
     edge in joins its ends on the vertex side and makes its darts live, one
     out joins its sides on the boundary side and splices its ends out of
-    ``t1`` as dancing links do; a block's gamma starts at 1 + w - isolated."""
+    ``t1`` as dancing links do; each side starts at the root's gammas."""
     root = Minor.compile(pg)
     vends, bends = (root._pairs(s, root.kernel.full) for s in (0, 1))
     walk = t1, live, empty, marks = list(root.t1), [], [], [0] * len(root.t1)
@@ -122,9 +122,8 @@ def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
         for d in (4 * k + 2, 4 * k):
             t1[t1[d]], t1[t1[d + 1]] = d, d + 1
 
-    visit(0, 0, *((tuple(range(len(ws))),
-                   dict(enumerate(1 + w - n for w, n in zip(ws, ns))), 0)
-                  for ws, ns in zip(root.weights, root.isolated)))
+    visit(0, 0, *((tuple(range(len(gs))), dict(enumerate(gs)), 0)
+                  for gs in root.gammas))
     return keys
 
 
@@ -186,10 +185,9 @@ def _minor_leaves(leaves: Counter, m: Minor, ex: int, ey: int) -> Counter:
     """Deletion-contraction on the compiled minor ``m``, pivoting on its
     lowest live edge: add to ``leaves`` x^ex y^ey times each leaf's x^(its
     deletions) y^(its contractions) that merged no two blocks and its gamma
-    families, where each block has gamma = 1 - isolated count + weight."""
+    families, the gammas of its blocks."""
     if not m.live:
-        vg, bg = ([1 - n + w for w, n in zip(*side) if w is not None]
-                  for side in zip(m.weights, m.isolated))
+        vg, bg = ([g for g in gs if g is not None] for gs in m.gammas)
         leaves[Monomial(ex, ey, _family(bg), _family(vg))] += 1
         return leaves
     k = (m.live & -m.live).bit_length() - 1
@@ -368,26 +366,26 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     for the pinning regression test.
     """
     total: Counter = Counter()
-    for q, _, _, (ex, ey), m in _quasitree_walk(
+    for q, _, _, _, m in _quasitree_walk(
             PackagedRibbonGraph.discrete(g), order):
-        xs, ga = _krushkal_side(m, 0, m.live & q, ey, subset_nullity)
-        ys, gb = _krushkal_side(m, 1, m.live & ~q, ex, subset_nullity)
+        xs, ga = _krushkal_side(m, 0, m.live & q, subset_nullity)
+        ys, gb = _krushkal_side(m, 1, m.live & ~q, subset_nullity)
         for (i, j), c in xs.items():
             for (i2, j2), c2 in ys.items():
                 total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
     return HalfExpPoly(total)
 
 
-def _krushkal_side(m: Minor, s: int, live: int, n: int,
+def _krushkal_side(m: Minor, s: int, live: int,
                    subset_nullity: bool) -> tuple[Counter, int]:
     """The :func:`_tutte_keys` of the multigraph of the ``live`` edges
-    between the blocks on side ``s`` of a leaf minor ``m`` (merged-away
-    blocks are isolated vertices, which change no key), and the Euler genus
-    k + n - f of its contracted (deleted) part: k its blocks, ``n`` its
-    nullity (the prefactor's y or x), f the isolated elements plus the
-    orbits of m's live darts under ``t1`` and ``d ^ 1`` (``t0``)."""
+    between the blocks on side ``s`` of a leaf minor ``m`` of the discrete
+    packaging (merged-away blocks are isolated vertices, which change no
+    key), and the Euler genus of its contracted (deleted) part: its blocks'
+    gammas less the orbits of m's live darts under ``t1`` and ``d ^ 1``
+    (``t0``)."""
     t0, t1, seen = m.kernel.t0, m.t1, bytearray(len(m.t1))
-    genus = n + sum(w is not None for w in m.weights[s]) - sum(m.isolated[s])
+    genus = sum(g for g in m.gammas[s] if g is not None)
     for d in range(len(t1)):
         if t1[d] >= 0 and not seen[d]:
             genus -= 1
@@ -395,7 +393,7 @@ def _krushkal_side(m: Minor, s: int, live: int, n: int,
                 cross = t0[d] if s else d ^ 1
                 seen[d] = seen[cross] = 1
                 d = t1[cross]
-    keys = _tutte_keys(len(m.weights[s]), m._pairs(s, live), subset_nullity)
+    keys = _tutte_keys(len(m.gammas[s]), m._pairs(s, live), subset_nullity)
     return keys, genus
 
 

@@ -10,14 +10,14 @@ corrections used by the invariant polynomials.
 
 Minors come in two encodings: string-keyed packaged graphs
 (:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
-the same rule in integers over the root's kernel, applied one edge at a
-time by :meth:`Minor.step`; :meth:`Minor.minor` steps through a deleted
-and a contracted set.  Steps' merge flags give the quasi-tree expansion's
-prefactor, :meth:`Minor.is_loop` and :meth:`Minor.components` its split
-tests, and :meth:`Minor.splits` cross-validation's shape check.
-The compiled root also starts the state sum's build-up of both sides of a
-term, G|A by vertex blocks and G*|A^c by boundary blocks, which share
-their boundary walks.
+the same rule in integers over the root's kernel on one gamma per block,
+applied one edge at a time by :meth:`Minor.step`; :meth:`Minor.minor`
+steps through a deleted and a contracted set.  Steps' merge flags give the
+quasi-tree expansion's prefactor, :meth:`Minor.is_loop` and
+:meth:`Minor.components` its split tests, and :meth:`Minor.splits`
+cross-validation's shape check.  The compiled root also starts the state
+sum's build-up of both sides of a term, G|A by vertex blocks and G*|A^c by
+boundary blocks, which share their boundary walks.
 """
 
 from __future__ import annotations
@@ -269,53 +269,55 @@ class Minor(NamedTuple):
 
     ``kernel`` is the root's and ``live`` the mask of the remaining edges;
     ``t1`` is the minor's, over the root's darts, with -1 on removed darts.
-    ``t0`` and ``t2`` stay the root's on the live darts.  The other fields
-    hold one entry per side, vertex side first: the block of the vertex
-    (boundary walk) through each dart; the block weights, ``None`` for a
-    block merged away; and per block its number of isolated elements,
-    vertices without edge ends (their empty boundaries).  :meth:`step`
-    removes one edge, and every other minor is a chain of steps
-    (:meth:`minor`).  The root (:meth:`compile`) also starts the state
-    sum's build-up pass."""
+    ``t0`` and ``t2`` stay the root's on the live darts.  ``labels`` and
+    ``gammas`` hold one entry per side, vertex side first: the block of the
+    vertex (boundary walk) through each dart, and each block's gamma, 1 +
+    its weight - its elements without darts, ``None`` for a block merged
+    away; at a leaf these are the gamma values of the polynomial's
+    variables.  ``isolated`` counts the isolated vertices, each of which
+    also has one empty boundary.  :meth:`step` removes one edge, and every
+    other minor is a chain of steps (:meth:`minor`).  The root
+    (:meth:`compile`) also starts the state sum's build-up pass."""
     kernel: Kernel
     live: int
     t1: tuple[int, ...]
     labels: tuple[tuple[int, ...], tuple[int, ...]]
-    weights: tuple[tuple[int | None, ...], tuple[int | None, ...]]
-    isolated: tuple[tuple[int, ...], tuple[int, ...]]
+    gammas: tuple[tuple[int | None, ...], tuple[int | None, ...]]
+    isolated: int
 
     @staticmethod
     def compile(pg: PackagedRibbonGraph) -> "Minor":
         g, kern = pg.graph, pg.graph.kernel
         vidx, bidx = ({x: i for i, b in enumerate(p.blocks) for x in b}
                       for p in (pg.vparts, pg.bparts))
-        viso, biso = ([0] * len(p.blocks) for p in (pg.vparts, pg.bparts))
-        for c in g.boundaries:   # an isolated vertex and its empty boundary
-            if c.vertex is not None:
-                viso[vidx[c.vertex]] += 1
-                biso[bidx[c.id]] += 1
+        vgamma, bgamma = ([1 + w for w in p.weights]
+                          for p in (pg.vparts, pg.bparts))
+        isolated = [c for c in g.boundaries if c.vertex is not None]
+        for c in isolated:   # an isolated vertex and its empty boundary
+            vgamma[vidx[c.vertex]] -= 1
+            bgamma[bidx[c.id]] -= 1
         vblock = [vidx[v] for v in g.vertices]
         return Minor(kern, kern.full, kern.t1,
                      (tuple([vblock[kern.end_vertex[d >> 1]]
                              for d in range(len(kern.t0))]),
                       tuple([bidx[g.boundary_of_dart[name]]
                              for name in kern.darts])),
-                     (pg.vparts.weights, pg.bparts.weights),
-                     (tuple(viso), tuple(biso)))
+                     (tuple(vgamma), tuple(bgamma)), len(isolated))
 
     def step(self, k: int, contract: bool) -> tuple["Minor", bool]:
         """Delete (contract) live edge ``k`` by the one compiled minor
         rule; also return whether :func:`_minor_parts`' rule merged two
-        blocks at e's sides (ends).  A block's weight grows by one for each
-        step that merged nothing there.
+        blocks at e's sides (ends): blocks of gammas a and b merge into one
+        of a + b - 1, and otherwise their block's gamma grows by 1.
 
         Each end of e is spliced out of ``t1`` as dancing links do, unless
         its two darts are joined to each other: then the end is an orbit of
-        e's darts alone (an isolated vertex with an empty boundary).  A
-        contraction crosses e's ends by ``t0``, since the partial dual at e
-        makes ``t0`` its ``t2``; an orbit on e's darts alone is then also a
-        boundary walk of e's darts alone, so each such walk of the root
-        keeps its block, as :func:`contract_edge`'s bijection requires."""
+        e's darts alone, an isolated vertex with an empty boundary, which
+        takes 1 from its block's gamma on both sides.  A contraction crosses
+        e's ends by ``t0``, since the partial dual at e makes ``t0`` its
+        ``t2``; an orbit on e's darts alone is then also a boundary walk of
+        e's darts alone, so each such walk of the root keeps its block, as
+        :func:`contract_edge`'s bijection requires."""
         t0, t1, lone, x = self.kernel.t0, list(self.t1), [], 4 * k
         for a, b in (((x, t0[x]), (x + 1, t0[x + 1])) if contract
                      else ((x, x + 1), (x + 2, x + 3))):
@@ -328,23 +330,19 @@ class Minor(NamedTuple):
         s = 0 if contract else 1   # the side of the rule
         y = x + (2 if contract else 1)
         labels = list(self.labels)
-        weights = [list(w) for w in self.weights]
-        isolated = [list(n) for n in self.isolated]
+        gammas = [list(g) for g in self.gammas]
         lx, ly = labels[s][x], labels[s][y]
         if lx != ly:
-            weights[s][ly] += weights[s][lx]
-            isolated[s][ly] += isolated[s][lx]
-            weights[s][lx], isolated[s][lx] = None, 0
+            gammas[s][ly] += gammas[s][lx] - 2
+            gammas[s][lx] = None
             labels[s] = tuple([ly if b == lx else b for b in labels[s]])
-        else:
-            weights[s][ly] += 1
-        isolated[s][ly] += len(lone)
+        gammas[s][ly] += 1 - len(lone)
         for a in lone:
-            isolated[1 - s][labels[1 - s][a]] += 1
+            gammas[1 - s][labels[1 - s][a]] -= 1
         return (Minor(self.kernel, self.live & ~(1 << k), tuple(t1),
                       (labels[0], labels[1]),
-                      (tuple(weights[0]), tuple(weights[1])),
-                      (tuple(isolated[0]), tuple(isolated[1]))),
+                      (tuple(gammas[0]), tuple(gammas[1])),
+                      self.isolated + len(lone)),
                 lx != ly)
 
     def minor(self, deleted: int, contracted: int
@@ -368,25 +366,14 @@ class Minor(NamedTuple):
                 for k in range(len(lab) // 4) if mask >> k & 1]
 
     def components(self) -> int:
-        """The number of connected components of the minor: the classes of
-        its live darts under ``t0``, ``t1`` and ``d ^ 1``, walked edge by
-        edge (``t0`` and ``d ^ 1`` stay on an edge), and one per isolated
-        vertex."""
-        t1, live = self.t1, self.live
-        seen = bytearray(len(t1) >> 2)
-        n = sum(self.isolated[0])
-        for k in range(live.bit_length()):
-            if live >> k & 1 and not seen[k]:
-                n += 1
-                seen[k] = 1
-                stack = [k]
-                while stack:
-                    j = stack.pop()
-                    for d in range(4 * j, 4 * j + 4):
-                        if not seen[t1[d] >> 2]:
-                            seen[t1[d] >> 2] = 1
-                            stack.append(t1[d] >> 2)
-        return n
+        """The number of connected components of the minor: one per isolated
+        vertex, and the classes of its live edges joined by ``t1`` (``t0``
+        and ``d ^ 1`` stay on an edge)."""
+        live = self.live
+        roots = union_find(len(self.t1) >> 2, [(d >> 2, p >> 2) for d, p
+                                               in enumerate(self.t1) if p >= 0])
+        return self.isolated + len({r for k, r in enumerate(roots)
+                                    if live >> k & 1})
 
     def is_loop(self, k: int) -> bool:
         """Whether live edge ``k`` is a loop: whether the walk round the

@@ -380,6 +380,12 @@ def subset_walks_term(root: Minor, mask: int, sides: tuple) -> tuple:
             tuple(sorted(vgamma.values())))
 
 
+def _weight(m: Minor, s: int) -> int:
+    """The total block weight of side ``s`` of ``m``: each live block's
+    gamma less 1, plus the isolated elements, one per isolated vertex."""
+    return sum(g - 1 for g in m.gammas[s] if g is not None) + m.isolated
+
+
 def _activity_terms(pg: PackagedRibbonGraph):
     """The function of an activity minor's deleted part B and contracted
     part A that gives its x/y prefactor exponents, read as the weight growth
@@ -389,14 +395,13 @@ def _activity_terms(pg: PackagedRibbonGraph):
     flags.  The string-minor reference is :func:`_quasitree_minor`."""
     root = Minor.compile(pg)
     index = {e: k for k, e in enumerate(pg.graph.edges)}
-    base = [sum(w) for w in root.weights]
+    base = [_weight(root, s) for s in (0, 1)]
 
     def term(deleted: frozenset[str], contracted: frozenset[str]
              ) -> tuple[tuple[int, int], Minor]:
         m, _ = root.minor(*(sum(1 << index[e] for e in part)
                             for part in (deleted, contracted)))
-        ey, ex = (sum(w for w in ws if w is not None) - w0
-                  for ws, w0 in zip(m.weights, base))
+        ey, ex = (_weight(m, s) - w0 for s, w0 in enumerate(base))
         return (ex, ey), m
 
     return term

@@ -89,6 +89,17 @@ def test_validate_says_it_skips_the_expansion(tmp_path, capsys):
         "equal: True  shape-checks: True"]
 
 
+def test_validate_names_the_empty_order(tmp_path, capsys):
+    """An edgeless graph's one order is empty: ``validate`` prints ``-``
+    for it, as ``quasitrees`` does for the empty quasi-tree."""
+    f = tmp_path / "point.rg"
+    f.write_text("edges:\nvertex v1:\n")
+    code, out, err = run(capsys, "validate", str(f), "--orders", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == ["quasi-tree -: x_0*y_0",
+                                    "equal: True  shape-checks: True"]
+
+
 def test_quasitrees_listing(theta_file, capsys):
     code, out, _ = run(capsys, "quasitrees", theta_file)
     assert code == 0
@@ -265,3 +276,22 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "(line 2, column 16)" in err
+
+
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    """A file saved with a UTF-8 byte-order mark reads as the same file
+    without it, and a bad byte after it is reported at the same line and
+    column."""
+    good = b"edges: e+\nvertex v1: e.1 e.2\n"
+    bad = b"edges: e+\nvertex v1: e.1 \xff e.2\n"
+    results = []
+    for text in (good, bad):
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            f = tmp_path / "bom.rg"
+            f.write_bytes(prefix + text)
+            results.append(run(capsys, "compute", str(f)))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+    assert results[2] == results[3]
+    assert results[2][0] == 2
+    assert "(line 2, column 16)" in results[2][2]

@@ -23,16 +23,16 @@ from ribbonpoly.invariants import (_minor_poly, enumerate_connected, krushkal,
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
                                  _packaged_contract_case,
                                  _packaged_delete_case)
-from ribbonpoly.ribbon import union_find
+from ribbonpoly.ribbon import connected_components, union_find
 from packaged_oracle import _quasitree_minor
 from test_caches import random_packaging
 from test_golden import _large_instance
 from test_ribbon import ribbon_graphs
 
 
-def compiled_blocks(m: Minor) -> tuple[set[str], list, list]:
-    """The live edges; and per side, sorted, one (ends of the block's darts,
-    weight, element count) per block, isolated elements included.  The
+def compiled_blocks(m: Minor) -> tuple[set[str], int, list, list]:
+    """The live edges; the isolated vertices; and per side, sorted, one
+    (ends of the block's darts, gamma, elements with darts) per block.  The
     elements with darts are the orbits of ``t1`` with ``d ^ 1`` (vertices)
     and with ``t0`` (boundary walks) on the live darts."""
     names, t0 = m.kernel.darts, m.kernel.t0
@@ -48,35 +48,42 @@ def compiled_blocks(m: Minor) -> tuple[set[str], list, list]:
             count[labels[r]] += 1
         for d in live:
             ends.setdefault(labels[d], []).append(names[d][:2])
-        sides.append(sorted((sorted(ends.get(b, [])), w,
-                             count[b] + m.isolated[s][b])
-                            for b, w in enumerate(m.weights[s])
-                            if w is not None))
-    return ({names[d][0] for d in live}, *sides)
+        sides.append(sorted((sorted(ends.get(b, [])), gamma, count[b])
+                            for b, gamma in enumerate(m.gammas[s])
+                            if gamma is not None))
+    return ({names[d][0] for d in live}, m.isolated, *sides)
 
 
-def string_blocks(pg: PackagedRibbonGraph) -> tuple[set[str], list, list]:
-    """:func:`compiled_blocks` of a string-level packaged graph."""
+def string_blocks(pg: PackagedRibbonGraph) -> tuple[set[str], int, list,
+                                                    list]:
+    """:func:`compiled_blocks` of a string-level packaged graph, where a
+    block's gamma is 1 + its weight - its elements without darts."""
     g = pg.graph
-    walks = {c.id: c.visits for c in g.boundaries}
-    vertex = sorted((sorted(end for v in b for end in g.rotation[v]
-                            for _ in "LR"), w, len(b))
-                    for b, w in zip(pg.vparts.blocks, pg.vparts.weights))
-    boundary = sorted((sorted(d[:2] for c in b for d in walks[c]), w, len(b))
-                      for b, w in zip(pg.bparts.blocks, pg.bparts.weights))
-    return set(g.sign), vertex, boundary
+
+    def blocks(parts, ends: dict[str, list]) -> list:
+        return sorted((sorted(d for x in b for d in ends[x]),
+                       1 + w - sum(not ends[x] for x in b),
+                       sum(bool(ends[x]) for x in b))
+                      for b, w in zip(parts.blocks, parts.weights))
+
+    vends = {v: [end for end in g.rotation[v] for _ in "LR"]
+             for v in g.vertices}
+    bends = {c.id: [d[:2] for d in c.visits] for c in g.boundaries}
+    return (set(g.sign), sum(not ends for ends in vends.values()),
+            blocks(pg.vparts, vends), blocks(pg.bparts, bends))
 
 
 def step_both(pg: PackagedRibbonGraph, m: Minor, e: str, k: int,
               contract: bool) -> tuple[PackagedRibbonGraph, Minor]:
     """Delete (contract) edge ``e``, compiled as ``k``, from the string
-    minor and from the compiled one, and require the same minor and merge
-    flag of both."""
+    minor and from the compiled one, and require the same minor, merge
+    flag and number of connected components of both."""
     step = _packaged_contract_case if contract else _packaged_delete_case
     pg, case = step(pg, e)
     m, merged = m.step(k, contract)
     assert merged == (case == 1)
     assert compiled_blocks(m) == string_blocks(pg)
+    assert m.components() == len(connected_components(pg.graph))
     return pg, m
 
 
@@ -110,7 +117,7 @@ def test_every_corpus_step_matches_string_minors():
                 for contract in (False, True):
                     m = step_both(pg, root, e, k, contract)[1]
                     if pg is discrete:   # each lone orbit isolates a vertex
-                        lone[sum(m.isolated[0]) - sum(root.isolated[0])] += 1
+                        lone[m.isolated - root.isolated] += 1
     assert lone == {0: 360, 1: 66, 2: 2}
 
 
