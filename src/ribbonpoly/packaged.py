@@ -367,11 +367,11 @@ class Minor(NamedTuple):
 
     def components(self) -> int:
         """The number of connected components of the minor: one per isolated
-        vertex, and the classes of its live edges joined by ``t1`` (``t0``
-        and ``d ^ 1`` stay on an edge)."""
+        vertex, and the classes of its live edges joined by ``t1``, each of
+        its pairs taken once (``t0`` and ``d ^ 1`` stay on an edge)."""
         live = self.live
         roots = union_find(len(self.t1) >> 2, [(d >> 2, p >> 2) for d, p
-                                               in enumerate(self.t1) if p >= 0])
+                                               in enumerate(self.t1) if p > d])
         return self.isolated + len({r for k, r in enumerate(roots)
                                     if live >> k & 1})
 
