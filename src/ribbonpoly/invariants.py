@@ -5,24 +5,25 @@ deletion-contraction recursion, and a quasi-tree expansion.  The state sum
 builds up both sides of each subset A's term, G|A and G*|A^c, as block
 partitions in one depth-first pass, which splices the edges off A out of
 one corner map in place and walks each A on it, without the dual graph;
-it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the
-expansion, which ``tests/test_minor.py`` checks.  The recursion
-steps string-keyed packaged graphs and adds one monomial per leaf to one
-counter; the expansion walks compiled minor steps
-(:class:`~ribbonpoly.packaged.Minor`) in reverse edge order to each
-quasi-tree's activity minor, which contracts a set A and deletes a set B,
-and evaluates it with its own recursion, started at the x/y exponents of
-the minor's nullity prefactor and adding its leaves to one counter, so the
-two implement the minor rule independently.  On top of these sit the
+it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the other two
+(``tests/test_minor.py`` checks it) and stays the independent pipeline.  The
+recursion steps compiled minors (:class:`~ribbonpoly.packaged.Minor`) and
+adds one monomial per leaf to one counter; the expansion walks the same
+steps in reverse edge order to each quasi-tree's activity minor, which
+contracts a set A and deletes a set B, and runs the recursion on it from
+the x/y exponents of the minor's nullity prefactor.  Only ``compute
+--method delcon`` runs it on string-keyed packaged graphs (:func:`pst_delcon`),
+whose calls the benchmark counts one per node.  On top of these sit the
 specializations (surface version for orientable graphs, the four-variable
 alpha/beta/a/b polynomial with its own quasi-tree expansion, read off the
 same walk's leaf minors, and the classical Tutte polynomial), a small-instance
-corpus generator and a cross-validation driver.  The driver keeps the
-expansion's definition by ``activities``: it steps each activity minor and
-its prefactor (:meth:`~ribbonpoly.packaged.Minor.minor`) once per distinct
-deleted and contracted part (B, A), however many edge orders produce it,
-and shape-checks that same compiled minor: a required bridge must split it
-when deleted, a required plane loop when contracted.  The string-graph
+corpus generator and a cross-validation driver.  The driver runs the
+recursion on the compiled root, and keeps the expansion's definition by
+``activities``: it steps each activity minor and its prefactor
+(:meth:`~ribbonpoly.packaged.Minor.minor`) once per distinct deleted and
+contracted part (B, A), however many edge orders produce it, and
+shape-checks that same compiled minor: a required bridge must split it when
+deleted, a required plane loop when contracted.  The string-graph
 references of these checks and of the prefactor live in the tests.
 """
 
@@ -495,6 +496,7 @@ def corpus(max_edges: int, seed: int, random_packagings: int = 1
 
 @dataclass
 class ValidationReport:
+    """``delcon`` and ``delcon_nodes`` come from the compiled recursion."""
     state_sum: MultiPoly
     delcon: MultiPoly
     quasitree: dict[tuple[str, ...], MultiPoly]
@@ -507,18 +509,19 @@ class ValidationReport:
 def cross_validate(pg: PackagedRibbonGraph,
                    orders: Iterable[Iterable[str]]) -> ValidationReport:
     """Run all three pipelines, compare exactly, and shape-check every
-    quasi-tree minor.
+    quasi-tree minor.  Deletion-contraction is :func:`_minor_leaves` on the
+    compiled root, not the string-keyed :func:`pst_delcon`.
 
     A quasi-tree's term depends only on its activity minor's deleted and
     contracted parts (B, A), and its shape verdict only on (Q, B, A), not
     on the order that produced them, so each is computed once per call, by
     :meth:`~ribbonpoly.packaged.Minor.minor` on one compiled root."""
-    counter = [0]
-    ss = pst_state_sum(pg)
-    dc = pst_delcon(pg, _counter=counter)
+    g, root = pg.graph, Minor.compile(pg)
+    # no memo and a branch on every live edge: 2 * (leaf count) - 1 nodes
+    leaves = _minor_leaves(Counter(), root, 0, 0)
+    ss, dc = pst_state_sum(pg), MultiPoly(leaves)
     qt: dict[tuple[str, ...], MultiPoly] = {}
     breakdown: dict[tuple[str, ...], list] = {}
-    g, root = pg.graph, Minor.compile(pg)
     connected = root.components() == 1
     quasi_trees = enumerate_quasi_trees(g) if connected else []
     index = {e: k for k, e in enumerate(g.edges)}
@@ -547,4 +550,4 @@ def cross_validate(pg: PackagedRibbonGraph,
         breakdown[order] = rows
     equal = ss == dc and all(p == ss for p in qt.values())
     return ValidationReport(ss, dc, qt, equal, all(shapes.values()),
-                            breakdown, counter[0])
+                            breakdown, 2 * sum(leaves.values()) - 1)

@@ -42,7 +42,10 @@ def report(n: int, desc: str, ok: bool) -> None:
 @pytest.fixture(scope="session")
 def sweep(corpus4):
     """Three-way cross-validation of every packaged instance under random
-    edge orders; shared by criteria 4 and 7."""
+    edge orders; shared by criteria 4 and 7.  ``cross_validate`` runs
+    deletion-contraction on the compiled minor, so the string-keyed
+    ``pst_delcon`` behind ``compute --method delcon`` is checked against
+    the same state sum on each instance too."""
     rng = random.Random(CORPUS_SEED)
     mismatches = []
     shape_failures = []
@@ -56,7 +59,7 @@ def sweep(corpus4):
             rng.shuffle(o)
             orders.append(tuple(o))
         rep = cross_validate(pg, orders)
-        if not rep.equal:
+        if not rep.equal or pst_delcon(pg) != rep.state_sum:
             mismatches.append(i)
         if not rep.shape_checks_passed:
             shape_failures.append(i)

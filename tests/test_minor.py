@@ -1,7 +1,8 @@
 """The compiled packaged minor of the quasi-tree expansion against the
 string-level packaged minors, the one-step set minor against a chain of
-single steps, and the call contract of deletion-contraction that
-``bench/spans.py`` counts."""
+single steps, the call contract of deletion-contraction that
+``bench/spans.py`` counts, and the compiled deletion-contraction of
+``cross_validate``."""
 
 from __future__ import annotations
 
@@ -219,3 +220,38 @@ def test_quasitree_builds_no_string_minor(name, monkeypatch):
         "packaged_delete": 0, "packaged_contract": 0, "pst_delcon": 0,
         "activities": 0, "enumerate_quasi_trees": 0,
         "connected_components": 0, "build": 0, "Minor.minor": 0}
+
+
+VALIDATE_FIXTURES = {
+    **FIXTURES,
+    "disconnected": lambda: parse(
+        "edges: e+ f- g+\nvertex v1: e.1 f.1 e.2 f.2\nvertex v2: g.1\n"
+        "vertex v3: g.2\nvertex v4:\n"),
+    "edgeless": lambda: parse("edges:\nvertex v1:\nvertex v2:\n")}
+
+
+@pytest.mark.parametrize("name", VALIDATE_FIXTURES)
+def test_cross_validate_builds_no_string_minor(name, monkeypatch):
+    """``cross_validate`` runs deletion-contraction on the compiled root,
+    as the expansion does: no ``pst_delcon`` call, no string minor, no
+    string-level delete, contract or partial dual; its polynomial is
+    ``pst_delcon``'s and its node count 2^(m+1) - 1."""
+    pg = VALIDATE_FIXTURES[name]()
+    edges = list(pg.graph.edges)
+    want = pst_delcon(pg)
+    calls: dict[str, list] = {}
+    for module in (ribbon, packaged, invariants):
+        for fn in ("pst_delcon", "_packaged_delete_case",
+                   "_packaged_contract_case", "delete_edge", "contract_edge",
+                   "partial_dual_with_map"):
+            if fn in vars(module):
+                monkeypatch.setattr(module, fn, _counting(
+                    calls.setdefault(fn, []), getattr(module, fn)))
+    rep = invariants.cross_validate(pg, [tuple(edges), tuple(edges[::-1])])
+    assert rep.equal and rep.shape_checks_passed
+    assert rep.delcon == want
+    assert rep.delcon_nodes == 2 ** (len(edges) + 1) - 1
+    assert {fn: len(c) for fn, c in calls.items()} == {
+        "pst_delcon": 0, "_packaged_delete_case": 0,
+        "_packaged_contract_case": 0, "delete_edge": 0, "contract_edge": 0,
+        "partial_dual_with_map": 0}
