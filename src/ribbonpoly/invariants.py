@@ -7,24 +7,25 @@ partitions in one depth-first pass, which splices the edges off A out of
 one corner map in place and walks each A on it, without the dual graph;
 it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the other two
 (``tests/test_minor.py`` checks it) and stays the independent pipeline.  The
-recursion steps compiled minors (:class:`~ribbonpoly.packaged.Minor`) and
-adds one monomial per leaf to one counter; the expansion walks the same
-steps in reverse edge order to each quasi-tree's activity minor, which
-contracts a set A and deletes a set B, and runs the recursion on it from
-the x/y exponents of the minor's nullity prefactor.  Only ``compute
---method delcon`` runs it on string-keyed packaged graphs (:func:`pst_delcon`),
-whose calls the benchmark counts one per node.  On top of these sit the
-specializations (surface version for orientable graphs, the four-variable
-alpha/beta/a/b polynomial with its own quasi-tree expansion, read off the
-same walk's leaf minors, and the classical Tutte polynomial), a small-instance
-corpus generator and a cross-validation driver.  The driver runs the
-recursion on the compiled root, and keeps the expansion's definition by
-``activities``: it steps each activity minor and its prefactor
-(:meth:`~ribbonpoly.packaged.Minor.minor`) once per distinct deleted and
-contracted part (B, A), however many edge orders produce it, and
-shape-checks that same compiled minor: a required bridge must split it when
-deleted, a required plane loop when contracted.  The string-graph
-references of these checks and of the prefactor live in the tests.
+recursion steps compiled minors (:class:`~ribbonpoly.packaged.Minor`),
+each of which carries the x/y exponents its steps gathered, and adds one
+monomial per leaf to one counter; the expansion walks the same steps in
+reverse edge order to each quasi-tree's activity minor, which contracts a
+set A and deletes a set B, and runs the recursion on it from its nullity
+prefactor, the minor's x/y.  Only ``compute --method delcon`` runs it on
+string-keyed packaged graphs (:func:`pst_delcon`), whose calls the
+benchmark counts one per node.  On top of these sit the specializations
+(surface version for orientable graphs, the four-variable alpha/beta/a/b
+polynomial with its own quasi-tree expansion, read off the same walk's leaf
+minors, and the classical Tutte polynomial), a small-instance corpus
+generator and a cross-validation driver.  The driver runs the recursion on
+the compiled root, and keeps the expansion's definition by ``activities``:
+it steps each activity minor (:meth:`~ribbonpoly.packaged.Minor.minor`)
+once per distinct quasi-tree with deleted and contracted part (Q, B, A),
+however many edge orders produce it, and shape-checks that same compiled
+minor: a required bridge must split it when deleted, a required plane loop
+when contracted.  The string-graph references of these checks and of the
+prefactor live in the tests.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .packaged import (Minor, PackagedRibbonGraph, WeightedPartition,
-                       _packaged_contract_case, _packaged_delete_case)
+                       packaged_contract, packaged_delete)
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
 from .ribbon import (RibbonGraph, RibbonGraphError, activities, certificate,
                      connected_components, enumerate_quasi_trees, orientable,
@@ -170,8 +171,8 @@ def pst_delcon(pg: PackagedRibbonGraph,
     else:
         e = pivot_rule(pg)
         # x (y) unless the minor merged two blocks at e's sides (ends)
-        deleted, dcase = _packaged_delete_case(pg, e)
-        contracted, ccase = _packaged_contract_case(pg, e)
+        deleted, dcase = packaged_delete(pg, e)
+        contracted, ccase = packaged_contract(pg, e)
         pst_delcon(deleted, pivot_rule, _counter,
                    (leaves, ex + (dcase != 1), ey))
         pst_delcon(contracted, pivot_rule, _counter,
@@ -182,38 +183,36 @@ def pst_delcon(pg: PackagedRibbonGraph,
 # ---------------------------------------------------------------------------
 # quasi-tree expansion
 
-def _minor_leaves(leaves: Counter, m: Minor, ex: int, ey: int) -> Counter:
+def _minor_leaves(leaves: Counter, m: Minor) -> Counter:
     """Deletion-contraction on the compiled minor ``m``, pivoting on its
-    lowest live edge: add to ``leaves`` x^ex y^ey times each leaf's x^(its
-    deletions) y^(its contractions) that merged no two blocks and its gamma
-    families, the gammas of its blocks."""
+    lowest live edge: add to ``leaves`` each leaf's monomial, x and y to
+    the exponents of its ``xy``, times the gamma families of its blocks."""
     if not m.live:
         vg, bg = ([g for g in gs if g is not None] for gs in m.gammas)
-        leaves[Monomial(ex, ey, _family(bg), _family(vg))] += 1
+        leaves[Monomial(*m.xy, _family(bg), _family(vg))] += 1
         return leaves
     k = (m.live & -m.live).bit_length() - 1
-    deleted, merged = m.step(k, False)
-    _minor_leaves(leaves, deleted, ex + (not merged), ey)
-    contracted, merged = m.step(k, True)
-    _minor_leaves(leaves, contracted, ex, ey + (not merged))
+    _minor_leaves(leaves, m.step(k, False))
+    _minor_leaves(leaves, m.step(k, True))
     return leaves
 
 
-def _minor_poly(m: Minor, ex: int = 0, ey: int = 0) -> MultiPoly:
-    """x^ex y^ey times the polynomial of the compiled minor ``m``."""
-    return MultiPoly(_minor_leaves(Counter(), m, ex, ey))
+def _minor_poly(m: Minor) -> MultiPoly:
+    """The polynomial of the compiled minor ``m``, its ``xy`` included."""
+    return MultiPoly(_minor_leaves(Counter(), m))
 
 
 def _quasitree_walk(pg: PackagedRibbonGraph, order: Iterable[str]):
-    """Yield (Q, B, A, (ex, ey), minor) per quasi-tree Q, as edge masks: B
-    and A are the deleted and contracted parts of Q's activity minor under
-    ``order``, ``minor`` is that compiled minor and ex, ey its prefactor.
+    """Yield (Q, minor) per quasi-tree Q, an edge mask, where ``minor`` is
+    Q's compiled activity minor under ``order``, its prefactor in its
+    ``xy``.  Its contracted part is A = Q - live, its deleted part B the
+    edges neither in Q nor live.
 
     Deletion-contraction in reverse edge order (Gordon and Traldi's
     resolution tree): a bridge of the current minor joins Q, a plane loop
-    stays off Q, both live; any other edge is contracted into A and Q (y
-    unless the step merged) or deleted into B (x unless it merged).  Only a
-    non-loop's deletion or a loop's contraction can split, so one is tried.
+    stays off Q, both live; any other edge is contracted into A and Q or
+    deleted into B.  Only a non-loop's deletion or a loop's contraction can
+    split, so one is tried.
     """
     g, order, root = pg.graph, list(order), Minor.compile(pg)
     if root.components() != 1:
@@ -222,31 +221,30 @@ def _quasitree_walk(pg: PackagedRibbonGraph, order: Iterable[str]):
         raise RibbonGraphError("order must be a total order on the edges")
     index = {e: k for k, e in enumerate(g.edges)}
     ks = [index[e] for e in reversed(order)]
-    stack = [(0, root, 0, 0, 0, 0, 0)]
+    stack = [(0, root, 0)]
     while stack:
-        i, m, q, b, a, ex, ey = stack.pop()
+        i, m, q = stack.pop()
         if i == len(ks):
-            yield q, b, a, (ex, ey), m
+            yield q, m
             continue
         k = ks[i]
         bit, loop = 1 << k, m.is_loop(k)
         split = m.step(k, loop)
-        if split[0].components() > 1:
-            stack.append((i + 1, m, q if loop else q | bit, b, a, ex, ey))
+        if split.components() > 1:
+            stack.append((i + 1, m, q if loop else q | bit))
             continue
-        (c, cmerged), (d, dmerged) = ((split, m.step(k, False)) if loop
-                                      else (m.step(k, True), split))
-        stack.append((i + 1, d, q, b | bit, a, ex + (not dmerged), ey))
-        stack.append((i + 1, c, q | bit, b, a | bit, ex, ey + (not cmerged)))
+        c, d = (split, m.step(k, False)) if loop else (m.step(k, True), split)
+        stack.append((i + 1, d, q))
+        stack.append((i + 1, c, q | bit))
 
 
 def pst_quasitree(pg: PackagedRibbonGraph, order: Iterable[str]) -> MultiPoly:
     """Quasi-tree expansion; each activity minor is evaluated as
-    :func:`_quasitree_walk` reaches it, its prefactor's exponents starting
-    its recursion, so every leaf of every minor adds to one counter."""
+    :func:`_quasitree_walk` reaches it, from its prefactor on, so every
+    leaf of every minor adds to one counter."""
     leaves: Counter = Counter()
-    for _, _, _, pre, minor in _quasitree_walk(pg, order):
-        _minor_leaves(leaves, minor, *pre)
+    for _, minor in _quasitree_walk(pg, order):
+        _minor_leaves(leaves, minor)
     return MultiPoly(leaves)
 
 
@@ -367,8 +365,7 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     for the pinning regression test.
     """
     total: Counter = Counter()
-    for q, _, _, _, m in _quasitree_walk(
-            PackagedRibbonGraph.discrete(g), order):
+    for q, m in _quasitree_walk(PackagedRibbonGraph.discrete(g), order):
         xs, ga = _krushkal_side(m, 0, m.live & q, subset_nullity)
         ys, gb = _krushkal_side(m, 1, m.live & ~q, subset_nullity)
         for (i, j), c in xs.items():
@@ -512,21 +509,23 @@ def cross_validate(pg: PackagedRibbonGraph,
     quasi-tree minor.  Deletion-contraction is :func:`_minor_leaves` on the
     compiled root, not the string-keyed :func:`pst_delcon`.
 
-    A quasi-tree's term depends only on its activity minor's deleted and
-    contracted parts (B, A), and its shape verdict only on (Q, B, A), not
-    on the order that produced them, so each is computed once per call, by
-    :meth:`~ribbonpoly.packaged.Minor.minor` on one compiled root."""
+    A quasi-tree's term and shape verdict depend only on (Q, B, A), Q with
+    its activity minor's deleted and contracted parts, not on the order
+    that produced them, so both are computed once per call, by
+    :meth:`~ribbonpoly.packaged.Minor.minor` on one compiled root.  Once
+    the shape checks pass, (B, A) fixes Q, so each minor is evaluated once
+    per distinct (B, A)."""
     g, root = pg.graph, Minor.compile(pg)
     # no memo and a branch on every live edge: 2 * (leaf count) - 1 nodes
-    leaves = _minor_leaves(Counter(), root, 0, 0)
+    leaves = _minor_leaves(Counter(), root)
     ss, dc = pst_state_sum(pg), MultiPoly(leaves)
     qt: dict[tuple[str, ...], MultiPoly] = {}
     breakdown: dict[tuple[str, ...], list] = {}
     connected = root.components() == 1
     quasi_trees = enumerate_quasi_trees(g) if connected else []
     index = {e: k for k, e in enumerate(g.edges)}
-    minors: dict[tuple[frozenset, frozenset], tuple[Minor, MultiPoly]] = {}
-    shapes: dict[tuple[frozenset, frozenset, frozenset], bool] = {}
+    terms: dict[tuple[frozenset, frozenset, frozenset],
+                tuple[MultiPoly, bool]] = {}
     for order in orders:
         order = tuple(order)
         if not connected:
@@ -534,20 +533,19 @@ def cross_validate(pg: PackagedRibbonGraph,
         rows = []
         for q in quasi_trees:
             act = activities(g, q, order)
-            key = (act.deleted_part(), act.contracted_part())
-            if key not in minors:
-                minor, pre = root.minor(*(sum(1 << index[e] for e in part)
-                                          for part in key))
-                minors[key] = minor, _minor_poly(minor, *pre)
-            minor, contribution = minors[key]
-            if (q, *key) not in shapes:   # bridges in Q, plane loops off Q
+            parts = act.deleted_part(), act.contracted_part()
+            key = (q, *parts)
+            if key not in terms:   # bridges in Q, plane loops off Q
+                minor = root.minor(*(sum(1 << index[e] for e in part)
+                                     for part in parts))
                 base = minor.components() if minor.live else 0
-                shapes[(q, *key)] = all(
-                    minor.splits(k, e not in q, base)
+                terms[key] = _minor_poly(minor), all(
+                    minor.step(k, e not in q).components() > base
                     for e, k in index.items() if minor.live >> k & 1)
-            rows.append((tuple(sorted(q)), act, contribution))
+            rows.append((tuple(sorted(q)), act, terms[key][0]))
         qt[order] = MultiPoly.sum(c for _, _, c in rows)
         breakdown[order] = rows
     equal = ss == dc and all(p == ss for p in qt.values())
-    return ValidationReport(ss, dc, qt, equal, all(shapes.values()),
+    return ValidationReport(ss, dc, qt, equal,
+                            all(ok for _, ok in terms.values()),
                             breakdown, 2 * sum(leaves.values()) - 1)

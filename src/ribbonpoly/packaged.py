@@ -11,13 +11,13 @@ corrections used by the invariant polynomials.
 Minors come in two encodings: string-keyed packaged graphs
 (:func:`packaged_delete`, :func:`packaged_contract`), and :class:`Minor`,
 the same rule in integers over the root's kernel on one gamma per block,
-applied one edge at a time by :meth:`Minor.step`; :meth:`Minor.minor`
-steps through a deleted and a contracted set.  Steps' merge flags give the
-quasi-tree expansion's prefactor, :meth:`Minor.is_loop` and
-:meth:`Minor.components` its split tests, and :meth:`Minor.splits`
-cross-validation's shape check.  The compiled root also starts the state
-sum's build-up of both sides of a term, G|A by vertex blocks and G*|A^c by
-boundary blocks, which share their boundary walks.
+applied one edge at a time by :meth:`Minor.step`, which also gathers the
+minor's x/y exponents (``Minor.xy``); :meth:`Minor.minor` steps through a
+deleted and a contracted set.  :meth:`Minor.is_loop` and
+:meth:`Minor.components` give the quasi-tree expansion its split tests
+and cross-validation its shape check.  The compiled root also starts the
+state sum's build-up of both sides of a term, G|A by vertex blocks and
+G*|A^c by boundary blocks, which share their boundary walks.
 """
 
 from __future__ import annotations
@@ -212,12 +212,7 @@ def _minor_parts(parts: WeightedPartition, x: str, y: str, fresh: list[str],
 
 
 def packaged_delete(pg: PackagedRibbonGraph,
-                    e: str) -> PackagedRibbonGraph:
-    return _packaged_delete_case(pg, e)[0]
-
-
-def _packaged_delete_case(pg: PackagedRibbonGraph,
-                          e: str) -> tuple[PackagedRibbonGraph, int]:
+                    e: str) -> tuple[PackagedRibbonGraph, int]:
     """Delete ``e``; returns the result and which of the four boundary cases
     of :func:`_minor_parts` (1: merge, 2: same block, 3: split, 4: persist)
     applied."""
@@ -239,12 +234,7 @@ def _packaged_delete_case(pg: PackagedRibbonGraph,
 
 
 def packaged_contract(pg: PackagedRibbonGraph,
-                      e: str) -> PackagedRibbonGraph:
-    return _packaged_contract_case(pg, e)[0]
-
-
-def _packaged_contract_case(pg: PackagedRibbonGraph,
-                            e: str) -> tuple[PackagedRibbonGraph, int]:
+                      e: str) -> tuple[PackagedRibbonGraph, int]:
     """Contract ``e``; returns the result and which of the four vertex cases
     of :func:`_minor_parts` (1: merge, 2: same block, 3: orientable loop, 4:
     non-orientable loop) applied."""
@@ -275,15 +265,19 @@ class Minor(NamedTuple):
     its weight - its elements without darts, ``None`` for a block merged
     away; at a leaf these are the gamma values of the polynomial's
     variables.  ``isolated`` counts the isolated vertices, each of which
-    also has one empty boundary.  :meth:`step` removes one edge, and every
-    other minor is a chain of steps (:meth:`minor`).  The root
-    (:meth:`compile`) also starts the state sum's build-up pass."""
+    also has one empty boundary.  ``xy`` holds the x and y exponents the
+    steps from the root gathered, (0, 0) at the root: the prefactor of the
+    minor's polynomial, and at a leaf the x/y of its monomial.
+    :meth:`step` removes one edge, and every other minor is a chain of
+    steps (:meth:`minor`).  The root (:meth:`compile`) also starts the
+    state sum's build-up pass."""
     kernel: Kernel
     live: int
     t1: tuple[int, ...]
     labels: tuple[tuple[int, ...], tuple[int, ...]]
     gammas: tuple[tuple[int | None, ...], tuple[int | None, ...]]
     isolated: int
+    xy: tuple[int, int]
 
     @staticmethod
     def compile(pg: PackagedRibbonGraph) -> "Minor":
@@ -302,13 +296,13 @@ class Minor(NamedTuple):
                              for d in range(len(kern.t0))]),
                       tuple([bidx[g.boundary_of_dart[name]]
                              for name in kern.darts])),
-                     (tuple(vgamma), tuple(bgamma)), len(isolated))
+                     (tuple(vgamma), tuple(bgamma)), len(isolated), (0, 0))
 
-    def step(self, k: int, contract: bool) -> tuple["Minor", bool]:
+    def step(self, k: int, contract: bool) -> "Minor":
         """Delete (contract) live edge ``k`` by the one compiled minor
-        rule; also return whether :func:`_minor_parts`' rule merged two
-        blocks at e's sides (ends): blocks of gammas a and b merge into one
-        of a + b - 1, and otherwise their block's gamma grows by 1.
+        rule, :func:`_minor_parts`' at e's sides (ends): blocks of gammas a
+        and b merge into one of a + b - 1; otherwise their block's gamma
+        grows by 1, and so does x (y) in ``xy``.
 
         Each end of e is spliced out of ``t1`` as dancing links do, unless
         its two darts are joined to each other: then the end is an orbit of
@@ -332,31 +326,31 @@ class Minor(NamedTuple):
         labels = list(self.labels)
         gammas = [list(g) for g in self.gammas]
         lx, ly = labels[s][x], labels[s][y]
+        ex, ey = self.xy
         if lx != ly:
             gammas[s][ly] += gammas[s][lx] - 2
             gammas[s][lx] = None
             labels[s] = tuple([ly if b == lx else b for b in labels[s]])
+        elif contract:
+            ey += 1
+        else:
+            ex += 1
         gammas[s][ly] += 1 - len(lone)
         for a in lone:
             gammas[1 - s][labels[1 - s][a]] -= 1
-        return (Minor(self.kernel, self.live & ~(1 << k), tuple(t1),
-                      (labels[0], labels[1]),
-                      (tuple(gammas[0]), tuple(gammas[1])),
-                      self.isolated + len(lone)),
-                lx != ly)
+        return Minor(self.kernel, self.live & ~(1 << k), tuple(t1),
+                     (labels[0], labels[1]),
+                     (tuple(gammas[0]), tuple(gammas[1])),
+                     self.isolated + len(lone), (ex, ey))
 
-    def minor(self, deleted: int, contracted: int
-              ) -> tuple["Minor", tuple[int, int]]:
+    def minor(self, deleted: int, contracted: int) -> "Minor":
         """Delete the live edges of the mask ``deleted`` and contract those
-        of ``contracted``, by :meth:`step` on each, lowest edge first; also
-        return (ex, ey), the deletions and the contractions whose step
-        merged no two blocks: an activity minor's x/y prefactor."""
-        m, gone, grown = self, deleted | contracted, [0, 0]
+        of ``contracted``, by :meth:`step` on each, lowest edge first."""
+        m, gone = self, deleted | contracted
         for k in range(gone.bit_length()):
             if gone >> k & 1:
-                m, merged = m.step(k, contracted >> k & 1)
-                grown[contracted >> k & 1] += not merged
-        return m, (grown[0], grown[1])
+                m = m.step(k, contracted >> k & 1)
+        return m
 
     def _pairs(self, s: int, mask: int) -> list[tuple[int, int]]:
         """The block pairs on side ``s`` of the edges of ``mask``: their
@@ -386,9 +380,3 @@ class Minor(NamedTuple):
                 return True
             cur = t1[cur] ^ 1
         return False
-
-    def splits(self, k: int, contract: bool, base: int) -> bool:
-        """Whether deleting (contracting) live edge ``k`` adds a connected
-        component to the ``base`` = :meth:`components` of this minor, that
-        is, whether it is a bridge (a plane loop)."""
-        return self.step(k, contract)[0].components() > base

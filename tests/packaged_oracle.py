@@ -14,7 +14,8 @@ with the prefactor read as the weight growth of the minor's two sides.
 
 Queries on string graphs that only the tests ask, moved here from the
 library with their bodies unchanged: :class:`EdgeKind` and
-:func:`classify_edge` (the oracle of ``Minor.splits``), :func:`is_loop`
+:func:`classify_edge` (the oracle of the shape check's split test),
+:func:`is_loop`
 (was ``RibbonGraph.is_loop``), :func:`shape` (was
 ``WeightedPartition.shape``) and :func:`dart_map` (was
 ``Isomorphism.dart_map``)."""
@@ -134,9 +135,9 @@ def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
     one-step graph and the compiled minors of the quasi-tree expansion."""
     cur = pg
     for e in sorted(deleted):
-        cur = packaged_delete(cur, e)
+        cur, _ = packaged_delete(cur, e)
     for e in sorted(contracted):
-        cur = packaged_contract(cur, e)
+        cur, _ = packaged_contract(cur, e)
     return cur
 
 
@@ -390,17 +391,17 @@ def _activity_terms(pg: PackagedRibbonGraph):
     """The function of an activity minor's deleted part B and contracted
     part A that gives its x/y prefactor exponents, read as the weight growth
     of its boundary and vertex side, and its compiled minor, built by
-    stepping its edges: the reference for the prefactor that
-    :meth:`~ribbonpoly.packaged.Minor.minor` reads off its steps' merge
-    flags.  The string-minor reference is :func:`_quasitree_minor`."""
+    stepping its edges: the reference for the ``xy`` that
+    :meth:`~ribbonpoly.packaged.Minor.step` gathers.  The string-minor
+    reference is :func:`_quasitree_minor`."""
     root = Minor.compile(pg)
     index = {e: k for k, e in enumerate(pg.graph.edges)}
     base = [_weight(root, s) for s in (0, 1)]
 
     def term(deleted: frozenset[str], contracted: frozenset[str]
              ) -> tuple[tuple[int, int], Minor]:
-        m, _ = root.minor(*(sum(1 << index[e] for e in part)
-                            for part in (deleted, contracted)))
+        m = root.minor(*(sum(1 << index[e] for e in part)
+                         for part in (deleted, contracted)))
         ey, ex = (_weight(m, s) - w0 for s, w0 in enumerate(base))
         return (ex, ey), m
 

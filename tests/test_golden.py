@@ -32,8 +32,8 @@ from ribbonpoly.fileformat import render
 from ribbonpoly.invariants import (_random_partition, corpus,
                                    krushkal_quasitree, pst_delcon,
                                    pst_quasitree, pst_state_sum)
-from ribbonpoly.packaged import (PackagedRibbonGraph, _packaged_contract_case,
-                                 _packaged_delete_case, packaged_dual)
+from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
+                                 packaged_delete, packaged_dual)
 from packaged_oracle import classify_edge
 from ribbonpoly.ribbon import (ActivityReport, RibbonGraph, activities,
                                connected_components,
@@ -62,8 +62,8 @@ def _partial_duals_sha(g: RibbonGraph) -> str:
 def _minors_sha(pg: PackagedRibbonGraph, e: str) -> str:
     """One hash over both packaged minors at ``e`` with their cases and the
     sorted boundary correspondence of contracting ``e``."""
-    deleted, dcase = _packaged_delete_case(pg, e)
-    contracted, ccase = _packaged_contract_case(pg, e)
+    deleted, dcase = packaged_delete(pg, e)
+    contracted, ccase = packaged_contract(pg, e)
     corr = sorted(contract_edge(pg.graph, e)[1].items())
     return _sha(f"{render(deleted)}case {dcase}\n"
                 f"{render(contracted)}case {ccase}\n{corr!r}")

@@ -91,9 +91,9 @@ def test_delcon_leaves_are_subset_terms(theta):
         u, w = g.endpoints(e)
         beta = 1 if pg.vparts.block_index(u) == \
             pg.vparts.block_index(w) else 0
-        yield from leaves(packaged_delete(pg, e),
+        yield from leaves(packaged_delete(pg, e)[0],
                           acc * MultiPoly.x(alpha), contracted)
-        yield from leaves(packaged_contract(pg, e),
+        yield from leaves(packaged_contract(pg, e)[0],
                           acc * MultiPoly.y(beta), contracted | {e})
 
     got = dict(leaves(theta, MultiPoly.const(1), frozenset()))
@@ -133,9 +133,9 @@ def test_quasitree_minor_operation_order_irrelevant(theta):
                               act.contracted_part())
         m2 = theta
         for e in sorted(act.contracted_part()):
-            m2 = packaged_contract(m2, e)
+            m2, _ = packaged_contract(m2, e)
         for e in sorted(act.deleted_part()):
-            m2 = packaged_delete(m2, e)
+            m2, _ = packaged_delete(m2, e)
         assert packaged_isomorphic(m1, m2)
 
 
@@ -156,24 +156,27 @@ def test_quasitree_rejects_repeated_edge_in_order(theta, expand):
 
 def assert_walk_matches_activities(pg: PackagedRibbonGraph,
                                    order: list[str]) -> None:
-    """The reverse-order walk reaches each quasi-tree once, with the
-    deleted and contracted parts that ``activities`` gives under ``order``,
-    and with the prefactor exponents and live edges of that activity minor
-    built by stepping its edges."""
+    """The reverse-order walk reaches each quasi-tree once, with a minor
+    whose parts B = E - (Q | live) and A = Q - live are the deleted and
+    contracted parts that ``activities`` gives under ``order``, and whose
+    ``xy`` and live edges are the prefactor, read as weight growth, and the
+    live edges of that activity minor built by stepping its edges."""
     g = pg.graph
+    full = (1 << len(g.edges)) - 1
 
     def names(mask: int) -> frozenset[str]:
         return frozenset(e for k, e in enumerate(g.edges) if mask >> k & 1)
 
     term = _activity_terms(pg)
     reached = Counter()
-    for q, b, a, pre, minor in _quasitree_walk(pg, order):
-        q, b, a = names(q), names(b), names(a)
+    for q, minor in _quasitree_walk(pg, order):
+        b, a = names(full & ~(q | minor.live)), names(q & ~minor.live)
+        q = names(q)
         reached[q] += 1
         act = activities(g, q, order)
         assert (b, a) == (act.deleted_part(), act.contracted_part())
         want_pre, want_minor = term(b, a)
-        assert (pre, minor.live) == (want_pre, want_minor.live)
+        assert (minor.xy, minor.live) == (want_pre, want_minor.live)
     assert reached == Counter(enumerate_quasi_trees(g))
 
 

@@ -22,8 +22,7 @@ from ribbonpoly.invariants import (_minor_poly, enumerate_connected, krushkal,
                                    krushkal_quasitree, pst_delcon,
                                    pst_quasitree)
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
-                                 _packaged_contract_case,
-                                 _packaged_delete_case)
+                                 packaged_contract, packaged_delete)
 from ribbonpoly.ribbon import connected_components, union_find
 from packaged_oracle import _quasitree_minor
 from test_caches import random_packaging
@@ -77,12 +76,16 @@ def string_blocks(pg: PackagedRibbonGraph) -> tuple[set[str], int, list,
 def step_both(pg: PackagedRibbonGraph, m: Minor, e: str, k: int,
               contract: bool) -> tuple[PackagedRibbonGraph, Minor]:
     """Delete (contract) edge ``e``, compiled as ``k``, from the string
-    minor and from the compiled one, and require the same minor, merge
-    flag and number of connected components of both."""
-    step = _packaged_contract_case if contract else _packaged_delete_case
+    minor and from the compiled one, and require the same minor and number
+    of connected components of both, and that the compiled step adds 1 to
+    x (y) exactly when the string step merged no two blocks (case != 1),
+    leaving the other exponent as it was."""
+    step = packaged_contract if contract else packaged_delete
     pg, case = step(pg, e)
-    m, merged = m.step(k, contract)
-    assert merged == (case == 1)
+    x, y = m.xy
+    m = m.step(k, contract)
+    assert m.xy == ((x, y + (case != 1)) if contract
+                    else (x + (case != 1), y))
     assert compiled_blocks(m) == string_blocks(pg)
     assert m.components() == len(connected_components(pg.graph))
     return pg, m
@@ -126,34 +129,29 @@ def test_every_corpus_step_matches_string_minors():
 @given(ribbon_graphs(max_edges=6), st.integers(0, 2 ** 16), st.data())
 def test_set_minor_matches_step_chain(g, seed, data):
     """``Minor.minor(B, A)`` equals stepping each edge of B and A in a
-    random order and the string minor chain, its (ex, ey) counts the
-    chain's deletions and contractions that merged no two blocks, and doing
-    it in two parts equals doing it at once, prefactors added.
-    Disconnected graphs and isolated vertices included."""
+    random order, ``xy`` included, and the string minor chain, and doing it
+    in two parts equals doing it at once.  Disconnected graphs and isolated
+    vertices included."""
     pg = random_packaging(g, seed)
     root = Minor.compile(pg)
     roles = data.draw(st.lists(st.sampled_from("dck"), min_size=len(g.sign),
                                max_size=len(g.sign)))
     deleted = sum(1 << k for k, r in enumerate(roles) if r == "d")
     contracted = sum(1 << k for k, r in enumerate(roles) if r == "c")
-    one, pre = root.minor(deleted, contracted)
-    chain, grown = root, [0, 0]
+    one, chain = root.minor(deleted, contracted), root
     for k in data.draw(st.permutations([k for k, r in enumerate(roles)
                                         if r != "k"])):
-        chain, merged = chain.step(k, contracted >> k & 1)
-        grown[contracted >> k & 1] += not merged
-    assert pre == tuple(grown)
-    assert (one.live, one.t1) == (chain.live, chain.t1)
+        chain = chain.step(k, contracted >> k & 1)
+    assert (one.live, one.t1, one.xy) == (chain.live, chain.t1, chain.xy)
     assert compiled_blocks(one) == compiled_blocks(chain)
     assert _minor_poly(one) == _minor_poly(chain)
     names = [{e for e, r in zip(g.edges, roles) if r == role}
              for role in "dc"]
     assert compiled_blocks(one) == string_blocks(_quasitree_minor(pg, *names))
     first = data.draw(st.integers(0, root.kernel.full))
-    half, pre1 = root.minor(deleted & first, contracted & first)
-    two, pre2 = half.minor(deleted & ~first, contracted & ~first)
-    assert (pre1[0] + pre2[0], pre1[1] + pre2[1]) == pre
-    assert (two.live, two.t1) == (one.live, one.t1)
+    two = root.minor(deleted & first, contracted & first).minor(
+        deleted & ~first, contracted & ~first)
+    assert (two.live, two.t1, two.xy) == (one.live, one.t1, one.xy)
     assert compiled_blocks(two) == compiled_blocks(one)
 
 
@@ -241,9 +239,8 @@ def test_cross_validate_builds_no_string_minor(name, monkeypatch):
     want = pst_delcon(pg)
     calls: dict[str, list] = {}
     for module in (ribbon, packaged, invariants):
-        for fn in ("pst_delcon", "_packaged_delete_case",
-                   "_packaged_contract_case", "delete_edge", "contract_edge",
-                   "partial_dual_with_map"):
+        for fn in ("pst_delcon", "packaged_delete", "packaged_contract",
+                   "delete_edge", "contract_edge", "partial_dual_with_map"):
             if fn in vars(module):
                 monkeypatch.setattr(module, fn, _counting(
                     calls.setdefault(fn, []), getattr(module, fn)))
@@ -252,6 +249,5 @@ def test_cross_validate_builds_no_string_minor(name, monkeypatch):
     assert rep.delcon == want
     assert rep.delcon_nodes == 2 ** (len(edges) + 1) - 1
     assert {fn: len(c) for fn, c in calls.items()} == {
-        "pst_delcon": 0, "_packaged_delete_case": 0,
-        "_packaged_contract_case": 0, "delete_edge": 0, "contract_edge": 0,
-        "partial_dual_with_map": 0}
+        "pst_delcon": 0, "packaged_delete": 0, "packaged_contract": 0,
+        "delete_edge": 0, "contract_edge": 0, "partial_dual_with_map": 0}

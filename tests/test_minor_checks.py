@@ -49,21 +49,21 @@ def test_split_verdicts_match_classify_edge(parts):
     for k, e in enumerate(g.edges):
         if minor.live >> k & 1:
             kind = classify_edge(mg, e)
-            assert minor.splits(k, False, base) == (kind == EdgeKind.BRIDGE), e
-            assert minor.splits(k, True, base) == (
-                kind == EdgeKind.PLANE_LOOP), e
+            split = [minor.step(k, c).components() > base for c in (0, 1)]
+            assert split == [kind == EdgeKind.BRIDGE,
+                             kind == EdgeKind.PLANE_LOOP], e
 
 
 @settings(max_examples=300, deadline=None)
 @given(minor_parts())
 def test_prefactor_is_packaging_nullity(parts):
-    """The x exponent that ``Minor.minor`` reads off its steps' merge flags
-    is the nullity of B's packaging in the dual, the y exponent that of A's
-    packaging, and both are the growth of the minor's block weights."""
+    """The x exponent that ``Minor.step`` gathers in ``xy`` is the nullity
+    of B's packaging in the dual, the y exponent that of A's packaging, and
+    both are the growth of the minor's block weights."""
     pg, deleted, contracted = parts
     index = {e: k for k, e in enumerate(pg.graph.edges)}
-    _, pre = Minor.compile(pg).minor(*(sum(1 << index[e] for e in part)
-                                       for part in (deleted, contracted)))
+    pre = Minor.compile(pg).minor(*(sum(1 << index[e] for e in part)
+                                    for part in (deleted, contracted))).xy
     assert pre == _activity_terms(pg)(deleted, contracted)[0]
     vertex, _ = restricted_packagings(pg, contracted)
     _, boundary = restricted_packagings(pg, set(pg.graph.sign) - deleted)

@@ -7,8 +7,7 @@ import pytest
 from conftest import rg
 from ribbonpoly.invariants import pst_delcon, pst_state_sum
 from ribbonpoly.packaged import (PackagedRibbonGraph, PackagingError,
-                                 WeightedPartition, _packaged_contract_case,
-                                 _packaged_delete_case, packaged_contract,
+                                 WeightedPartition, packaged_contract,
                                  packaged_delete, packaged_dual, quotient)
 from ribbonpoly.ribbon import RibbonGraphError, trace_boundaries
 from packaged_oracle import (component_gamma, nullity, packaged_isomorphic,
@@ -121,7 +120,7 @@ def test_component_gamma_rejects_non_component():
 
 def test_delete_bridge_case_three():
     g = rg({"v1": [("e", 1)], "v2": [("e", 2)]}, {"e": 1})
-    res, case = _packaged_delete_case(PackagedRibbonGraph.discrete(g), "e")
+    res, case = packaged_delete(PackagedRibbonGraph.discrete(g), "e")
     assert case == 3
     assert shape(res.bparts) == [(["b1", "b2"], 1)]
     assert shape(res.vparts) == [(["v1"], 0), (["v2"], 0)]
@@ -137,7 +136,7 @@ def test_delete_merges_distinct_blocks_weights_add():
     pg = PackagedRibbonGraph.build(
         g, WeightedPartition.discrete(g.vertices),
         WeightedPartition.build(["b1", "b2"], [({"b1"}, 2), ({"b2"}, 3)]))
-    res, case = _packaged_delete_case(pg, "f")
+    res, case = packaged_delete(pg, "f")
     assert case == 1
     assert shape(res.bparts) == [(["b1"], 5)]
 
@@ -148,21 +147,21 @@ def test_delete_same_block_case_two():
     pg = PackagedRibbonGraph.build(
         g, WeightedPartition.discrete(g.vertices),
         WeightedPartition.build(["b1", "b2"], [({"b1", "b2"}, 4)]))
-    res, case = _packaged_delete_case(pg, "f")
+    res, case = packaged_delete(pg, "f")
     assert case == 2
     assert shape(res.bparts) == [(["b1"], 5)]
 
 
 def test_delete_plane_loop_case_four():
     mob = rg({"v1": [("e", 1), ("e", 2)]}, {"e": -1})
-    res, case = _packaged_delete_case(PackagedRibbonGraph.discrete(mob), "e")
+    res, case = packaged_delete(PackagedRibbonGraph.discrete(mob), "e")
     assert case == 4
     assert shape(res.bparts) == [(["b1"], 1)]
 
 
 def test_delete_keeps_vertex_partition():
     pg = theta_pg()
-    res = packaged_delete(pg, "f")
+    res, _ = packaged_delete(pg, "f")
     assert res.vparts == pg.vparts
 
 
@@ -174,7 +173,7 @@ def test_contract_nonloop_merges_blocks():
     pg = PackagedRibbonGraph.build(
         g, WeightedPartition.build(g.vertices, [({"v1"}, 2), ({"v2"}, 5)]),
         WeightedPartition.discrete(["b1"]))
-    res, case = _packaged_contract_case(pg, "e")
+    res, case = packaged_contract(pg, "e")
     assert case == 1
     assert list(res.vparts.weights) == [7]
 
@@ -184,15 +183,14 @@ def test_contract_nonloop_same_block():
     pg = PackagedRibbonGraph.build(
         g, WeightedPartition.build(g.vertices, [({"v1", "v2"}, 1)]),
         WeightedPartition.discrete(["b1"]))
-    res, case = _packaged_contract_case(pg, "e")
+    res, case = packaged_contract(pg, "e")
     assert case == 2
     assert list(res.vparts.weights) == [2]
 
 
 def test_contract_orientable_loop_two_new_vertices():
     ann = rg({"v1": [("e", 1), ("e", 2)]}, {"e": 1})
-    res, case = _packaged_contract_case(PackagedRibbonGraph.discrete(ann),
-                                        "e")
+    res, case = packaged_contract(PackagedRibbonGraph.discrete(ann), "e")
     assert case == 3
     assert len(res.graph.vertices) == 2
     assert shape(res.vparts) == [(sorted(res.graph.vertices), 1)]
@@ -200,8 +198,7 @@ def test_contract_orientable_loop_two_new_vertices():
 
 def test_contract_nonorientable_loop_one_new_vertex():
     mob = rg({"v1": [("e", 1), ("e", 2)]}, {"e": -1})
-    res, case = _packaged_contract_case(PackagedRibbonGraph.discrete(mob),
-                                        "e")
+    res, case = packaged_contract(PackagedRibbonGraph.discrete(mob), "e")
     assert case == 4
     assert len(res.graph.vertices) == 1
     assert list(res.vparts.weights) == [1]
@@ -209,7 +206,7 @@ def test_contract_nonorientable_loop_one_new_vertex():
 
 def test_contract_transports_boundary_partition_unchanged():
     pg = theta_pg()
-    res = packaged_contract(pg, "f")
+    res, _ = packaged_contract(pg, "f")
     assert sorted(len(b) for b in res.bparts.blocks) == \
         sorted(len(b) for b in pg.bparts.blocks)
     assert sorted(res.bparts.weights) == sorted(pg.bparts.weights)
@@ -265,8 +262,8 @@ def test_operations_commute_at_polynomial_level():
     pg = theta_pg()
     ops = {"d": packaged_delete, "c": packaged_contract}
     for o1, o2 in itertools.product("dc", repeat=2):
-        p12 = pst_state_sum(ops[o2](ops[o1](pg, "e"), "f"))
-        p21 = pst_state_sum(ops[o1](ops[o2](pg, "f"), "e"))
+        p12 = pst_state_sum(ops[o2](ops[o1](pg, "e")[0], "f")[0])
+        p21 = pst_state_sum(ops[o1](ops[o2](pg, "f")[0], "e")[0])
         assert p12 == p21, (o1, o2)
 
 
@@ -280,7 +277,7 @@ def test_block_sum_conservation_under_merge():
         WeightedPartition.build(["b1", "b2"], [({"b1"}, 2), ({"b2"}, 3)]))
     before = [1 - len(b) + w
               for b, w in zip(pg.bparts.blocks, pg.bparts.weights)]
-    res, case = _packaged_delete_case(pg, "f")
+    res, case = packaged_delete(pg, "f")
     assert case == 1
     after = [1 - len(b) + w
              for b, w in zip(res.bparts.blocks, res.bparts.weights)]

@@ -32,8 +32,6 @@ from ribbonpoly.ribbon import enumerate_quasi_trees, orientable
 NEVER_ENTERED = {
     "bench/spans.py": {
         "packaged.component_gamma_values",
-        "packaged.packaged_contract",
-        "packaged.packaged_delete",
         "packaged.quotient",
         "poly._PolyBase.__add__",
     },
