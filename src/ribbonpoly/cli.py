@@ -15,7 +15,7 @@ import random
 import sys
 from pathlib import Path
 
-from .fileformat import ParseError, parse, render
+from .fileformat import ParseError, _lines, parse, render
 from .invariants import (classical_tutte, corpus, cross_validate, krushkal,
                          pst_delcon, pst_quasitree, pst_state_sum,
                          surface_tutte, underlying_multigraph)
@@ -33,11 +33,9 @@ def _load(path: str) -> PackagedRibbonGraph:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as ex:
-        line = data.count(b"\n", 0, ex.start) + 1
-        start = data.rfind(b"\n", 0, ex.start) + 1
-        column = len(data[start:ex.start].decode("utf-8")) + 1
+        lines = _lines(data[:ex.start].decode("utf-8"))
         raise ParseError(f"syntax error: byte {data[ex.start]:#04x} is not "
-                         "UTF-8 text", line, column) from ex
+                         "UTF-8 text", len(lines), len(lines[-1]) + 1) from ex
     return parse(text)
 
 
@@ -64,7 +62,9 @@ def render_poly(p, fmt: str = "text", method: str | None = None,
 
 
 def _edge_list(arg: str) -> list[str]:
-    return [t for t in arg.split(",") if t]
+    """Comma-separated edge names; a lone ``-``, as the commands print the
+    empty set, is the empty list."""
+    return [] if arg == "-" else [t for t in arg.split(",") if t]
 
 
 def _cmd_compute(args) -> int:
@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge activities for one quasi-tree")
     p.add_argument("file")
     p.add_argument("--quasitree", required=True,
-                   help="comma-separated edges (empty string for the "
+                   help="comma-separated edges (- or an empty string for the "
                         "empty quasi-tree)")
     p.add_argument("--order")
     p.set_defaults(fn=_cmd_activities)

@@ -1,6 +1,7 @@
-"""The `.rg` text format for packaged ribbon graphs.
+r"""The `.rg` text format for packaged ribbon graphs.
 
-Line-oriented, `#` starts a comment::
+Line-oriented: a line ends at ``\n``, ``\r\n`` or ``\r``, and `#` starts a
+comment::
 
     edges: e+ f+ g-          # sign per edge
     vertex v1: e.1 f.1 e.2 g.1   # cyclic order as written
@@ -9,6 +10,7 @@ Line-oriented, `#` starts a comment::
     bblock 2: b1 b3          # boundary ids are the canonical b1, b2, ...
 
 Omitted vblock/bblock sections default to the discrete weight-0 partition.
+Other separators, such as form feed or U+2028, are whitespace inside a line.
 """
 
 from __future__ import annotations
@@ -30,6 +32,11 @@ _EDGE_DECL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)([+-])$")
 _END_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\.([12])$")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _FIELD = re.compile(r"\S+")
+
+
+def _lines(text: str) -> list[str]:
+    r"""``text`` split at each ``\n``, ``\r\n`` or ``\r``, and nowhere else."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _weight(word: str) -> int | None:
@@ -82,7 +89,8 @@ def parse(text: str) -> PackagedRibbonGraph:
     vblocks: list[Block] = []
     bblocks: list[Block] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = _lines(text)
+    for lineno, raw in enumerate(lines, start=1):
         code = raw.split("#", 1)[0]
         line = code.strip()
         if not line:
@@ -155,7 +163,7 @@ def parse(text: str) -> PackagedRibbonGraph:
                              lineno)
 
     if not vertices:
-        raise ParseError("no vertices", max(1, text.count("\n") + 1))
+        raise ParseError("no vertices", len(lines))
     for (e, i), where in placed.items():
         if e not in sign:
             raise ParseError(f"invalid ribbon graph: end {e}.{i} references "

@@ -9,7 +9,10 @@ Two rings are provided:
   in halves and stored doubled.
 
 Coefficients are Python ints, so they are arbitrary precision.  Both rings
-render to a canonical text form that parses back exactly.
+render to a canonical text form that :func:`parse_poly` reads back exactly.
+It places each variable in its ring as it reads it, takes ``/2`` exponents
+on a and b only, leaves no factor for a zero exponent, and gives a bad
+character's position in the text as given.
 """
 
 from __future__ import annotations
@@ -325,116 +328,79 @@ class HalfExpPoly(_PolyBase):
 
 
 # ---------------------------------------------------------------------------
-# canonical text parsing
+# polynomial text parsing
 
-_TOKEN = re.compile(r"\s*(\^|\*|\+|-|\d+|[a-z]+(?:_-?\d+)?|/2)")
+_TOKEN = re.compile(r"\s*(?:(\^|\*|\+|-|\d+|[a-z]+(?:_-?\d+)?|/2)|(\S))")
 
 
 def _tokenize(text: str) -> list[str]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise PolyError(f"cannot parse polynomial at position {pos}")
-        out.append(m.group(1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            raise PolyError(f"cannot parse polynomial at position {m.start(2)}")
+        out.append(m[1])
     return out
 
 
+def _factor(var: str, exp2: int) -> tuple[type, Monomial | HalfMonomial]:
+    """The ring of the variable ``var``, and ``var`` to the power exp2/2 as
+    a monomial of that ring (each exponent field is named after its
+    variable)."""
+    name, _, g = var.partition("_")
+    if name not in ("x", "y") and var not in ("alpha", "beta", "a", "b"):
+        raise PolyError(f"unknown variable {var}")
+    if exp2 % 2 and var not in ("a", "b"):
+        raise PolyError("half exponents only allowed on a and b")
+    if name in ("x", "y"):
+        return MultiPoly, Monomial(**({f"e{name}g": ((int(g), exp2 // 2),)}
+                                      if g else {f"e{name}": exp2 // 2}))
+    if var in ("a", "b"):
+        return HalfExpPoly, HalfMonomial(**{f"e{var}2": exp2})
+    return HalfExpPoly, HalfMonomial(**{f"e{var}": exp2 // 2})
+
+
 def parse_poly(text: str):
-    """Parse canonical polynomial text.
+    """Parse polynomial text, such as either ring's canonical text.
 
-    Returns a MultiPoly when only x/y variables occur (and for "0"), a
-    HalfExpPoly when alpha/beta/a/b occur; mixing the two families is an
-    error.
+    Terms are joined by + and -, and the first may carry a -.  A term is a
+    product of integers and powers ``v``, ``v^n`` or ``v^-n``; only a and b
+    also take ``v^n/2``.  A zero exponent leaves no factor.  Returns a
+    HalfExpPoly when alpha, beta, a or b occur, else a MultiPoly; mixing
+    the two rings is an error, and each fault is reported where it is read.
     """
-    toks = _tokenize(text.strip())
-    if toks == ["0"]:
-        return MultiPoly.zero()
-    terms: list[tuple[int, dict]] = []
-    i = 0
-    n = len(toks)
-    sign = 1
-    families = set()
-
-    def parse_term():
-        nonlocal i
-        coeff = 1
-        factors: dict[str, int] = {}
-        seen_any = False
+    toks = _tokenize(text)
+    if toks[:1] != ["-"]:
+        toks.insert(0, "+")   # every term opens with its sign
+    ring, polys, const, i, n = None, [], 0, 0, len(toks)
+    while i < n:
+        coeff, mono, start = (-1 if toks[i] == "-" else 1), None, i + 1
+        i += 1
         while i < n and toks[i] not in ("+", "-"):
             tok = toks[i]
-            if tok == "*":
-                i += 1
-                continue
+            i += 1
             if tok.isdigit():
                 coeff *= int(tok)
-                i += 1
-                seen_any = True
-                continue
-            var = tok
-            i += 1
-            exp2 = 2  # exponents stored doubled during parsing
-            if i < n and toks[i] == "^":
-                i += 1
-                neg = i < n and toks[i] == "-"
-                i += neg
-                if i >= n:
-                    raise PolyError("dangling exponent")
-                val = toks[i]
-                if not val.isdigit():
-                    raise PolyError(f"bad exponent {val}")
-                exp2 = 2 * int(val) * (-1 if neg else 1)
-                i += 1
-                if i < n and toks[i] == "/2":
-                    exp2 //= 2
-                    i += 1
-            factors[var] = factors.get(var, 0) + exp2
-            seen_any = True
-        if not seen_any:
+            elif tok != "*":
+                exp2 = 2   # exponents doubled, as a^3/2 is written
+                if i < n and toks[i] == "^":
+                    neg = toks[i + 1:i + 2] == ["-"]
+                    i += 1 + neg
+                    if i >= n:
+                        raise PolyError("dangling exponent")
+                    if not toks[i].isdigit():
+                        raise PolyError(f"bad exponent {toks[i]}")
+                    half = toks[i + 1:i + 2] == ["/2"]
+                    exp2 = (2 - half) * (-1 if neg else 1) * int(toks[i])
+                    i += 1 + half
+                r, f = _factor(tok, exp2)
+                if ring not in (None, r):
+                    raise PolyError("mixed variable families")
+                # from the unit, so mul drops a zero family exponent
+                ring, mono = r, (mono or type(f)()).mul(f)
+        if set(toks[start:i]) <= {"*"}:
             raise PolyError("empty term")
-        return coeff, factors
-
-    first = True
-    while i < n:
-        if not first:
-            if toks[i] == "+":
-                sign = 1
-            elif toks[i] == "-":
-                sign = -1
-            else:
-                raise PolyError(f"expected + or -, got {toks[i]}")
-            i += 1
-        elif toks[i] == "-":
-            sign = -1
-            i += 1
-        coeff, factors = parse_term()
-        terms.append((sign * coeff, factors))
-        first = False
-        sign = 1
-
-    for _, factors in terms:
-        for var in factors:
-            if var in ("alpha", "beta", "a", "b"):
-                families.add("half")
-            elif var == "x" or var == "y" or re.fullmatch(r"[xy]_-?\d+", var):
-                families.add("multi")
-            else:
-                raise PolyError(f"unknown variable {var}")
-    if families == {"half"}:   # one term at a time, so each is checked
-        return HalfExpPoly.sum(HalfExpPoly({HalfMonomial(
-            f.get("alpha", 0) // 2, f.get("beta", 0) // 2, f.get("a", 0),
-            f.get("b", 0)): coeff}) for coeff, f in terms)
-    if "half" in families:
-        raise PolyError("mixed variable families")
-    monos = []
-    for coeff, factors in terms:
-        if any(e2 % 2 for e2 in factors.values()):
-            raise PolyError("half exponents only allowed on a and b")
-        exps = {var: e2 // 2 for var, e2 in factors.items()}
-        xg, yg = (tuple(sorted((int(var[2:]), e) for var, e in exps.items()
-                               if var.startswith(p))) for p in ("x_", "y_"))
-        monos.append((Monomial(exps.get("x", 0), exps.get("y", 0), xg, yg),
-                      coeff))
-    return MultiPoly(monos)
+        if mono is None:
+            const += coeff
+        else:   # one term at a time, so a negative a or b exponent shows
+            polys.append(ring({mono: coeff}))
+    return (ring or MultiPoly).sum(polys) + const

@@ -98,6 +98,9 @@ def test_validate_names_the_empty_order(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.splitlines()[2:] == ["quasi-tree -: x_0*y_0",
                                     "equal: True  shape-checks: True"]
+    # and ``-`` reads back as that empty order
+    assert run(capsys, "compute", str(f), "--method", "quasitree",
+               "--order", "-") == (0, "x_0*y_0\n", "")
 
 
 def test_quasitrees_listing(theta_file, capsys):
@@ -112,6 +115,25 @@ def test_quasitrees_empty_set_marker(tmp_path, capsys):
     code, out, _ = run(capsys, "quasitrees", str(f))
     assert code == 0
     assert "-" in out.split()
+
+
+def test_quasitrees_read_back_by_activities(theta_file, tmp_path, capsys):
+    """Each quasi-tree ``quasitrees`` prints, the empty one as ``-`` too, is
+    a valid ``activities --quasitree``."""
+    loop = tmp_path / "loop.rg"
+    loop.write_text("edges: e+\nvertex v1: e.1 e.2\n")
+    printed = []
+    for f in (theta_file, str(loop)):
+        code, out, _ = run(capsys, "quasitrees", f)
+        assert code == 0
+        printed += out.split()
+        for q in out.split():
+            code, out, err = run(capsys, "activities", f, "--quasitree", q)
+            assert (code, err) == (0, "")
+            internal = {line.split(":")[0] for line in out.splitlines()
+                        if " internal " in line}
+            assert internal == (set() if q == "-" else set(q.split(",")))
+    assert "-" in printed
 
 
 def test_activities_fixture(theta_file, capsys):
@@ -276,6 +298,19 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "(line 2, column 16)" in err
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_bad_byte_is_placed_by_line_ends(tmp_path, capsys, end):
+    """A line ends only at \\n, \\r\\n or \\r, as in the parser: not at the
+    U+2028 inside the comment."""
+    f = tmp_path / "bytes.rg"
+    f.write_bytes(f"# note\u2028 more{end}edges: e+{end}vertex v1: e.1 "
+                  .encode() + b"\xff e.2" + end.encode())
+    code, _, err = run(capsys, "compute", str(f))
+    assert code == 2
+    assert "(line 3, column 16)" in err
 
 
 def test_byte_order_mark_is_skipped(tmp_path, capsys):

@@ -136,12 +136,31 @@ def test_partition_errors_point_at_the_directive(text, where, words):
     # the end is missing from every vertex line: the edge's declaration
     ("edges: e+ f-\nvertex v1: e.1 e.2 f.1\n", (1, 11),
      "edge f is missing end f.2"),
-], ids=["placed-twice", "undeclared-edge", "missing-end"])
+    # lines end at \n, \r\n and \r only, not at the U+2028 in the comment
+    ("# note\u2028 more\nedges: e+\nvertex v1: e.1 e.2\nvertex v2: g.1\n",
+     (4, 12), "end g.1 references undeclared edge g"),
+    ("edges: e+\r\nvertex v1: e.1 e.1\r\n", (2, 16), "end e.1 placed twice"),
+    ("edges: e+\rvertex v1: e.1 e.1\r", (2, 16), "end e.1 placed twice"),
+], ids=["placed-twice", "undeclared-edge", "missing-end", "after-u2028",
+        "crlf", "cr"])
 def test_graph_errors_point_at_their_token(text, where, words):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.column) == where
     assert words in str(exc.value)
+
+
+# str.splitlines also ends a line at each of these
+SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS,
+                         ids=[f"U+{ord(c):04X}" for c in SEPARATORS])
+def test_other_separators_are_whitespace_inside_a_line(sep):
+    pg = parse(f"# note{sep} more\nedges: e+{sep}f+\n"
+               f"vertex v1: e.1 e.2{sep}f.1 f.2\n")
+    assert pg.graph.rotation["v1"] == (("e", 1), ("e", 2), ("f", 1),
+                                       ("f", 2))
 
 
 @pytest.mark.parametrize("weight", ["\u00b2", "\u0663", "7" * 5000],

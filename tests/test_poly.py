@@ -118,9 +118,12 @@ def test_ring_laws(p, q, r):
 
 
 @settings(max_examples=120, deadline=None)
-@given(multi_polys())
+@given(st.one_of(multi_polys(), half_polys(min_exp=-2)))
 def test_canonical_text_round_trips(p):
-    assert parse_poly(p.canonical_text()) == p
+    """In both rings; a text without variables reads as a MultiPoly."""
+    const = set(p.terms) <= {type(p)._unit()}
+    want = MultiPoly.const(sum(p.terms.values())) if const else p
+    assert parse_poly(p.canonical_text()) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -295,7 +298,7 @@ FACTORS = {"x": MultiPoly.x(), "y": MultiPoly.y(), "x_0": MultiPoly.xg(0),
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(-3, 3), st.lists(st.tuples(
-    st.sampled_from(sorted(FACTORS)), st.integers(1, 2)), max_size=4)),
+    st.sampled_from(sorted(FACTORS)), st.integers(0, 2)), max_size=4)),
     min_size=1, max_size=5))
 def test_parse_multiplies_factors_and_adds_terms(raw):
     """Text that is not canonical, with repeated and unordered factors,
@@ -326,9 +329,24 @@ def test_parse_checks_each_half_term():
         {HalfMonomial(ealpha=-1, ea2=1): 2, HalfMonomial(eb2=2): -1})
     with pytest.raises(PolyError, match=r"^negative a/b exponent$"):
         parse_poly("a^-1 - a^-1")
-    with pytest.raises(PolyError,
-                       match=r"^half exponents only allowed on a and b$"):
-        parse_poly("x + y^1/2")
+    for text in ("x + y^1/2", "x^3/2", "alpha^3/2", "beta^1/2*a",
+                 "alpha^-3/2"):
+        with pytest.raises(PolyError,
+                           match=r"^half exponents only allowed on a and b$"):
+            parse_poly(text)
+
+
+def test_parse_zero_exponent_leaves_no_factor():
+    for text in ("x_1^0", "x_1*x_1^-1", "x^0"):
+        assert parse_poly(text) == MultiPoly.const(1)
+    assert parse_poly("y_2^0 + 1") == MultiPoly.const(2)
+    assert parse_poly("alpha^0*b^0 - 3") == HalfExpPoly.const(-2)
+
+
+def test_parse_error_gives_the_position_in_the_text_as_given():
+    with pytest.raises(PolyError, match=r"^cannot parse polynomial at "
+                                        r"position 6$"):
+        parse_poly("  x + $y")
 
 
 @settings(max_examples=120, deadline=None)

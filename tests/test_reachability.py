@@ -68,7 +68,7 @@ NEVER_ENTERED = {
         "poly.MultiPoly._unit": "poly.HalfExpPoly.substitute",
         "poly._merge": "poly.Monomial.mul",
         "poly._tokenize": "poly.parse_poly",
-        "poly.parse_poly.<locals>.parse_term": "poly.parse_poly",
+        "poly._factor": "poly.parse_poly",
         "ribbon.induced_subgraph": "packaged.component_gamma_values",
         "ribbon.isomorphisms.<locals>.extend": "ribbon.isomorphisms",
     },
