@@ -16,16 +16,18 @@ prefactor, the minor's x/y.  Only ``compute --method delcon`` runs it on
 string-keyed packaged graphs (:func:`pst_delcon`), whose calls the
 benchmark counts one per node.  On top of these sit the specializations
 (surface version for orientable graphs, the four-variable alpha/beta/a/b
-polynomial with its own quasi-tree expansion, read off the same walk's leaf
-minors, and the classical Tutte polynomial), a small-instance corpus
-generator and a cross-validation driver.  The driver runs the recursion on
-the compiled root, and keeps the expansion's definition by ``activities``:
-it steps each activity minor (:meth:`~ribbonpoly.packaged.Minor.minor`)
-once per distinct quasi-tree with deleted and contracted part (Q, B, A),
-however many edge orders produce it, and shape-checks that same compiled
-minor: a required bridge must split it when deleted, a required plane loop
-when contracted.  The string-graph references of these checks and of the
-prefactor live in the tests.
+polynomial, read once off the subset pass (the tests keep its substitution
+into the packaged polynomial), with its own quasi-tree expansion, read off
+the same walk's leaf minors, and the classical Tutte polynomial), a
+small-instance corpus generator and a cross-validation driver.  The driver
+runs the recursion on the compiled root, and keeps the expansion's
+definition by ``activities``: it steps each activity minor
+(:meth:`~ribbonpoly.packaged.Minor.minor`) once per distinct quasi-tree
+with deleted and contracted part (Q, B, A), however many edge orders
+produce it, and shape-checks that same compiled minor: a required bridge
+must split it when deleted, a required plane loop when contracted.  The
+string-graph references of these checks and of the prefactor live in the
+tests.
 """
 
 from __future__ import annotations
@@ -129,15 +131,11 @@ def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
     return keys
 
 
-def _state_sum(keys: Counter) -> MultiPoly:
-    return MultiPoly({Monomial(n2, n1, _family(g2), _family(g1)): c
-                      for (n2, n1, g2, g1), c in keys.items()})
-
-
 def pst_state_sum(pg: PackagedRibbonGraph) -> MultiPoly:
     """Sum over all edge subsets A of x^{n(dual packaging of A^c)} times
     y^{n(packaging of A)} times the per-component genus variables."""
-    return _state_sum(_subset_keys(pg))
+    return MultiPoly({Monomial(n2, n1, _family(g2), _family(g1)): c
+                      for (n2, n1, g2, g1), c in _subset_keys(pg).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -260,40 +258,20 @@ def surface_tutte(g: RibbonGraph) -> MultiPoly:
     return pst_state_sum(PackagedRibbonGraph.discrete(g)).reindex_halved()
 
 
-def _krushkal_direct(g: RibbonGraph, keys: Counter) -> HalfExpPoly:
-    """Subset sum of alpha^{k(A)-k} beta^{k(A*)-k*} a^{eg(A)/2} b^{eg(A*)/2},
-    where A* is the complement of A in the dual, from the
-    :func:`_subset_keys` of the discrete packaging of ``g``.  A discrete
-    packaging has one component per connected component, and the gamma
-    values of its components sum to the Euler genus."""
+def krushkal(g: RibbonGraph) -> HalfExpPoly:
+    """The four-variable polynomial: the subset sum of alpha^{k(A)-k}
+    beta^{k(A*)-k*} a^{eg(A)/2} b^{eg(A*)/2}, where A* is the complement of
+    A in the dual, read off the :func:`_subset_keys` of the discrete
+    packaging of ``g``.  A discrete packaging has one component per
+    connected component, and the gamma values of its components sum to the
+    Euler genus."""
+    keys = _subset_keys(PackagedRibbonGraph.discrete(g))
     k = len(connected_components(g))  # the dual has as many components
     direct: Counter = Counter()
     for (_, _, gammas2, gammas1), c in keys.items():
         direct[len(gammas1) - k, len(gammas2) - k,
                sum(gammas1), sum(gammas2)] += c
     return HalfExpPoly({HalfMonomial(*key): c for key, c in direct.items()})
-
-
-def _krushkal_substitution(g: RibbonGraph, t: MultiPoly) -> HalfExpPoly:
-    """The four-variable polynomial from ``t``, the state sum of the
-    discrete packaging of ``g``."""
-    k = len(connected_components(g))
-    one = HalfExpPoly.const(1)
-    image = t.substitute(
-        x=one, y=one,
-        xg=lambda gamma: HalfExpPoly.beta() * HalfExpPoly.b_half(gamma),
-        yg=lambda gamma: HalfExpPoly.alpha() * HalfExpPoly.a_half(gamma),
-        ring=HalfExpPoly)
-    return HalfExpPoly.alpha(-k) * HalfExpPoly.beta(-k) * image
-
-
-def krushkal(g: RibbonGraph) -> tuple[HalfExpPoly, HalfExpPoly]:
-    """The four-variable polynomial computed two ways from one pass over the
-    subsets: direct subset sum and substitution into the packaged
-    polynomial.  Both are returned; they must agree."""
-    keys = _subset_keys(PackagedRibbonGraph.discrete(g))
-    return (_krushkal_direct(g, keys),
-            _krushkal_substitution(g, _state_sum(keys)))
 
 
 # ---------------------------------------------------------------------------

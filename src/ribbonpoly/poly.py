@@ -330,7 +330,7 @@ class HalfExpPoly(_PolyBase):
 # ---------------------------------------------------------------------------
 # polynomial text parsing
 
-_TOKEN = re.compile(r"\s*(?:(\^|\*|\+|-|\d+|[a-z]+(?:_-?\d+)?|/2)|(\S))")
+_TOKEN = re.compile(r"\s*(?:(\^|\*|\+|-|[0-9]+|[a-z]+(?:_-?[0-9]+)?|/2)|(\S))")
 
 
 def _tokenize(text: str) -> list[str]:

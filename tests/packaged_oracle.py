@@ -18,7 +18,11 @@ library with their bodies unchanged: :class:`EdgeKind` and
 :func:`is_loop`
 (was ``RibbonGraph.is_loop``), :func:`shape` (was
 ``WeightedPartition.shape``) and :func:`dart_map` (was
-``Isomorphism.dart_map``)."""
+``Isomorphism.dart_map``).  Moved the same way: the four-variable
+polynomial's second route, :func:`krushkal_substitution` (was
+``invariants._krushkal_substitution``, which ``specialize --target
+krushkal`` compared with the direct subset sum), by substitution into
+the state sum of the discrete packaging."""
 
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from collections import Counter
 from enum import Enum
 from typing import Iterable
 
-from ribbonpoly.invariants import _leaf
+from ribbonpoly.invariants import _leaf, pst_state_sum
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, WeightedPartition,
                                  component_gamma_values, packaged_contract,
@@ -278,6 +282,20 @@ def _minor_shape_ok(act: ActivityReport, mg: RibbonGraph) -> bool:
         if classify_edge(mg, e) != EdgeKind.PLANE_LOOP:
             return False
     return True
+
+
+def krushkal_substitution(g: RibbonGraph) -> HalfExpPoly:
+    """The four-variable polynomial by substitution into the state sum of
+    the discrete packaging of ``g``."""
+    t = pst_state_sum(PackagedRibbonGraph.discrete(g))
+    k = len(connected_components(g))
+    one = HalfExpPoly.const(1)
+    image = t.substitute(
+        x=one, y=one,
+        xg=lambda gamma: HalfExpPoly.beta() * HalfExpPoly.b_half(gamma),
+        yg=lambda gamma: HalfExpPoly.alpha() * HalfExpPoly.a_half(gamma),
+        ring=HalfExpPoly)
+    return HalfExpPoly.alpha(-k) * HalfExpPoly.beta(-k) * image
 
 
 def krushkal_quasitree_oracle(g: RibbonGraph, order: Iterable[str],

@@ -24,6 +24,7 @@ from ribbonpoly.ribbon import (activities, certificate, contract_edge, counts,
                                delete_edge, dual_correspondences,
                                enumerate_quasi_trees, euler_genus, isomorphic,
                                partial_dual, restrict, trace_boundaries)
+from packaged_oracle import krushkal_substitution
 
 THETA_POLY = ("x^3*x_2*y_0^2 + 2*x^2*x_2*y_0 + x^2*y*x_0*y_0^2"
               " + 3*x*y*x_0*y_0 + y^2*x_0*y_2")
@@ -190,13 +191,13 @@ def test_criterion_07_minor_shapes(sweep):
 def test_criterion_08_krushkal_triconsistency(graphs4):
     failures = []
     for g in graphs4:
-        direct, via_subst = krushkal(g)
+        direct, via_subst = krushkal(g), krushkal_substitution(g)
         expansion = krushkal_quasitree(g, sorted(g.edges))
         if not (direct == via_subst == expansion):
             failures.append(certificate(g))
     literal_broken = any(
         krushkal_quasitree(g, sorted(g.edges), subset_nullity=False)
-        != krushkal(g)[0]
+        != krushkal(g)
         for g in graphs4 if len(g.edges) <= 3)
     ok = not failures and literal_broken
     report(8, "four-variable polynomial tri-consistency "
@@ -210,10 +211,9 @@ def test_criterion_09_plane_specialization(graphs4):
     for g in graphs4:
         if euler_genus(g) != 0:
             continue
-        direct, _ = krushkal(g)
-        tutte_image = direct.substitute(alpha=MultiPoly.x() - 1,
-                                        beta=MultiPoly.y() - 1,
-                                        a=1, b=1, ring=MultiPoly)
+        tutte_image = krushkal(g).substitute(alpha=MultiPoly.x() - 1,
+                                             beta=MultiPoly.y() - 1,
+                                             a=1, b=1, ring=MultiPoly)
         if tutte_image != classical_tutte(underlying_multigraph(g)):
             failures.append(certificate(g))
     report(9, "plane instances specialize to the classical Tutte polynomial "

@@ -30,28 +30,32 @@ from ribbonpoly.ribbon import RibbonGraph
 from test_ribbon import ribbon_graphs
 
 
-def boundaries(g: RibbonGraph, subset) -> int:
-    """Boundary components of the spanning subgraph on ``subset``.  A walk
-    state is an edge end about to be crossed and a local orientation s:
-    cross the edge, reverse s if it is twisted, and turn to the next end of
-    the rotation there (the previous one when s is reversed).  Each boundary
-    is traced once in each direction, so it is two orbits of this map; a
-    vertex with no end in the subset is one more boundary."""
+def walk_orbits(g: RibbonGraph, subset) -> dict:
+    """The walk states of the spanning subgraph on ``subset``, each mapped
+    to the first state of its orbit.  A walk state is an edge end about to
+    be crossed and a local orientation s: cross the edge, reverse s if it is
+    twisted, and turn to the next end of the rotation there (the previous
+    one when s is reversed).  Each boundary is traced once in each
+    direction, so it is two orbits of this map."""
     rot = [[h for h in ends if h[0] in subset] for ends in g.rotation.values()]
     at = {h: (ends, i) for ends in rot for i, h in enumerate(ends)}
-    seen: set = set()
-    orbits = 0
+    orbit: dict = {}
     for start in itertools.product(at, (1, -1)):
-        if start in seen:
-            continue
-        orbits += 1
         h, s = start
-        while (h, s) not in seen:
-            seen.add((h, s))
+        while (h, s) not in orbit:
+            orbit[h, s] = start
             s *= g.sign[h[0]]
             ends, i = at[h[0], 3 - h[1]]
             h = ends[(i + s) % len(ends)]
-    return orbits // 2 + sum(not ends for ends in rot)
+    return orbit
+
+
+def boundaries(g: RibbonGraph, subset) -> int:
+    """Boundary components of the spanning subgraph on ``subset``: two walk
+    orbits each, and one more per vertex with no end in the subset."""
+    return (len(set(walk_orbits(g, subset).values())) // 2
+            + sum(not any(e in subset for e, _ in ends)
+                  for ends in g.rotation.values()))
 
 
 def components(g: RibbonGraph, subset) -> int:
@@ -97,7 +101,7 @@ def substituted(p: HalfExpPoly, eg: int) -> Counter:
 
 def assert_expansions_match(g: RibbonGraph, order: list[str]) -> None:
     want, eg = bollobas_riordan(g), euler_genus(g, g.sign)
-    assert substituted(krushkal(g)[0], eg) == want, g
+    assert substituted(krushkal(g), eg) == want, g
     assert substituted(krushkal_quasitree(g, order), eg) == want, (g, order)
 
 

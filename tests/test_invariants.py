@@ -22,8 +22,8 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                certificate, connected_components,
                                enumerate_quasi_trees, euler_genus, restrict)
 from packaged_oracle import (_activity_terms, _quasitree_minor,
-                             _quasitree_terms, _terminal, packaged_isomorphic,
-                             shape)
+                             _quasitree_terms, _terminal,
+                             krushkal_substitution, packaged_isomorphic, shape)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
 from test_subset_pass import reference_term
@@ -214,23 +214,23 @@ def test_surface_tutte_rejects_nonorientable(mobius):
 
 
 def test_krushkal_point(disc):
-    direct, subst = krushkal(disc)
-    assert direct == subst == HalfExpPoly.const(1)
+    assert krushkal(disc) == krushkal_substitution(disc) \
+        == HalfExpPoly.const(1)
 
 
 def test_krushkal_mobius(mobius):
-    direct, subst = krushkal(mobius)
-    assert direct == subst == parse_poly("a^1/2 + b^1/2")
+    assert krushkal(mobius) == krushkal_substitution(mobius) \
+        == parse_poly("a^1/2 + b^1/2")
 
 
 def test_krushkal_theta(theta):
-    direct, subst = krushkal(theta.graph)
-    assert direct == subst == parse_poly("alpha*b + alpha + a + 2*b + 3")
+    assert krushkal(theta.graph) == krushkal_substitution(theta.graph) \
+        == parse_poly("alpha*b + alpha + a + 2*b + 3")
 
 
 def test_krushkal_quasitree_agrees(theta, handle, mobius):
     for g in (theta.graph, handle, mobius):
-        direct, _ = krushkal(g)
+        direct = krushkal(g)
         for order in (sorted(g.edges), sorted(g.edges, reverse=True)):
             assert krushkal_quasitree(g, order) == direct
 
@@ -311,7 +311,7 @@ def test_subset_nullity_contrast_breaks_expansion(handle):
     """Regression pin: reading the nullity factor as a constant n(G) rather
     than n(G|A) breaks the four-variable quasi-tree identity on two
     interlaced orientable loops."""
-    direct, _ = krushkal(handle)
+    direct = krushkal(handle)
     order = sorted(handle.edges)
     assert krushkal_quasitree(handle, order, subset_nullity=True) == direct
     assert krushkal_quasitree(handle, order, subset_nullity=False) != direct

@@ -344,9 +344,13 @@ def test_parse_zero_exponent_leaves_no_factor():
 
 
 def test_parse_error_gives_the_position_in_the_text_as_given():
-    with pytest.raises(PolyError, match=r"^cannot parse polynomial at "
-                                        r"position 6$"):
-        parse_poly("  x + $y")
+    for text, position in (("  x + $y", 6),
+                           # Arabic-Indic digits are neither integers nor
+                           # family indices
+                           ("\u0663*x^\u0662", 0), ("x_\u0663", 1)):
+        with pytest.raises(PolyError, match=r"^cannot parse polynomial at "
+                                            rf"position {position}$"):
+            parse_poly(text)
 
 
 @settings(max_examples=120, deadline=None)

@@ -33,7 +33,9 @@ NEVER_ENTERED = {
     "bench/spans.py": {
         "packaged.component_gamma_values",
         "packaged.quotient",
+        "poly.MultiPoly.substitute",
         "poly._PolyBase.__add__",
+        "poly._PolyBase.__mul__",
     },
     "bench/checks.py": {
         "invariants.krushkal_quasitree",
@@ -48,6 +50,10 @@ NEVER_ENTERED = {
         "ribbon.isomorphic",
     },
     "ribbonpoly.__all__": {
+        "poly.HalfExpPoly.a_half",
+        "poly.HalfExpPoly.alpha",
+        "poly.HalfExpPoly.b_half",
+        "poly.HalfExpPoly.beta",
         "poly.MultiPoly.x",
         "poly.MultiPoly.xg",
         "poly.MultiPoly.y",
@@ -55,8 +61,10 @@ NEVER_ENTERED = {
         "poly._PolyBase.__bool__",
         "poly._PolyBase.__hash__",
         "poly._PolyBase.__neg__",
+        "poly._PolyBase.__pow__",
         "poly._PolyBase.__repr__",
         "poly._PolyBase.__sub__",
+        "poly._PolyBase.const",
         "poly._PolyBase.zero",
     },
     "helpers": {
@@ -64,6 +72,8 @@ NEVER_ENTERED = {
         "packaged.PackagingError.__init__": "packaged.WeightedPartition.build",
         "packaged.PackagingGraph.components":
             "packaged.component_gamma_values",
+        "poly.HalfExpPoly._unit": "poly._PolyBase.const",
+        "poly.HalfMonomial.mul": "poly._PolyBase.__mul__",
         "poly.Monomial.mul": "poly.HalfExpPoly.substitute",
         "poly.MultiPoly._unit": "poly.HalfExpPoly.substitute",
         "poly._merge": "poly.Monomial.mul",

@@ -14,9 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ribbonpoly import invariants
-from ribbonpoly.invariants import (Multigraph, _krushkal_direct,
-                                   _subset_keys, _subset_term, _tutte_keys,
-                                   classical_tutte, pst_state_sum)
+from ribbonpoly.invariants import (Multigraph, _subset_keys, _subset_term,
+                                   _tutte_keys, classical_tutte, krushkal,
+                                   pst_state_sum)
 from ribbonpoly.packaged import PackagedRibbonGraph, component_gamma_values
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
@@ -179,8 +179,7 @@ def test_subset_walks_give_one_dart_per_boundary_walk(g):
 @settings(max_examples=60, deadline=None)
 @given(ribbon_graphs(max_edges=6))
 def test_krushkal_direct_equals_string_keyed_sum(g):
-    keys = _subset_keys(PackagedRibbonGraph.discrete(g))
-    assert _krushkal_direct(g, keys) == reference_krushkal(g)
+    assert krushkal(g) == reference_krushkal(g)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,10 +18,9 @@ def test_plane_krushkal_is_networkx_tutte():
     plane = [g for g in enumerate_connected(3) if euler_genus(g) == 0]
     assert len(plane) > 10
     for g in plane:
-        direct, _ = krushkal(g)
-        got = direct.substitute(alpha=MultiPoly.x() - 1,
-                                beta=MultiPoly.y() - 1, a=1, b=1,
-                                ring=MultiPoly)
+        got = krushkal(g).substitute(alpha=MultiPoly.x() - 1,
+                                     beta=MultiPoly.y() - 1, a=1, b=1,
+                                     ring=MultiPoly)
         h = nx.MultiGraph()
         h.add_nodes_from(g.vertices)
         h.add_edges_from(g.endpoints(e) for e in g.edges)
