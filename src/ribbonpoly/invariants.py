@@ -402,7 +402,18 @@ def _pairings(slots: list[int]):
 def enumerate_connected(max_edges: int) -> Iterator[RibbonGraph]:
     """Exhaustively enumerate connected signed rotation systems with at most
     ``max_edges`` edges and MAX_VERTICES vertices, deduplicated up to
-    isomorphism."""
+    isomorphism: of each class, the first candidate in the order composition
+    of the slots into vertices, then pairing, then signs.
+
+    Orderly generation (Read 1978; McKay 1998) skips a candidate, unbuilt,
+    only when an isomorphic one comes strictly earlier, so the output and its
+    order are the unpruned loop's; ``certificate`` deduplicates the rest.
+    - A composition whose group sizes are not non-decreasing: relabelling the
+      vertices sorts them, and the sorted cuts come first.
+    - A pairing that a turn or reflection of each vertex's cyclic group maps
+      to a smaller list of sorted pairs, ``_pairings``' order.  A reflection
+      also flips the signs of the edges with one end at its vertex, which
+      only permutes the 2^m sign vectors."""
     seen = set()
     g0 = RibbonGraph.build(["v1"], {"v1": []}, {})
     seen.add(certificate(g0))
@@ -410,8 +421,18 @@ def enumerate_connected(max_edges: int) -> Iterator[RibbonGraph]:
     for m in range(1, max_edges + 1):
         names = [f"e{i + 1}" for i in range(m)]
         for groups in _cyclic_partitions(2 * m):
+            if any(len(a) > len(b) for a, b in zip(groups, groups[1:])):
+                continue
+            turns = [[grp[i:] + grp[:i] for i in range(len(grp))]
+                     for grp in groups]
+            moves = {tuple(sum(images, [])) for images in itertools.product(
+                *(t + [r[::-1] for r in t] for t in turns))}
+            moves.discard(tuple(range(2 * m)))
             vnames = [f"v{i + 1}" for i in range(len(groups))]
             for pairing in _pairings(list(range(2 * m))):
+                if any(sorted(tuple(sorted((p[a], p[b]))) for a, b in pairing)
+                       < pairing for p in moves):
+                    continue
                 slot_end = {}
                 for name, (s1, s2) in zip(names, pairing):
                     slot_end[s1] = (name, 1)

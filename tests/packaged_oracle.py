@@ -22,15 +22,20 @@ library with their bodies unchanged: :class:`EdgeKind` and
 polynomial's second route, :func:`krushkal_substitution` (was
 ``invariants._krushkal_substitution``, which ``specialize --target
 krushkal`` compared with the direct subset sum), by substitution into
-the state sum of the discrete packaging."""
+the state sum of the discrete packaging.  And the corpus generator before
+its orderly-generation prunes, :func:`enumerate_connected_unpruned` (was
+the loop of ``invariants.enumerate_connected``), which certifies every
+candidate."""
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from ribbonpoly.invariants import _leaf, pst_state_sum
+from ribbonpoly.invariants import (_cyclic_partitions, _leaf, _pairings,
+                                   pst_state_sum)
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, WeightedPartition,
                                  component_gamma_values, packaged_contract,
@@ -38,7 +43,8 @@ from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
 from ribbonpoly.poly import HalfExpPoly, HalfMonomial, MultiPoly
 from ribbonpoly.ribbon import (ActivityReport, Dart, Isomorphism, Kernel,
                                RibbonGraph, RibbonGraphError, activities,
-                               connected_components, enumerate_quasi_trees,
+                               certificate, connected_components,
+                               enumerate_quasi_trees,
                                isomorphisms, partial_dual, restrict,
                                trace_boundaries, union_find)
 
@@ -436,3 +442,36 @@ def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
     for q in quasi_trees:
         act = activities(pg.graph, q, order)
         yield (q, act, *term(act.deleted_part(), act.contracted_part()))
+
+
+def enumerate_connected_unpruned(max_edges: int) -> Iterator[RibbonGraph]:
+    """:func:`~ribbonpoly.invariants.enumerate_connected` without its
+    prunes: every candidate is built and certified, and the first of each
+    certificate is kept."""
+    seen = set()
+    g0 = RibbonGraph.build(["v1"], {"v1": []}, {})
+    seen.add(certificate(g0))
+    yield g0
+    for m in range(1, max_edges + 1):
+        names = [f"e{i + 1}" for i in range(m)]
+        for groups in _cyclic_partitions(2 * m):
+            vnames = [f"v{i + 1}" for i in range(len(groups))]
+            for pairing in _pairings(list(range(2 * m))):
+                slot_end = {}
+                for name, (s1, s2) in zip(names, pairing):
+                    slot_end[s1] = (name, 1)
+                    slot_end[s2] = (name, 2)
+                rotation = {v: tuple(slot_end[s] for s in grp)
+                            for v, grp in zip(vnames, groups)}
+                base = RibbonGraph(tuple(vnames), rotation,
+                                   {n: 1 for n in names})
+                if len(connected_components(base)) != 1:
+                    continue
+                for signs in itertools.product((1, -1), repeat=m):
+                    g = RibbonGraph(base.vertices, base.rotation,
+                                    dict(zip(names, signs)))
+                    cert = certificate(g)
+                    if cert in seen:
+                        continue
+                    seen.add(cert)
+                    yield g

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import rg
+from ribbonpoly.fileformat import render
 from ribbonpoly.invariants import (Multigraph, _quasitree_walk,
                                    classical_tutte, corpus, cross_validate,
                                    enumerate_connected, krushkal,
@@ -23,6 +25,7 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                enumerate_quasi_trees, euler_genus, restrict)
 from packaged_oracle import (_activity_terms, _quasitree_minor,
                              _quasitree_terms, _terminal,
+                             enumerate_connected_unpruned,
                              krushkal_substitution, packaged_isomorphic, shape)
 from test_caches import random_packaging
 from test_ribbon import ribbon_graphs
@@ -322,11 +325,29 @@ def test_subset_nullity_contrast_breaks_expansion(handle):
 
 def test_enumerate_connected_counts():
     by_edges = {}
-    for g in enumerate_connected(2):
+    for g in enumerate_connected(4):
         by_edges.setdefault(len(g.edges), []).append(g)
-    assert {m: len(gs) for m, gs in by_edges.items()} == {0: 1, 1: 3, 2: 11}
+    assert {m: len(gs) for m, gs in by_edges.items()} == \
+        {0: 1, 1: 3, 2: 11, 3: 63, 4: 511}
     certs = [certificate(g) for gs in by_edges.values() for g in gs]
-    assert len(certs) == len(set(certs))
+    assert len(certs) == len(set(certs)) == 589
+
+
+def test_enumerate_connected_is_the_unpruned_loop():
+    """The prunes skip only candidates with an earlier isomorphic copy, so
+    the graphs and their order are those of the loop that certifies every
+    candidate."""
+    assert list(enumerate_connected(3)) == \
+        list(enumerate_connected_unpruned(3))
+
+
+def test_enumerate_connected_golden():
+    """The rendered 4-edge enumeration, pinned by the sha256 of the
+    unpruned loop's output."""
+    text = "".join(render(PackagedRibbonGraph.discrete(g))
+                   for g in enumerate_connected(4))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3593dbf10c5c6f2c4080e2c7ec2f3f50d000edb800587e10a99f3f7696a3facb"
 
 
 def test_corpus_deterministic():
