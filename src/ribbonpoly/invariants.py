@@ -414,10 +414,8 @@ def enumerate_connected(max_edges: int) -> Iterator[RibbonGraph]:
       to a smaller list of sorted pairs, ``_pairings``' order.  A reflection
       also flips the signs of the edges with one end at its vertex, which
       only permutes the 2^m sign vectors."""
-    seen = set()
-    g0 = RibbonGraph.build(["v1"], {"v1": []}, {})
-    seen.add(certificate(g0))
-    yield g0
+    seen = set()  # certificates of graphs with edges
+    yield RibbonGraph.build(["v1"], {"v1": []}, {})
     for m in range(1, max_edges + 1):
         names = [f"e{i + 1}" for i in range(m)]
         for groups in _cyclic_partitions(2 * m):

@@ -18,7 +18,8 @@ and three pairings
 
 encode the ribbon graph completely.  Vertices are the orbits of ``t1, t2``,
 edges the orbits of ``t0, t2`` and boundary components the orbits of
-``t0, t1``.  The partial dual with respect to an edge subset swaps ``t0`` and
+``t0, t1``; the kernel lists these walks once, and :func:`trace_boundaries`
+names them.  The partial dual with respect to an edge subset swaps ``t0`` and
 ``t2`` on the darts of those edges; applied to every edge this is the
 geometric dual.  Named darts appear only where the API returns them.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 End = tuple[str, int]
@@ -99,9 +101,24 @@ class RibbonGraph:
                 t1[arrive] = 2 * x
                 t1[2 * x] = arrive
                 arrive = 2 * x + 1
+        used = bytearray(len(t0))
+        walks = []
+        for d0 in range(len(t0)):  # each boundary walk from its least dart
+            if used[d0]:
+                continue
+            walk = []
+            cur = d0
+            while not used[cur]:
+                arr = t0[cur]
+                walk.append(cur)
+                walk.append(arr)
+                used[cur] = used[arr] = 1
+                cur = t1[arr]
+            walks.append(tuple(walk))
         return Kernel(tuple(t0), tuple(t1), rotations, tuple(end_vertex),
                       (1 << len(edges)) - 1,
-                      tuple([*itertools.product(edges, (1, 2), "LR")]))
+                      tuple([*itertools.product(edges, (1, 2), "LR")]),
+                      tuple(walks))
 
     @cached_property
     def boundaries(self) -> tuple[BoundaryComponent, ...]:
@@ -157,6 +174,9 @@ class Kernel(NamedTuple):
     L) and ``2x+1`` (side R), so dart order is the sorted order of the named
     darts and ``t2`` is ``d ^ 1``.  An edge subset is a bitmask, bit ``k``
     for edge ``k``; vertices are indices into :attr:`RibbonGraph.vertices`.
+    :attr:`walks` lists the boundary walks: each starts at the least dart
+    of no earlier walk and steps by ``t0`` then ``t1``, and
+    :func:`trace_boundaries` names them b1, b2, ...
     """
     t0: tuple[int, ...]                     # dart -> dart across its band
     t1: tuple[int, ...]                     # dart -> dart across its corner
@@ -164,6 +184,7 @@ class Kernel(NamedTuple):
     end_vertex: tuple[int, ...]             # end -> vertex
     full: int                               # the mask of every edge
     darts: tuple[Dart, ...]                 # dart -> its (edge, i, side)
+    walks: tuple[tuple[int, ...], ...]      # the boundary walks, in order
 
 
 def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -195,26 +216,13 @@ class BoundaryComponent:
 def trace_boundaries(g: RibbonGraph) -> list[BoundaryComponent]:
     """All boundary components, canonically ordered and labelled b1, b2, ...
 
-    Each walk starts at its minimal unused dart; walks with edges come first,
-    then one empty component per isolated vertex, in vertex order.
+    The kernel's walks, by name, come first, then one empty component per
+    isolated vertex, in vertex order.
     """
-    kern = g.kernel
-    t0, t1, names = kern.t0, kern.t1, kern.darts
-    used = bytearray(len(t0))
-    out = []
-    for d0 in range(len(t0)):
-        if used[d0]:
-            continue
-        walk = []
-        cur = d0
-        while True:
-            arr = t0[cur]
-            walk += (names[cur], names[arr])
-            used[cur] = used[arr] = 1
-            cur = t1[arr]
-            if cur == d0:
-                break
-        out.append(BoundaryComponent(f"b{len(out) + 1}", tuple(walk)))
+    names = g.kernel.darts
+    # a walk has at least two darts, so itemgetter returns a tuple
+    out = [BoundaryComponent(f"b{i}", itemgetter(*walk)(names))
+           for i, walk in enumerate(g.kernel.walks, 1)]
     for v in sorted(g.vertices):
         if not g.rotation.get(v, ()):
             out.append(BoundaryComponent(f"b{len(out) + 1}", (), vertex=v))
@@ -224,7 +232,7 @@ def trace_boundaries(g: RibbonGraph) -> list[BoundaryComponent]:
 def counts(g: RibbonGraph) -> tuple[int, int, int, int]:
     """(v, e, k, b)."""
     return (len(g.vertices), len(g.sign), len(connected_components(g)),
-            len(trace_boundaries(g)))
+            len(g.boundaries))
 
 
 def connected_components(g: RibbonGraph) -> list[frozenset[str]]:
@@ -588,8 +596,6 @@ def isomorphisms(g1: RibbonGraph, g2: RibbonGraph) -> Iterator[Isomorphism]:
     if deg1 != deg2:
         return
     verts1 = sorted(g1.vertices, key=lambda v: -len(g1.rotation.get(v, ())))
-    vertex_of_1 = {end: v for v in g1.vertices for end in g1.rotation.get(v, ())}
-    vertex_of_2 = {end: v for v in g2.vertices for end in g2.rotation.get(v, ())}
 
     def extend(idx, vmap, emap, endmap, flips):
         if idx == len(verts1):
@@ -644,8 +650,7 @@ def isomorphisms(g1: RibbonGraph, g2: RibbonGraph) -> Iterator[Isomorphism]:
                                 {(e2, 1), (e2, 2)}:
                             sign_ok = False
                             break
-                        u = vertex_of_1[(e1, 1)]
-                        w = vertex_of_1[(e1, 2)]
+                        u, w = g1.endpoints(e1)
                         if u in new_flips and w in new_flips:
                             parity = 0 if u == w else new_flips[u] ^ new_flips[w]
                             want = g1.sign[e1] * (-1 if parity else 1)
@@ -682,16 +687,7 @@ def certificate(g: RibbonGraph) -> tuple:
     kern = g.kernel
     t0, t1 = kern.t0, kern.t1
     walk_length = [0] * len(t0)
-    for d0 in range(len(t0)):
-        if walk_length[d0]:
-            continue
-        walk = []
-        cur = d0
-        while True:
-            walk += (cur, t0[cur])
-            cur = t1[t0[cur]]
-            if cur == d0:
-                break
+    for walk in kern.walks:
         for d in walk:
             walk_length[d] = len(walk)
     degree = [len(rot) for rot in kern.rotations]

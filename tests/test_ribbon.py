@@ -106,6 +106,35 @@ def test_side_visits_partition_the_darts(g):
         == sorted(isolated)
 
 
+@pytest.fixture(scope="module")
+def walk_orbits():
+    """The face tracer of ``test_bollobas_riordan``.  That module imports
+    ``ribbon_graphs`` from here, so it is imported after this module has
+    loaded, and outside the Hypothesis test (which may not nest ``@given``
+    tests, as its import would)."""
+    from test_bollobas_riordan import walk_orbits
+    return walk_orbits
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=ribbon_graphs())
+def test_kernel_walks_are_the_boundary_walks(walk_orbits, g):
+    kern = g.kernel
+    assert sorted(d for w in kern.walks for d in w) == list(range(len(kern.t0)))
+    unused = set(range(len(kern.t0)))
+    for w in kern.walks:
+        assert w[0] == min(unused)
+        unused -= set(w)
+        for i in range(0, len(w), 2):
+            assert w[i + 1] == kern.t0[w[i]]
+            assert w[(i + 2) % len(w)] == kern.t1[w[i + 1]]
+    # the oracle walks each boundary once in each direction, one state
+    # per band crossed, where a kernel walk has two darts per band
+    crossings = Counter(walk_orbits(g, g.sign).values()).values()
+    assert sorted(crossings) == sorted(2 * [len(w) // 2 for w in kern.walks])
+    assert counts(g)[3] == len(trace_boundaries(g))
+
+
 def test_boundary_ids_are_canonical(annulus):
     assert [c.id for c in trace_boundaries(annulus)] == ["b1", "b2"]
 
