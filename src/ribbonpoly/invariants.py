@@ -36,8 +36,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .packaged import (Minor, PackagedRibbonGraph, WeightedPartition,
                        packaged_contract, packaged_delete)
@@ -277,8 +276,7 @@ def krushkal(g: RibbonGraph) -> HalfExpPoly:
 # ---------------------------------------------------------------------------
 # classical Tutte polynomial of an abstract multigraph
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, str], ...]  # (name, endpoint, endpoint)
 
@@ -488,16 +486,15 @@ def corpus(max_edges: int, seed: int, random_packagings: int = 1
 # ---------------------------------------------------------------------------
 # cross-validation
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """``delcon`` and ``delcon_nodes`` come from the compiled recursion."""
     state_sum: MultiPoly
     delcon: MultiPoly
     quasitree: dict[tuple[str, ...], MultiPoly]
     equal: bool
     shape_checks_passed: bool
-    breakdown: dict[tuple[str, ...], list] = field(default_factory=dict)
-    delcon_nodes: int = 0
+    breakdown: dict[tuple[str, ...], list]
+    delcon_nodes: int
 
 
 def cross_validate(pg: PackagedRibbonGraph,

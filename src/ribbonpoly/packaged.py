@@ -22,7 +22,6 @@ G*|A^c by boundary blocks, which share their boundary walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, _boundary_targets,
@@ -42,8 +41,7 @@ class PackagingError(ValueError):
         self.element = element
 
 
-@dataclass(frozen=True)
-class WeightedPartition:
+class WeightedPartition(NamedTuple):
     """Disjoint blocks covering a ground set, each with an integer weight."""
     blocks: tuple[frozenset[str], ...]
     weights: tuple[int, ...]
@@ -96,8 +94,7 @@ class WeightedPartition:
              for b, w in zip(self.blocks, self.weights)])
 
 
-@dataclass(frozen=True)
-class PackagedRibbonGraph:
+class PackagedRibbonGraph(NamedTuple):
     graph: RibbonGraph
     vparts: WeightedPartition
     bparts: WeightedPartition
@@ -121,8 +118,7 @@ class PackagedRibbonGraph:
             WeightedPartition.discrete(c.id for c in graph.boundaries))
 
 
-@dataclass(frozen=True)
-class PackagingGraph:
+class PackagingGraph(NamedTuple):
     """Quotient multigraph of a ribbon graph by a weighted partition.
 
     ``blocks`` hold partition elements (vertex or boundary ids); ``edges``

@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 class PolyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     ex: int = 0
     ey: int = 0
     exg: tuple[tuple[int, int], ...] = ()  # (index, exponent), sorted, exponent != 0
@@ -229,8 +227,7 @@ class MultiPoly(_PolyBase):
         return ring.sum(terms)
 
 
-@dataclass(frozen=True)
-class HalfMonomial:
+class HalfMonomial(NamedTuple):
     """Exponents of alpha, beta, a, b; the a and b exponents are doubled."""
     ealpha: int = 0
     ebeta: int = 0

@@ -27,7 +27,7 @@ geometric dual.  Named darts appear only where the API returns them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -47,7 +47,9 @@ class RibbonGraph:
     Instances are never mutated after construction, so derived kernel data
     (end -> vertex, the integer kernel, boundary trace, dual) is computed on
     first use and kept on the instance.  Cached dicts are shared: callers
-    must not mutate them.
+    must not mutate them.  The cache needs an instance ``__dict__``, so
+    this is a frozen dataclass where the library's other records are
+    NamedTuples.
     """
     vertices: tuple[str, ...]
     rotation: dict[str, tuple[End, ...]]
@@ -206,8 +208,7 @@ def union_find(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 # ---------------------------------------------------------------------------
 # boundary tracing
 
-@dataclass(frozen=True)
-class BoundaryComponent:
+class BoundaryComponent(NamedTuple):
     id: str
     visits: tuple[Dart, ...]
     vertex: Optional[str] = None  # set for an isolated-vertex component
@@ -493,8 +494,7 @@ def enumerate_quasi_trees(g: RibbonGraph) -> list[frozenset[str]]:
     return out
 
 
-@dataclass(frozen=True)
-class ActivityReport:
+class ActivityReport(NamedTuple):
     """The six activity classes of edges relative to a quasi-tree and order,
     and the edges twisted in the partial dual at the quasi-tree."""
     internal_dead: frozenset[str]
@@ -580,12 +580,11 @@ def activities(g: RibbonGraph, q: Iterable[str],
 # ---------------------------------------------------------------------------
 # isomorphism (test oracle; brute force, fine for small graphs)
 
-@dataclass
-class Isomorphism:
+class Isomorphism(NamedTuple):
     vertex_map: dict[str, str]
     end_map: dict[End, End]
-    edge_map: dict[str, str] = field(default_factory=dict)
-    flip: dict[str, int] = field(default_factory=dict)
+    edge_map: dict[str, str]
+    flip: dict[str, int]
 
 
 def isomorphisms(g1: RibbonGraph, g2: RibbonGraph) -> Iterator[Isomorphism]:

@@ -13,8 +13,8 @@ from ribbonpoly.ribbon import (RibbonGraph, activities, connected_components,
                                counts, enumerate_quasi_trees, orientable)
 from packaged_oracle import (_minor_graph, _quasitree_minor, _quasitree_terms,
                              classify_edge)
+from strategies import ribbon_graphs
 from test_caches import random_packaging
-from test_ribbon import ribbon_graphs
 
 
 def shape(g: RibbonGraph) -> tuple:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from ribbonpoly.invariants import krushkal, krushkal_quasitree
 from ribbonpoly.poly import HalfExpPoly
 from ribbonpoly.ribbon import RibbonGraph
-from test_ribbon import ribbon_graphs
+from strategies import ribbon_graphs
 
 
 def walk_orbits(g: RibbonGraph, subset) -> dict:

@@ -15,7 +15,7 @@ from ribbonpoly.ribbon import (RibbonGraph, connected_components,
                                trace_boundaries)
 from packaged_oracle import (_minor_shape_ok, _quasitree_minor,
                              _quasitree_terms, minor_shape_check)
-from test_ribbon import ribbon_graphs
+from strategies import ribbon_graphs
 
 
 def random_packaging(g: RibbonGraph, seed: int) -> PackagedRibbonGraph:

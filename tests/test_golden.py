@@ -20,7 +20,6 @@ after an intended output change, run from the repository root::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -72,7 +71,7 @@ def _minors_sha(pg: PackagedRibbonGraph, e: str) -> str:
 def _activities_sha(g: RibbonGraph) -> list[str]:
     """Per order, sorted then reversed, one hash over every quasi-tree's
     activity report, each field's edges sorted."""
-    fields = [f.name for f in dataclasses.fields(ActivityReport)]
+    fields = ActivityReport._fields
     quasi_trees = enumerate_quasi_trees(g)
     out = []
     for order in (sorted(g.edges), sorted(g.edges, reverse=True)):

@@ -27,8 +27,8 @@ from packaged_oracle import (_activity_terms, _quasitree_minor,
                              _quasitree_terms, _terminal,
                              enumerate_connected_unpruned,
                              krushkal_substitution, packaged_isomorphic, shape)
+from strategies import ribbon_graphs
 from test_caches import random_packaging
-from test_ribbon import ribbon_graphs
 from test_subset_pass import reference_term
 
 THETA_POLY = ("x^3*x_2*y_0^2 + 2*x^2*x_2*y_0 + x^2*y*x_0*y_0^2"

@@ -54,9 +54,9 @@ from hypothesis import strategies as st
 from ribbonpoly.invariants import krushkal, krushkal_quasitree
 from ribbonpoly.poly import HalfExpPoly
 from ribbonpoly.ribbon import RibbonGraph
+from strategies import ribbon_graphs
 from test_bollobas_riordan import (boundaries, components, euler_genus,
                                    walk_orbits)
-from test_ribbon import ribbon_graphs
 
 
 def dual_graph(g: RibbonGraph) -> tuple[int, dict[str, tuple[int, int]]]:

@@ -25,9 +25,9 @@ from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
                                  packaged_contract, packaged_delete)
 from ribbonpoly.ribbon import connected_components, union_find
 from packaged_oracle import _quasitree_minor
+from strategies import ribbon_graphs
 from test_caches import random_packaging
 from test_golden import _large_instance
-from test_ribbon import ribbon_graphs
 
 
 def compiled_blocks(m: Minor) -> tuple[set[str], int, list, list]:

@@ -16,8 +16,8 @@ from ribbonpoly.ribbon import connected_components
 from packaged_oracle import (EdgeKind, _activity_terms, _minor_graph,
                              classify_edge, krushkal_quasitree_oracle,
                              nullity, restricted_packagings)
+from strategies import ribbon_graphs
 from test_caches import random_packaging
-from test_ribbon import ribbon_graphs
 
 
 @st.composite

@@ -17,21 +17,8 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                enumerate_quasi_trees, euler_genus, isomorphic, orientable, partial_dual,
                                partial_dual_with_map, restrict,
                                trace_boundaries, validate)
-
-
-@st.composite
-def ribbon_graphs(draw, max_edges=3, max_vertices=3, min_edges=0):
-    m = draw(st.integers(min_edges, max_edges))
-    names = [f"e{i + 1}" for i in range(m)]
-    signs = {n: draw(st.sampled_from([1, -1])) for n in names}
-    ends = [(n, i) for n in names for i in (1, 2)]
-    perm = draw(st.permutations(ends))
-    nv = draw(st.integers(1, max_vertices))
-    assignment = [draw(st.integers(0, nv - 1)) for _ in perm]
-    rotation = {f"v{j + 1}": tuple(e for e, a in zip(perm, assignment)
-                                   if a == j)
-                for j in range(nv)}
-    return RibbonGraph.build(list(rotation), rotation, signs)
+from strategies import ribbon_graphs
+from test_bollobas_riordan import walk_orbits
 
 
 def theta_graph():
@@ -106,19 +93,9 @@ def test_side_visits_partition_the_darts(g):
         == sorted(isolated)
 
 
-@pytest.fixture(scope="module")
-def walk_orbits():
-    """The face tracer of ``test_bollobas_riordan``.  That module imports
-    ``ribbon_graphs`` from here, so it is imported after this module has
-    loaded, and outside the Hypothesis test (which may not nest ``@given``
-    tests, as its import would)."""
-    from test_bollobas_riordan import walk_orbits
-    return walk_orbits
-
-
 @settings(max_examples=150, deadline=None)
-@given(g=ribbon_graphs())
-def test_kernel_walks_are_the_boundary_walks(walk_orbits, g):
+@given(ribbon_graphs())
+def test_kernel_walks_are_the_boundary_walks(g):
     kern = g.kernel
     assert sorted(d for w in kern.walks for d in w) == list(range(len(kern.t0)))
     unused = set(range(len(kern.t0)))

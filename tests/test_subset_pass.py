@@ -24,8 +24,8 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                euler_genus, restrict, trace_boundaries)
 from packaged_oracle import (nullity, restricted_packagings, subset_walks,
                              subset_walks_term, tutte_keys)
+from strategies import ribbon_graphs
 from test_caches import random_packaging
-from test_ribbon import ribbon_graphs
 
 
 def subsets(g: RibbonGraph):

@@ -8,23 +8,16 @@ from hypothesis import strategies as st
 
 from ribbonpoly.invariants import cross_validate, pst_delcon, pst_state_sum
 from ribbonpoly.packaged import packaged_dual
-from ribbonpoly.ribbon import RibbonGraph, connected_components
+from ribbonpoly.ribbon import connected_components
+from strategies import ribbon_graphs
 from test_caches import random_packaging
 
 
 @st.composite
 def packaged_graphs(draw, min_edges=5, max_edges=8, max_vertices=4):
-    """As ``test_ribbon.ribbon_graphs``, with at least ``min_edges`` edges,
-    then a random packaging."""
-    m = draw(st.integers(min_edges, max_edges))
-    names = [f"e{i + 1}" for i in range(m)]
-    signs = {n: draw(st.sampled_from([1, -1])) for n in names}
-    ends = draw(st.permutations([(n, i) for n in names for i in (1, 2)]))
-    nv = draw(st.integers(1, max_vertices))
-    at = [draw(st.integers(0, nv - 1)) for _ in ends]
-    rotation = {f"v{j + 1}": tuple(e for e, a in zip(ends, at) if a == j)
-                for j in range(nv)}
-    g = RibbonGraph.build(list(rotation), rotation, signs)
+    """``strategies.ribbon_graphs`` with at least ``min_edges`` edges, then
+    a random packaging."""
+    g = draw(ribbon_graphs(max_edges, max_vertices, min_edges))
     return random_packaging(g, draw(st.integers(0, 2 ** 16)))
 
 
