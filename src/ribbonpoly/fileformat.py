@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .packaged import (PackagedRibbonGraph, PackagingError, WeightedPartition)
-from .ribbon import RibbonGraph, RibbonGraphError
+from .ribbon import RibbonGraph
 
 
 class ParseError(ValueError):
@@ -174,15 +174,12 @@ def parse(text: str) -> PackagedRibbonGraph:
                 raise ParseError(f"invalid ribbon graph: edge {e} is missing "
                                  f"end {e}.{i}", *where)
 
-    try:
-        graph = RibbonGraph.build(vertices, rotation, sign)
-    except RibbonGraphError as ex:
-        raise ParseError(f"invalid ribbon graph: {ex}", 1) from ex
-
+    # no fault is left for validate or PackagedRibbonGraph.build to find
+    graph = RibbonGraph(tuple(vertices), rotation, sign)
     bids = [c.id for c in graph.boundaries]
     vparts = _partition("vertex", vertices, vblocks)
     bparts = _partition("boundary", bids, bblocks)
-    return PackagedRibbonGraph.build(graph, vparts, bparts)
+    return PackagedRibbonGraph(graph, vparts, bparts)
 
 
 def render(pg: PackagedRibbonGraph) -> str:

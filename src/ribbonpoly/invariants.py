@@ -27,7 +27,8 @@ with deleted and contracted part (Q, B, A), however many edge orders
 produce it, and shape-checks that same compiled minor: a required bridge
 must split it when deleted, a required plane loop when contracted.  The
 string-graph references of these checks and of the prefactor live in the
-tests.
+tests, as do the recursion on other pivots and the expansion's non-Tutte
+contrast, which reads the whole graph's nullity in place of n(A).
 """
 
 from __future__ import annotations
@@ -148,13 +149,11 @@ def _leaf(pg: PackagedRibbonGraph, ex: int = 0, ey: int = 0) -> Monomial:
                     _family(gammas(pg.vparts)))
 
 
-def pst_delcon(pg: PackagedRibbonGraph,
-               pivot_rule=lambda pg: pg.graph.edges[0],
-               _counter: list | None = None,
+def pst_delcon(pg: PackagedRibbonGraph, _counter: list | None = None,
                _path: tuple[Counter, int, int] | None = None
                ) -> MultiPoly | None:
-    """Deletion-contraction recursion on the edge ``pivot_rule`` picks (by
-    default the first); the result is pivot-independent.
+    """Deletion-contraction recursion, pivoting on each node's first edge
+    (the result is pivot-independent; the tests try other pivots).
 
     Each node is one call.  ``_path`` is the leaf counter of the top call
     and the x/y exponents gathered on the way to this node; a call below
@@ -166,14 +165,12 @@ def pst_delcon(pg: PackagedRibbonGraph,
     if not g.sign:
         leaves[_leaf(pg, ex, ey)] += 1
     else:
-        e = pivot_rule(pg)
+        e = g.edges[0]
         # x (y) unless the minor merged two blocks at e's sides (ends)
         deleted, dcase = packaged_delete(pg, e)
         contracted, ccase = packaged_contract(pg, e)
-        pst_delcon(deleted, pivot_rule, _counter,
-                   (leaves, ex + (dcase != 1), ey))
-        pst_delcon(contracted, pivot_rule, _counter,
-                   (leaves, ex, ey + (ccase != 1)))
+        pst_delcon(deleted, _counter, (leaves, ex + (dcase != 1), ey))
+        pst_delcon(contracted, _counter, (leaves, ex, ey + (ccase != 1)))
     return MultiPoly(leaves) if _path is None else None
 
 
@@ -281,20 +278,18 @@ class Multigraph(NamedTuple):
     edges: tuple[tuple[str, str, str], ...]  # (name, endpoint, endpoint)
 
 
-def _tutte_keys(n: int, ends: list[tuple[int, int]],
-                subset_nullity: bool = True) -> Counter:
+def _tutte_keys(n: int, ends: list[tuple[int, int]]) -> Counter:
     """How many edge subsets A of the multigraph on vertices 0 .. n-1 with
     edges ``ends`` give each (k(A) - k, n(A)), by one depth-first pass:
-    n(A) is the nullity of the :func:`_add_edge` side (the whole graph's with
-    ``subset_nullity=False``) and k(A) the number of its gammas."""
+    n(A) is the nullity of the :func:`_add_edge` side and k(A) the number
+    of its gammas."""
     k_h = len(set(union_find(n, ends)))
-    n_h = len(ends) - n + k_h
     keys: Counter = Counter()
 
     def visit(k: int, side: tuple) -> None:
         if k == len(ends):
             _, comps, null = side
-            keys[len(comps) - k_h, null if subset_nullity else n_h] += 1
+            keys[len(comps) - k_h, null] += 1
             return
         visit(k + 1, _add_edge(side, *ends[k]))
         visit(k + 1, side)
@@ -303,16 +298,11 @@ def _tutte_keys(n: int, ends: list[tuple[int, int]],
     return keys
 
 
-def classical_tutte(h: Multigraph, subset_nullity: bool = True) -> MultiPoly:
+def classical_tutte(h: Multigraph) -> MultiPoly:
     """Subset sum of (x-1)^{k(h|A)-k(h)} (y-1)^{n(h|A)}, each power
-    expanded by the binomial theorem.
-
-    ``subset_nullity=False`` uses n(h) instead of n(h|A); that variant is not
-    the Tutte polynomial and exists only as a pinned regression contrast.
-    """
+    expanded by the binomial theorem."""
     idx = {v: i for i, v in enumerate(h.vertices)}
-    keys = _tutte_keys(len(idx), [(idx[u], idx[w]) for _, u, w in h.edges],
-                       subset_nullity)
+    keys = _tutte_keys(len(idx), [(idx[u], idx[w]) for _, u, w in h.edges])
     return MultiPoly((Monomial(i, j), (-1) ** (a + b - i - j) * c
                       * math.comb(a, i) * math.comb(b, j))
                      for (a, b), c in keys.items()
@@ -324,8 +314,7 @@ def underlying_multigraph(g: RibbonGraph) -> Multigraph:
                       tuple((e, *g.endpoints(e)) for e in g.edges))
 
 
-def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
-                       subset_nullity: bool = True) -> HalfExpPoly:
+def krushkal_quasitree(g: RibbonGraph, order: Iterable[str]) -> HalfExpPoly:
     """Quasi-tree expansion of the four-variable polynomial, on the leaf
     minors of :func:`_quasitree_walk` (see :func:`_krushkal_side`).
 
@@ -334,24 +323,21 @@ def krushkal_quasitree(g: RibbonGraph, order: Iterable[str],
     T(beta+1, b+1) of the live orientable external edges between the
     components of the deleted part in the dual, times a and b to half the
     Euler genus of those parts.  T(alpha+1, a+1) is read off the
-    :func:`_tutte_keys` as the sum of alpha^{k(A)-k} a^{n(A)}.
-
-    ``subset_nullity=False`` propagates the non-Tutte contrast variant of
-    :func:`classical_tutte`; it provably breaks the expansion and exists only
-    for the pinning regression test.
+    :func:`_tutte_keys` as the sum of alpha^{k(A)-k} a^{n(A)}; it reads the
+    subset's nullity n(A), and the tests check that the whole graph's n
+    in its place breaks the expansion.
     """
     total: Counter = Counter()
     for q, m in _quasitree_walk(PackagedRibbonGraph.discrete(g), order):
-        xs, ga = _krushkal_side(m, 0, m.live & q, subset_nullity)
-        ys, gb = _krushkal_side(m, 1, m.live & ~q, subset_nullity)
+        xs, ga = _krushkal_side(m, 0, m.live & q)
+        ys, gb = _krushkal_side(m, 1, m.live & ~q)
         for (i, j), c in xs.items():
             for (i2, j2), c2 in ys.items():
                 total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
     return HalfExpPoly(total)
 
 
-def _krushkal_side(m: Minor, s: int, live: int,
-                   subset_nullity: bool) -> tuple[Counter, int]:
+def _krushkal_side(m: Minor, s: int, live: int) -> tuple[Counter, int]:
     """The :func:`_tutte_keys` of the multigraph of the ``live`` edges
     between the blocks on side ``s`` of a leaf minor ``m`` of the discrete
     packaging (merged-away blocks are isolated vertices, which change no
@@ -367,8 +353,7 @@ def _krushkal_side(m: Minor, s: int, live: int,
                 cross = t0[d] if s else d ^ 1
                 seen[d] = seen[cross] = 1
                 d = t1[cross]
-    keys = _tutte_keys(len(m.gammas[s]), m._pairs(s, live), subset_nullity)
-    return keys, genus
+    return _tutte_keys(len(m.gammas[s]), m._pairs(s, live)), genus
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ graphs; the activity minor as a chain of string-keyed packaged minors, its
 ribbon graph built as a partial dual and its shape check by
 :func:`classify_edge`; the activity classes read off the named partial dual
 G^Q; the four-variable quasi-tree expansion on restricted string graphs;
-the Tutte keys of a multigraph by one union-find per edge subset;
+the Tutte keys of a multigraph by one union-find per edge subset, and its
+Tutte polynomial as a sum of products of powers of x-1 and y-1; the
+deletion-contraction recursion on string-keyed minors with any pivot at
+each node, :func:`delcon`, which the library's ``pst_delcon`` is checked
+against on other pivots than its first edge;
 :func:`subset_walks`, which rebuilds a spanning subgraph's corner map to
 give one dart per boundary walk, and the state-sum leaf that walks each
 subset with its own call of it; and the quasi-tree expansion's activities
@@ -25,17 +29,24 @@ krushkal`` compared with the direct subset sum), by substitution into
 the state sum of the discrete packaging.  And the corpus generator before
 its orderly-generation prunes, :func:`enumerate_connected_unpruned` (was
 the loop of ``invariants.enumerate_connected``), which certifies every
-candidate."""
+candidate.
+
+The non-Tutte contrast also lives only here: ``subset_nullity=False`` on
+:func:`krushkal_quasitree_oracle`, :func:`tutte_keys` and
+:func:`classical_tutte_oracle` reads the whole multigraph's nullity n in
+place of the subset's n(A).  The tests use it to show that the Tutte
+factors must read n(A): with n, the four-variable quasi-tree expansion
+breaks on a small instance."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from ribbonpoly.invariants import (_cyclic_partitions, _leaf, _pairings,
-                                   pst_state_sum)
+from ribbonpoly.invariants import (Multigraph, _cyclic_partitions, _leaf,
+                                   _pairings, pst_state_sum)
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph, PackagingError,
                                  PackagingGraph, WeightedPartition,
                                  component_gamma_values, packaged_contract,
@@ -246,6 +257,21 @@ def _terminal(pg: PackagedRibbonGraph) -> MultiPoly:
     return MultiPoly({_leaf(pg): 1})
 
 
+def delcon(pg: PackagedRibbonGraph,
+           pivot: Callable[[PackagedRibbonGraph], str]) -> MultiPoly:
+    """Deletion-contraction on string-keyed packaged minors, pivoting at
+    each node on the edge ``pivot`` picks there: the reference for the
+    pivot independence of :func:`~ribbonpoly.invariants.pst_delcon`, which
+    always pivots on the first edge."""
+    if not pg.graph.sign:
+        return _terminal(pg)
+    e = pivot(pg)
+    deleted, dcase = packaged_delete(pg, e)
+    contracted, ccase = packaged_contract(pg, e)
+    return (MultiPoly.x(dcase != 1) * delcon(deleted, pivot)
+            + MultiPoly.y(ccase != 1) * delcon(contracted, pivot))
+
+
 def interlaced(g: RibbonGraph, e: str, f: str) -> bool:
     """True iff loops ``e`` and ``f`` share a vertex with ends in order efef."""
     if e == f or not (is_loop(g, e) and is_loop(g, f)):
@@ -307,7 +333,10 @@ def krushkal_substitution(g: RibbonGraph) -> HalfExpPoly:
 def krushkal_quasitree_oracle(g: RibbonGraph, order: Iterable[str],
                               subset_nullity: bool = True) -> HalfExpPoly:
     """:func:`ribbonpoly.invariants.krushkal_quasitree` with each side read
-    off the restricted string graph (of ``g`` or of its dual)."""
+    off the restricted string graph (of ``g`` or of its dual).  With
+    ``subset_nullity=False`` each side's Tutte keys read the nullity of
+    the whole multigraph in place of n(A): the non-Tutte contrast, which
+    breaks the expansion."""
     order = list(order)
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
@@ -354,6 +383,19 @@ def tutte_keys(n: int, ends: list[tuple[int, int]],
     k_h, n_h = counts(full)
     return Counter((k_a - k_h, n_a if subset_nullity else n_h)
                    for k_a, n_a in map(counts, range(full + 1)))
+
+
+def classical_tutte_oracle(h: Multigraph,
+                           subset_nullity: bool = True) -> MultiPoly:
+    """:func:`ribbonpoly.invariants.classical_tutte` as the sum of
+    c (x-1)^a (y-1)^b, products of polynomial powers, over the
+    :func:`tutte_keys`; with ``subset_nullity=False``, the contrast that
+    reads n(h) in place of n(h|A), which is not the Tutte polynomial."""
+    idx = {v: i for i, v in enumerate(h.vertices)}
+    keys = tutte_keys(len(idx), [(idx[u], idx[w]) for _, u, w in h.edges],
+                      subset_nullity)
+    x1, y1 = MultiPoly.x() - 1, MultiPoly.y() - 1
+    return MultiPoly.sum(c * x1 ** a * y1 ** b for (a, b), c in keys.items())
 
 
 def subset_walks(kern: Kernel, mask: int) -> list[int]:

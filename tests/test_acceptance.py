@@ -24,7 +24,7 @@ from ribbonpoly.ribbon import (activities, certificate, contract_edge, counts,
                                delete_edge, dual_correspondences,
                                enumerate_quasi_trees, euler_genus, isomorphic,
                                partial_dual, restrict, trace_boundaries)
-from packaged_oracle import krushkal_substitution
+from packaged_oracle import krushkal_quasitree_oracle, krushkal_substitution
 
 THETA_POLY = ("x^3*x_2*y_0^2 + 2*x^2*x_2*y_0 + x^2*y*x_0*y_0^2"
               " + 3*x*y*x_0*y_0 + y^2*x_0*y_2")
@@ -196,7 +196,7 @@ def test_criterion_08_krushkal_triconsistency(graphs4):
         if not (direct == via_subst == expansion):
             failures.append(certificate(g))
     literal_broken = any(
-        krushkal_quasitree(g, sorted(g.edges), subset_nullity=False)
+        krushkal_quasitree_oracle(g, sorted(g.edges), subset_nullity=False)
         != krushkal(g)
         for g in graphs4 if len(g.edges) <= 3)
     ok = not failures and literal_broken

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -8,8 +9,10 @@ from conftest import THETA_EXAMPLE_RG
 from ribbonpoly import cli
 from ribbonpoly.fileformat import ParseError, parse, render
 from ribbonpoly.invariants import corpus
-from ribbonpoly.ribbon import counts
+from ribbonpoly.packaged import PackagedRibbonGraph
+from ribbonpoly.ribbon import counts, validate
 from packaged_oracle import packaged_isomorphic, shape
+from test_fuzz import _mutate, _seed_texts
 
 
 def test_parse_example():
@@ -141,13 +144,38 @@ def test_partition_errors_point_at_the_directive(text, where, words):
      (4, 12), "end g.1 references undeclared edge g"),
     ("edges: e+\r\nvertex v1: e.1 e.1\r\n", (2, 16), "end e.1 placed twice"),
     ("edges: e+\rvertex v1: e.1 e.1\r", (2, 16), "end e.1 placed twice"),
+    # a second vertex line for v1: a header fault points at column 1
+    ("edges: e+\nvertex v1: e.1\n# again\nvertex v1: e.2\n", (4, 1),
+     "vertex v1 declared twice"),
+    # e is declared again on a later edges line
+    ("edges: e+\nvertex v1: e.1 e.2 f.1 f.2\nedges: f+ e-\n", (3, 11),
+     "edge e declared twice"),
 ], ids=["placed-twice", "undeclared-edge", "missing-end", "after-u2028",
-        "crlf", "cr"])
+        "crlf", "cr", "vertex-declared-twice", "edge-declared-twice"])
 def test_graph_errors_point_at_their_token(text, where, words):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.line, exc.value.column) == where
     assert words in str(exc.value)
+
+
+def test_parsed_graphs_pass_the_library_checks():
+    """``parse`` builds its graph without ``validate`` and its packaged
+    graph without ``PackagedRibbonGraph.build``: on every mutant it
+    accepts, both checks find nothing."""
+    seeds = _seed_texts()
+    alphabet = sorted(set(b"".join(seeds)))
+    rng = random.Random(30)
+    accepted = 0
+    for _ in range(20000):
+        try:
+            pg = parse(_mutate(rng, rng.choice(seeds), alphabet).decode())
+        except (ParseError, UnicodeDecodeError):
+            continue
+        accepted += 1
+        assert validate(pg.graph) == []
+        assert PackagedRibbonGraph.build(*pg) == pg
+    assert accepted > 200
 
 
 # str.splitlines also ends a line at each of these

@@ -7,8 +7,10 @@ per edge, one SHA-256 over its packaged deletion and contraction minors with
 their cases and the ``contract_edge`` boundary correspondence; and for each
 graph one SHA-256 over the rendered partial duals on all of its edge
 subsets, the ``classify_edge`` kind of every edge, ``orientable`` and the
-``krushkal_quasitree`` text in sorted edge order with both
-``subset_nullity`` values; and for a few seeded connected 6-8-edge packaged
+``krushkal_quasitree`` text in sorted edge order, and the text of its
+non-Tutte contrast, which ``packaged_oracle.krushkal_quasitree_oracle``
+computes with ``subset_nullity=False``; and for a few seeded connected
+6-8-edge packaged
 graphs, their ``pst_delcon`` text and their ``pst_quasitree`` text in sorted
 edge order.  For every graph of both kinds it also holds one SHA-256 over
 the ``activities`` report of each quasi-tree in sorted and one in reversed
@@ -33,7 +35,7 @@ from ribbonpoly.invariants import (_random_partition, corpus,
                                    pst_quasitree, pst_state_sum)
 from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
                                  packaged_delete, packaged_dual)
-from packaged_oracle import classify_edge
+from packaged_oracle import classify_edge, krushkal_quasitree_oracle
 from ribbonpoly.ribbon import (ActivityReport, RibbonGraph, activities,
                                connected_components,
                                contract_edge, enumerate_quasi_trees,
@@ -87,7 +89,7 @@ def _graph_invariants(g: RibbonGraph) -> dict:
         "edge_kinds": {e: classify_edge(g, e).value for e in g.edges},
         "orientable": orientable(g),
         "krushkal_quasitree": krushkal_quasitree(g, order).canonical_text(),
-        "krushkal_quasitree_contrast": krushkal_quasitree(
+        "krushkal_quasitree_contrast": krushkal_quasitree_oracle(
             g, order, subset_nullity=False).canonical_text(),
         "activities_sha256": _activities_sha(g),
     }

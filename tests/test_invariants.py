@@ -25,8 +25,10 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                enumerate_quasi_trees, euler_genus, restrict)
 from packaged_oracle import (_activity_terms, _quasitree_minor,
                              _quasitree_terms, _terminal,
+                             classical_tutte_oracle, delcon,
                              enumerate_connected_unpruned,
-                             krushkal_substitution, packaged_isomorphic, shape)
+                             krushkal_quasitree_oracle, krushkal_substitution,
+                             packaged_isomorphic, shape)
 from strategies import ribbon_graphs
 from test_caches import random_packaging
 from test_subset_pass import reference_term
@@ -69,11 +71,13 @@ def test_delcon_matches_state_sum(theta):
 
 
 def test_delcon_pivot_independent(theta):
-    base = pst_delcon(theta, pivot_rule=lambda pg: pg.graph.edges[0])
-    assert pst_delcon(theta, pivot_rule=lambda pg: pg.graph.edges[-1]) == base
+    """The recursion on the first, the last and a seeded random edge at
+    each node, against ``pst_delcon``'s first-edge pivot."""
+    base = pst_delcon(theta)
+    assert delcon(theta, lambda pg: pg.graph.edges[0]) == base
+    assert delcon(theta, lambda pg: pg.graph.edges[-1]) == base
     rng = random.Random(7)
-    assert pst_delcon(
-        theta, pivot_rule=lambda pg: rng.choice(pg.graph.edges)) == base
+    assert delcon(theta, lambda pg: rng.choice(pg.graph.edges)) == base
 
 
 def test_delcon_leaves_are_subset_terms(theta):
@@ -267,13 +271,15 @@ def test_classical_tutte_against_networkx():
         got = classical_tutte(h)
         assert {(m.ex, m.ey): c for m, c in got.terms.items()} == want, seed
         n_h = len(h.edges) - len(vs) + nx.number_connected_components(nxg)
-        assert (classical_tutte(h, subset_nullity=False) != got) == (n_h > 0)
+        assert (classical_tutte_oracle(h, subset_nullity=False) != got) \
+            == (n_h > 0)
 
 
 def _krushkal_by_substitution(g: RibbonGraph, order: list[str],
-                              subset_nullity: bool) -> HalfExpPoly:
-    """The quasi-tree expansion by expanding each Tutte factor in x-1, y-1
-    and substituting x = alpha+1, y = a+1 (beta+1, b+1 on the dual side)."""
+                              tutte=classical_tutte) -> HalfExpPoly:
+    """The quasi-tree expansion by expanding each Tutte factor, ``tutte``
+    of the multigraph between the components, in x-1, y-1 and substituting
+    x = alpha+1, y = a+1 (beta+1, b+1 on the dual side)."""
     gd = g.duality[0]
     total = HalfExpPoly.zero()
     for q in enumerate_quasi_trees(g):
@@ -289,7 +295,7 @@ def _krushkal_by_substitution(g: RibbonGraph, order: list[str],
             between = Multigraph(tuple(sorted(set(name.values()))),
                                  tuple((e, *(name[v] for v in h.endpoints(e)))
                                        for e in sorted(live)))
-            t = classical_tutte(between, subset_nullity=subset_nullity)
+            t = tutte(between)
             term = (term * half(euler_genus(sub))
                     * t.substitute(x=var + 1, y=half(2) + 1, ring=HalfExpPoly))
         total = total + term
@@ -305,19 +311,23 @@ def test_krushkal_quasitree_matches_substitution_route(g, rng):
         with pytest.raises(RibbonGraphError):
             krushkal_quasitree(g, order)
         return
-    for subset_nullity in (True, False):
-        assert krushkal_quasitree(g, order, subset_nullity) == \
-            _krushkal_by_substitution(g, order, subset_nullity)
+    assert krushkal_quasitree(g, order) == _krushkal_by_substitution(g, order)
+    # the contrast, on the oracle's sides and on its Tutte polynomial
+    assert krushkal_quasitree_oracle(g, order, subset_nullity=False) == \
+        _krushkal_by_substitution(
+            g, order, lambda h: classical_tutte_oracle(h, subset_nullity=False))
 
 
 def test_subset_nullity_contrast_breaks_expansion(handle):
     """Regression pin: reading the nullity factor as a constant n(G) rather
     than n(G|A) breaks the four-variable quasi-tree identity on two
-    interlaced orientable loops."""
+    interlaced orientable loops; the contrast is the oracle's."""
     direct = krushkal(handle)
     order = sorted(handle.edges)
-    assert krushkal_quasitree(handle, order, subset_nullity=True) == direct
-    assert krushkal_quasitree(handle, order, subset_nullity=False) != direct
+    assert krushkal_quasitree(handle, order) == direct
+    assert krushkal_quasitree_oracle(handle, order) == direct
+    assert krushkal_quasitree_oracle(handle, order,
+                                     subset_nullity=False) != direct
 
 
 # ---------------------------------------------------------------------------

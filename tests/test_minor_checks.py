@@ -75,6 +75,4 @@ def test_prefactor_is_packaging_nullity(parts):
 def test_krushkal_quasitree_matches_string_sides(g, data):
     assume(len(connected_components(g)) == 1)
     order = data.draw(st.permutations(g.edges))
-    for subset_nullity in (True, False):
-        assert (krushkal_quasitree(g, order, subset_nullity)
-                == krushkal_quasitree_oracle(g, order, subset_nullity))
+    assert krushkal_quasitree(g, order) == krushkal_quasitree_oracle(g, order)

@@ -22,7 +22,8 @@ from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                connected_components, enumerate_quasi_trees,
                                euler_genus, restrict, trace_boundaries)
-from packaged_oracle import (nullity, restricted_packagings, subset_walks,
+from packaged_oracle import (classical_tutte_oracle, nullity,
+                             restricted_packagings, subset_walks,
                              subset_walks_term, tutte_keys)
 from strategies import ribbon_graphs
 from test_caches import random_packaging
@@ -202,12 +203,9 @@ def test_quasi_trees_equal_traced_subsets_in_order(g):
 @example((2, [(0, 1), (1, 0), (0, 1)]))
 @example((5, [(0, 1), (2, 3), (3, 3), (2, 3)]))
 def test_tutte_keys_equal_per_subset_union_finds(h):
-    """The build-up Tutte keys against one union-find per subset, with the
-    subset's nullity and with the whole multigraph's."""
+    """The build-up Tutte keys against one union-find per subset."""
     n, ends = h
-    for subset_nullity in (True, False):
-        assert (_tutte_keys(n, ends, subset_nullity)
-                == tutte_keys(n, ends, subset_nullity))
+    assert _tutte_keys(n, ends) == tutte_keys(n, ends)
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,15 +217,9 @@ def test_tutte_keys_equal_per_subset_union_finds(h):
 def test_classical_tutte_equals_products_of_powers(h):
     """The binomial expansion of each key against the sum of
     c (x-1)^a (y-1)^b as products of polynomial powers, read off the
-    per-subset union-find keys, with the subset's nullity and with the
-    whole multigraph's."""
+    per-subset union-find keys."""
     n, ends = h
     graph = Multigraph(tuple(f"v{i}" for i in range(n)),
                        tuple((f"e{j}", f"v{u}", f"v{w}")
                              for j, (u, w) in enumerate(ends)))
-    x1, y1 = MultiPoly.x() - 1, MultiPoly.y() - 1
-    for subset_nullity in (True, False):
-        want = MultiPoly.zero()
-        for (a, b), c in tutte_keys(n, ends, subset_nullity).items():
-            want = want + c * x1 ** a * y1 ** b
-        assert classical_tutte(graph, subset_nullity) == want
+    assert classical_tutte(graph) == classical_tutte_oracle(graph)

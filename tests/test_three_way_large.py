@@ -1,5 +1,7 @@
 """Three-way agreement past the exhaustive sweep: Hypothesis-drawn 5-8-edge
-packaged graphs, disconnected ones and isolated vertices included."""
+packaged graphs, disconnected ones and isolated vertices included; the
+recursion also on the last edge and on a Hypothesis-drawn edge at each
+node, by ``packaged_oracle.delcon``."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from ribbonpoly.invariants import cross_validate, pst_delcon, pst_state_sum
 from ribbonpoly.packaged import packaged_dual
 from ribbonpoly.ribbon import connected_components
+from packaged_oracle import delcon
 from strategies import ribbon_graphs
 from test_caches import random_packaging
 
@@ -27,7 +30,9 @@ def test_three_pipelines_agree_on_larger_graphs(pg, data):
     g = pg.graph
     ss = pst_state_sum(pg)
     assert pst_delcon(pg) == ss
-    assert pst_delcon(pg, lambda p: p.graph.edges[-1]) == ss
+    assert delcon(pg, lambda p: p.graph.edges[-1]) == ss
+    assert delcon(pg, lambda p: data.draw(st.sampled_from(p.graph.edges),
+                                          label="pivot")) == ss
     if len(connected_components(g)) == 1:
         n = data.draw(st.integers(2, 3))
         orders = [tuple(data.draw(st.permutations(g.edges)))
