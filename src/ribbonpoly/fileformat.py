@@ -56,6 +56,14 @@ def _quote(text: str) -> str:
     return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
 
 
+def _header_column(code: str, valid) -> int:
+    """The column of the header word of ``code`` at fault: the second, the
+    third if ``valid`` takes the second, the keyword if there is no second."""
+    words = list(_FIELD.finditer(code, 0, code.index(":")))
+    bad = 2 if len(words) > 2 and valid(words[1].group()) is not None else 1
+    return words[min(bad, len(words) - 1)].start() + 1
+
+
 # a vblock/bblock directive: its line, the column of each id, its weight
 Block = tuple[int, dict[str, int], int]
 
@@ -119,10 +127,12 @@ def parse(text: str) -> PackagedRibbonGraph:
         elif parts[0] == "vertex":
             if len(parts) != 2 or not _NAME.match(parts[1]):
                 raise ParseError(
-                    f"syntax error: bad vertex header {_quote(head)}", lineno)
+                    f"syntax error: bad vertex header {_quote(head)}", lineno,
+                    _header_column(code, _NAME.match))
             vname = parts[1]
             if vname in rotation:
-                raise ParseError(f"vertex {vname} declared twice", lineno)
+                raise ParseError(f"vertex {vname} declared twice", lineno,
+                                 _header_column(code, _NAME.match))
             ends = []
             for tok, col in fields:
                 m = _END_REF.match(tok)
@@ -143,7 +153,7 @@ def parse(text: str) -> PackagedRibbonGraph:
             if weight is None:
                 raise ParseError(
                     f"syntax error: bad block header {_quote(head)} "
-                    "(expected weight)", lineno)
+                    "(expected weight)", lineno, _header_column(code, _weight))
             columns: dict[str, int] = {}
             for tok, col in fields:
                 if not _NAME.match(tok):

@@ -15,10 +15,10 @@ set A and deletes a set B, and runs the recursion on it from its nullity
 prefactor, the minor's x/y.  Only ``compute --method delcon`` runs it on
 string-keyed packaged graphs (:func:`pst_delcon`), whose calls the
 benchmark counts one per node.  On top of these sit the specializations
-(surface version for orientable graphs, the four-variable alpha/beta/a/b
-polynomial, read once off the subset pass (the tests keep its substitution
-into the packaged polynomial), with its own quasi-tree expansion, read off
-the same walk's leaf minors, and the classical Tutte polynomial), a
+(surface version for orientable graphs; the four-variable alpha/beta/a/b
+polynomial and its quasi-tree expansion, images of the state sum and of
+the expansion of the discrete packaging under one term map, their Butler
+form only the tests' oracle; the classical Tutte polynomial), a
 small-instance corpus generator and a cross-validation driver.  The driver
 runs the recursion on the compiled root, and keeps the expansion's
 definition by ``activities``: it steps each activity minor
@@ -104,7 +104,10 @@ def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
     out joins its sides on the boundary side and splices its ends out of
     ``t1`` as dancing links do; each side starts at the root's gammas."""
     root = Minor.compile(pg)
-    vends, bends = (root._pairs(s, root.kernel.full) for s in (0, 1))
+    # each edge's vertex blocks at its ends, boundary blocks at its sides
+    (vlab, blab), darts = root.labels, range(0, len(root.t1), 4)
+    vends = [(vlab[d], vlab[d + 2]) for d in darts]
+    bends = [(blab[d], blab[d + 1]) for d in darts]
     walk = t1, live, empty, marks = list(root.t1), [], [], [0] * len(root.t1)
     keys: Counter = Counter()
 
@@ -257,17 +260,28 @@ def surface_tutte(g: RibbonGraph) -> MultiPoly:
 def krushkal(g: RibbonGraph) -> HalfExpPoly:
     """The four-variable polynomial: the subset sum of alpha^{k(A)-k}
     beta^{k(A*)-k*} a^{eg(A)/2} b^{eg(A*)/2}, where A* is the complement of
-    A in the dual, read off the :func:`_subset_keys` of the discrete
-    packaging of ``g``.  A discrete packaging has one component per
-    connected component, and the gamma values of its components sum to the
-    Euler genus."""
-    keys = _subset_keys(PackagedRibbonGraph.discrete(g))
-    k = len(connected_components(g))  # the dual has as many components
-    direct: Counter = Counter()
-    for (_, _, gammas2, gammas1), c in keys.items():
-        direct[len(gammas1) - k, len(gammas2) - k,
-               sum(gammas1), sum(gammas2)] += c
-    return HalfExpPoly({HalfMonomial(*key): c for key, c in direct.items()})
+    A in the dual (which has as many components), as a term map."""
+    return _krushkal_image(pst_state_sum(PackagedRibbonGraph.discrete(g)),
+                           len(connected_components(g)))
+
+
+def krushkal_quasitree(g: RibbonGraph, order: Iterable[str]) -> HalfExpPoly:
+    """Quasi-tree expansion of the four-variable polynomial, as the term map
+    of the packaged one; the tests check it per quasi-tree (Butler's form)."""
+    return _krushkal_image(pst_quasitree(PackagedRibbonGraph.discrete(g),
+                                         order), 1)
+
+
+def _krushkal_image(p: MultiPoly, k: int) -> HalfExpPoly:
+    """Map each monomial of ``p``, the polynomial of a discrete packaging
+    with ``k`` components, to alpha^{n1-k} beta^{n2-k} a^{s1/2} b^{s2/2}:
+    n1 and s1 count and sum its y_gamma indices (one per component of A, its
+    Euler genus), n2 and s2 its x_gamma ones (of A*); x and y map to 1."""
+    def count(fam): return sum(e for _, e in fam)
+    def index_sum(fam): return sum(g * e for g, e in fam)
+    return HalfExpPoly((HalfMonomial(count(m.eyg) - k, count(m.exg) - k,
+                                     index_sum(m.eyg), index_sum(m.exg)), c)
+                       for m, c in p.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -312,48 +326,6 @@ def classical_tutte(h: Multigraph) -> MultiPoly:
 def underlying_multigraph(g: RibbonGraph) -> Multigraph:
     return Multigraph(tuple(g.vertices),
                       tuple((e, *g.endpoints(e)) for e in g.edges))
-
-
-def krushkal_quasitree(g: RibbonGraph, order: Iterable[str]) -> HalfExpPoly:
-    """Quasi-tree expansion of the four-variable polynomial, on the leaf
-    minors of :func:`_quasitree_walk` (see :func:`_krushkal_side`).
-
-    Each quasi-tree contributes T(alpha+1, a+1) of the live orientable
-    internal edges between the components of the contracted part, times
-    T(beta+1, b+1) of the live orientable external edges between the
-    components of the deleted part in the dual, times a and b to half the
-    Euler genus of those parts.  T(alpha+1, a+1) is read off the
-    :func:`_tutte_keys` as the sum of alpha^{k(A)-k} a^{n(A)}; it reads the
-    subset's nullity n(A), and the tests check that the whole graph's n
-    in its place breaks the expansion.
-    """
-    total: Counter = Counter()
-    for q, m in _quasitree_walk(PackagedRibbonGraph.discrete(g), order):
-        xs, ga = _krushkal_side(m, 0, m.live & q)
-        ys, gb = _krushkal_side(m, 1, m.live & ~q)
-        for (i, j), c in xs.items():
-            for (i2, j2), c2 in ys.items():
-                total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
-    return HalfExpPoly(total)
-
-
-def _krushkal_side(m: Minor, s: int, live: int) -> tuple[Counter, int]:
-    """The :func:`_tutte_keys` of the multigraph of the ``live`` edges
-    between the blocks on side ``s`` of a leaf minor ``m`` of the discrete
-    packaging (merged-away blocks are isolated vertices, which change no
-    key), and the Euler genus of its contracted (deleted) part: its blocks'
-    gammas less the orbits of m's live darts under ``t1`` and ``d ^ 1``
-    (``t0``)."""
-    t0, t1, seen = m.kernel.t0, m.t1, bytearray(len(m.t1))
-    genus = sum(g for g in m.gammas[s] if g is not None)
-    for d in range(len(t1)):
-        if t1[d] >= 0 and not seen[d]:
-            genus -= 1
-            while not seen[d]:
-                cross = t0[d] if s else d ^ 1
-                seen[d] = seen[cross] = 1
-                d = t1[cross]
-    return _tutte_keys(len(m.gammas[s]), m._pairs(s, live)), genus
 
 
 # ---------------------------------------------------------------------------

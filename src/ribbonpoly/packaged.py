@@ -348,13 +348,6 @@ class Minor(NamedTuple):
                 m = m.step(k, contracted >> k & 1)
         return m
 
-    def _pairs(self, s: int, mask: int) -> list[tuple[int, int]]:
-        """The block pairs on side ``s`` of the edges of ``mask``: their
-        ends on the vertex side and their two sides on the boundary side."""
-        lab, y = self.labels[s], 2 - s   # 4k + 2: e's other end; 4k + 1: side
-        return [(lab[4 * k], lab[4 * k + y])
-                for k in range(len(lab) // 4) if mask >> k & 1]
-
     def components(self) -> int:
         """The number of connected components of the minor: one per isolated
         vertex, and the classes of its live edges joined by ``t1``, each of

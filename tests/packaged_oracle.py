@@ -1,15 +1,17 @@
 """Reference code for the tests: isomorphism of packaged ribbon graphs, by
 brute force over the ribbon isomorphisms; the packaging multigraphs and
-their nullities and per-component genus corrections on string-keyed
-graphs; the activity minor as a chain of string-keyed packaged minors, its
-ribbon graph built as a partial dual and its shape check by
-:func:`classify_edge`; the activity classes read off the named partial dual
-G^Q; the four-variable quasi-tree expansion on restricted string graphs;
-the Tutte keys of a multigraph by one union-find per edge subset, and its
-Tutte polynomial as a sum of products of powers of x-1 and y-1; the
-deletion-contraction recursion on string-keyed minors with any pivot at
-each node, :func:`delcon`, which the library's ``pst_delcon`` is checked
-against on other pivots than its first edge;
+their nullities and per-component genus corrections on string-keyed graphs;
+the activity minor as a chain of string-keyed packaged minors, its ribbon
+graph built as a partial dual and its shape check by :func:`classify_edge`;
+the activity classes read off the named partial dual G^Q; the four-variable
+quasi-tree expansion in Butler's form, quasi-tree by quasi-tree on
+restricted string graphs (the library computes it as the image of the
+packaged expansion under one term map, and has no Butler form of its own,
+so this is its oracle); the Tutte keys of a multigraph by one union-find
+per edge subset, and its Tutte polynomial as a sum of products of powers of
+x-1 and y-1; the deletion-contraction recursion on string-keyed minors with
+any pivot at each node, :func:`delcon`, which the library's ``pst_delcon``
+is checked against on other pivots than its first edge;
 :func:`subset_walks`, which rebuilds a spanning subgraph's corner map to
 give one dart per boundary walk, and the state-sum leaf that walks each
 subset with its own call of it; and the quasi-tree expansion's activities
@@ -32,11 +34,11 @@ the loop of ``invariants.enumerate_connected``), which certifies every
 candidate.
 
 The non-Tutte contrast also lives only here: ``subset_nullity=False`` on
-:func:`krushkal_quasitree_oracle`, :func:`tutte_keys` and
-:func:`classical_tutte_oracle` reads the whole multigraph's nullity n in
-place of the subset's n(A).  The tests use it to show that the Tutte
-factors must read n(A): with n, the four-variable quasi-tree expansion
-breaks on a small instance."""
+:func:`krushkal_quasitree_terms`, :func:`krushkal_quasitree_oracle`,
+:func:`tutte_keys` and :func:`classical_tutte_oracle` reads the whole
+multigraph's nullity n in place of the subset's n(A).  The tests use it
+to show that the Tutte factors must read n(A): with n, the four-variable
+quasi-tree expansion breaks on a small instance."""
 
 from __future__ import annotations
 
@@ -330,28 +332,40 @@ def krushkal_substitution(g: RibbonGraph) -> HalfExpPoly:
     return HalfExpPoly.alpha(-k) * HalfExpPoly.beta(-k) * image
 
 
-def krushkal_quasitree_oracle(g: RibbonGraph, order: Iterable[str],
-                              subset_nullity: bool = True) -> HalfExpPoly:
-    """:func:`ribbonpoly.invariants.krushkal_quasitree` with each side read
-    off the restricted string graph (of ``g`` or of its dual).  With
-    ``subset_nullity=False`` each side's Tutte keys read the nullity of
-    the whole multigraph in place of n(A): the non-Tutte contrast, which
-    breaks the expansion."""
+def krushkal_quasitree_terms(g: RibbonGraph, order: Iterable[str],
+                             subset_nullity: bool = True
+                             ) -> Iterator[tuple[frozenset, HalfExpPoly]]:
+    """Each quasi-tree Q of ``g`` under ``order`` with its Butler-form term
+    of the four-variable expansion, each side read off the restricted
+    string graph (of ``g`` or of its dual): T(alpha+1, a+1) of the live
+    orientable internal edges between the components of the contracted
+    part, times T(beta+1, b+1) of the live orientable external edges
+    between the components of the deleted part in the dual, times a and b
+    to half the Euler genus of those parts.  With ``subset_nullity=False``
+    each side's Tutte keys read the nullity of the whole multigraph in
+    place of n(A): the non-Tutte contrast, which breaks the expansion."""
     order = list(order)
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
     gd, _, _ = g.duality
-    total: Counter = Counter()
     for q in enumerate_quasi_trees(g):
         act = activities(g, q, order)
         xs, ga = _krushkal_side(g, act.contracted_part(),
                                 act.internal_live_orientable, subset_nullity)
         ys, gb = _krushkal_side(gd, act.deleted_part(),
                                 act.external_live_orientable, subset_nullity)
-        for (i, j), c in xs.items():
-            for (i2, j2), c2 in ys.items():
-                total[HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb)] += c * c2
-    return HalfExpPoly(total)
+        yield q, HalfExpPoly((HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb),
+                              c * c2) for (i, j), c in xs.items()
+                             for (i2, j2), c2 in ys.items())
+
+
+def krushkal_quasitree_oracle(g: RibbonGraph, order: Iterable[str],
+                              subset_nullity: bool = True) -> HalfExpPoly:
+    """The four-variable quasi-tree expansion as the sum of the
+    :func:`krushkal_quasitree_terms`, the independent reference of
+    :func:`ribbonpoly.invariants.krushkal_quasitree`."""
+    return HalfExpPoly.sum(
+        t for _, t in krushkal_quasitree_terms(g, order, subset_nullity))
 
 
 def _krushkal_side(g: RibbonGraph, kept: Iterable[str], live: Iterable[str],

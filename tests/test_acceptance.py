@@ -193,7 +193,10 @@ def test_criterion_08_krushkal_triconsistency(graphs4):
     for g in graphs4:
         direct, via_subst = krushkal(g), krushkal_substitution(g)
         expansion = krushkal_quasitree(g, sorted(g.edges))
-        if not (direct == via_subst == expansion):
+        # the library's expansion maps the packaged one; Butler's form on
+        # string graphs keeps an independent expansion in the gate
+        butler = krushkal_quasitree_oracle(g, sorted(g.edges))
+        if not (direct == via_subst == expansion == butler):
             failures.append(certificate(g))
     literal_broken = any(
         krushkal_quasitree_oracle(g, sorted(g.edges), subset_nullity=False)

@@ -144,14 +144,19 @@ def test_partition_errors_point_at_the_directive(text, where, words):
      (4, 12), "end g.1 references undeclared edge g"),
     ("edges: e+\r\nvertex v1: e.1 e.1\r\n", (2, 16), "end e.1 placed twice"),
     ("edges: e+\rvertex v1: e.1 e.1\r", (2, 16), "end e.1 placed twice"),
-    # a second vertex line for v1: a header fault points at column 1
-    ("edges: e+\nvertex v1: e.1\n# again\nvertex v1: e.2\n", (4, 1),
+    # a second vertex line for v1: the fault points at the repeated name
+    ("edges: e+\nvertex v1: e.1\n# again\nvertex v1: e.2\n", (4, 8),
      "vertex v1 declared twice"),
+    # a bad header points at its bad word: the extra name, the non-weight
+    ("edges: e+\nvertex v1 v2: e.1 e.2\n", (2, 11), "bad vertex header"),
+    ("edges: e+\nvertex v1: e.1 e.2\nbblock  x: b1\n", (3, 9),
+     "bad block header"),
     # e is declared again on a later edges line
     ("edges: e+\nvertex v1: e.1 e.2 f.1 f.2\nedges: f+ e-\n", (3, 11),
      "edge e declared twice"),
 ], ids=["placed-twice", "undeclared-edge", "missing-end", "after-u2028",
-        "crlf", "cr", "vertex-declared-twice", "edge-declared-twice"])
+        "crlf", "cr", "vertex-declared-twice", "bad-vertex-header",
+        "bad-block-header", "edge-declared-twice"])
 def test_graph_errors_point_at_their_token(text, where, words):
     with pytest.raises(ParseError) as exc:
         parse(text)
@@ -208,20 +213,22 @@ def test_block_weight_must_be_ascii_digits(weight, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["vblock " + "7" * 5000 + ": v1",
-                                  "x" * 5000],
+@pytest.mark.parametrize("line, column",
+                         [("vblock " + "7" * 5000 + ": v1", 8),
+                          ("x" * 5000, 1)],
                          ids=["long-weight", "long-line-without-colon"])
-def test_errors_cut_long_input(line, tmp_path, capsys):
+def test_errors_cut_long_input(line, column, tmp_path, capsys):
     """An error quotes at most 40 characters of the input, then an
-    ellipsis, at the same line and column as for short input."""
+    ellipsis, at the same line and column as for short input: the weight's
+    for a bad block header, the line's first for a line without a colon."""
     text = ANNULUS_RG + "# blocks\n" + line + "\n"
     with pytest.raises(ParseError) as exc:
         parse(text)
-    assert (exc.value.line, exc.value.column) == (4, 1)
+    assert (exc.value.line, exc.value.column) == (4, column)
     assert len(str(exc.value)) < 120
     assert "..." in str(exc.value)
     path = tmp_path / "bad.rg"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["compute", str(path)]) == 2
     err = capsys.readouterr().err
-    assert len(err) < 160 and "(line 4, column 1)" in err
+    assert len(err) < 160 and f"(line 4, column {column})" in err

@@ -2,20 +2,26 @@
 against the string-graph references in ``packaged_oracle``: the connected
 components and the split verdicts of its shape check against
 ``classify_edge`` on the minor's ribbon graph, its x/y prefactor against
-the packaging nullities, and the four-variable expansion's sides against
-restricted string graphs."""
+the packaging nullities, and the four-variable expansion against its
+Butler form on restricted string graphs, in sum and quasi-tree by
+quasi-tree: the paper's recovery of Krushkal's expansion from the packaged
+one."""
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribbonpoly.invariants import krushkal_quasitree
-from ribbonpoly.packaged import Minor
+from ribbonpoly.invariants import (_krushkal_image, _minor_poly,
+                                   _quasitree_walk, krushkal_quasitree)
+from ribbonpoly.packaged import Minor, PackagedRibbonGraph
 from ribbonpoly.ribbon import connected_components
 from packaged_oracle import (EdgeKind, _activity_terms, _minor_graph,
                              classify_edge, krushkal_quasitree_oracle,
-                             nullity, restricted_packagings)
+                             krushkal_quasitree_terms, nullity,
+                             restricted_packagings)
 from strategies import ribbon_graphs
 from test_caches import random_packaging
 
@@ -76,3 +82,38 @@ def test_krushkal_quasitree_matches_string_sides(g, data):
     assume(len(connected_components(g)) == 1)
     order = data.draw(st.permutations(g.edges))
     assert krushkal_quasitree(g, order) == krushkal_quasitree_oracle(g, order)
+
+
+def _recovered_terms(g, order) -> dict:
+    """Each quasi-tree of ``g`` under ``order``, as a set of edges, with
+    the four-variable image of its term of the packaged expansion of the
+    discrete packaging: the polynomial of its activity minor, prefactor
+    included."""
+    terms = {}
+    for q, minor in _quasitree_walk(PackagedRibbonGraph.discrete(g), order):
+        q = frozenset(e for k, e in enumerate(g.edges) if q >> k & 1)
+        assert q not in terms
+        terms[q] = _krushkal_image(_minor_poly(minor), 1)
+    return terms
+
+
+def test_recovery_per_quasi_tree_on_corpus4(graphs4):
+    """On every connected graph of up to 4 edges, in a seeded shuffled
+    order, each quasi-tree's mapped packaged term is its Butler-form
+    term."""
+    rng, failures = random.Random(7), []
+    for g in graphs4:
+        order = rng.sample(g.edges, len(g.edges))
+        if _recovered_terms(g, order) != dict(
+                krushkal_quasitree_terms(g, order)):
+            failures.append((g, order))
+    assert not failures, failures[:3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ribbon_graphs(max_edges=7, max_vertices=4, min_edges=5), st.data())
+def test_recovery_per_quasi_tree(g, data):
+    assume(len(connected_components(g)) == 1)
+    order = data.draw(st.permutations(g.edges))
+    assert _recovered_terms(g, order) == dict(
+        krushkal_quasitree_terms(g, order))

@@ -68,7 +68,6 @@ NEVER_ENTERED = {
         "poly._PolyBase.zero",
     },
     "helpers": {
-        "invariants._krushkal_side": "invariants.krushkal_quasitree",
         "packaged.PackagingError.__init__": "packaged.WeightedPartition.build",
         "packaged.PackagingGraph.components":
             "packaged.component_gamma_values",
