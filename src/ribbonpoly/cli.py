@@ -67,8 +67,7 @@ def _edge_list(arg: str) -> list[str]:
     return [] if arg == "-" else [t for t in arg.split(",") if t]
 
 
-def _cmd_compute(args) -> int:
-    pg = _load(args.file)
+def _cmd_compute(pg, args) -> int:
     order = _edge_list(args.order) if args.order else pg.graph.edges
     if tuple(sorted(order)) != pg.graph.edges:
         print("error: --order must list every edge exactly once",
@@ -87,15 +86,11 @@ def _cmd_compute(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    pg = _load(args.file)
+def _cmd_validate(pg, args) -> int:
     rng = random.Random(args.seed)
-    edges = list(pg.graph.edges)
-    orders = []
-    for _ in range(args.orders):
-        o = edges[:]
+    orders = [list(pg.graph.edges) for _ in range(args.orders)]
+    for o in orders:
         rng.shuffle(o)
-        orders.append(tuple(o))
     rep = cross_validate(pg, orders)
     ok = rep.equal and rep.shape_checks_passed
     print(f"state-sum:      {rep.state_sum.canonical_text()}")
@@ -108,15 +103,13 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_quasitrees(args) -> int:
-    pg = _load(args.file)
+def _cmd_quasitrees(pg, args) -> int:
     for q in enumerate_quasi_trees(pg.graph):
         print(",".join(sorted(q)) if q else "-")
     return 0
 
 
-def _cmd_activities(args) -> int:
-    pg = _load(args.file)
+def _cmd_activities(pg, args) -> int:
     q = frozenset(_edge_list(args.quasitree))
     order = _edge_list(args.order) if args.order else pg.graph.edges
     rep = activities(pg.graph, q, order)
@@ -128,27 +121,20 @@ def _cmd_activities(args) -> int:
     return 0
 
 
-def _cmd_specialize(args) -> int:
-    pg = _load(args.file)
-    if args.target == "krushkal":
-        print(render_poly(krushkal(pg.graph), args.format, method="krushkal"))
-    elif args.target == "surface-tutte":
-        print(render_poly(surface_tutte(pg.graph), args.format,
-                          method="surface-tutte"))
-    else:
-        p = classical_tutte(underlying_multigraph(pg.graph))
-        print(render_poly(p, args.format, method="classical-tutte"))
+def _cmd_specialize(pg, args) -> int:
+    fn = {"krushkal": krushkal, "surface-tutte": surface_tutte,
+          "classical-tutte": lambda g: classical_tutte(
+              underlying_multigraph(g))}[args.target]
+    print(render_poly(fn(pg.graph), args.format, method=args.target))
     return 0
 
 
-def _cmd_dual(args) -> int:
-    pg = _load(args.file)
+def _cmd_dual(pg, args) -> int:
     sys.stdout.write(render(packaged_dual(pg)))
     return 0
 
 
-def _cmd_pdual(args) -> int:
-    pg = _load(args.file)
+def _cmd_pdual(pg, args) -> int:
     edges = set(_edge_list(args.edges))
     g = partial_dual(pg.graph, edges)
     sys.stdout.write(render(PackagedRibbonGraph.discrete(g)))
@@ -264,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     try:
-        code = args.fn(args)
+        code = (args.fn(_load(args.file), args) if "file" in args
+                else args.fn(args))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -64,26 +64,27 @@ def _header_column(code: str, valid) -> int:
     return words[min(bad, len(words) - 1)].start() + 1
 
 
-# a vblock/bblock directive: its line, the column of each id, its weight
-Block = tuple[int, dict[str, int], int]
+# a vblock/bblock directive: its line and keyword's column, the column of
+# each id, its weight
+Block = tuple[int, int, dict[str, int], int]
 
 
 def _partition(kind: str, ground: list[str],
                directives: list[Block]) -> WeightedPartition:
     """The weighted partition of one side; a fault inside one block points
     at that block's directive and id, an element left out of every block at
-    the side's first directive."""
+    the keyword of the side's first directive."""
     try:
         return (WeightedPartition.build(
-                    ground, [(set(ids), w) for _, ids, w in directives])
+                    ground, [(set(ids), w) for _, _, ids, w in directives])
                 if directives else WeightedPartition.discrete(ground))
     except PackagingError as ex:
         msg = str(ex)
         prefix = f"unknown {kind} id" if "unknown id" in msg else "partition error"
         if ex.block is None:
-            line, column = directives[0][0], 1
+            line, column = directives[0][:2]
         else:
-            line, columns, _ = directives[ex.block]
+            line, _, columns, _ = directives[ex.block]
             column = columns.get(ex.element, 1)
         raise ParseError(f"{prefix}: {msg}", line, column) from ex
 
@@ -103,10 +104,11 @@ def parse(text: str) -> PackagedRibbonGraph:
         line = code.strip()
         if not line:
             continue
+        start = len(code) - len(code.lstrip()) + 1   # the keyword's column
         head, sep, _ = line.partition(":")
         if not sep:
             raise ParseError(f"syntax error: expected ':' in {_quote(line)}",
-                             lineno)
+                             lineno, start)
         head = head.strip()
         parts = head.split() or [""]   # a directive's keyword, then its words
         fields = [(m.group(), m.start() + 1)
@@ -165,12 +167,13 @@ def parse(text: str) -> PackagedRibbonGraph:
                         "one block", lineno, col)
                 columns[tok] = col
             if not columns:
-                raise ParseError("partition error: empty block", lineno)
+                raise ParseError("partition error: empty block", lineno,
+                                 start)
             (vblocks if parts[0] == "vblock" else bblocks).append(
-                (lineno, columns, weight))
+                (lineno, start, columns, weight))
         else:
             raise ParseError(f"syntax error: unknown directive {_quote(head)}",
-                             lineno)
+                             lineno, start)
 
     if not vertices:
         raise ParseError("no vertices", len(lines))

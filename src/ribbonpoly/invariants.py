@@ -444,14 +444,13 @@ def corpus(max_edges: int, seed: int, random_packagings: int = 1
 # cross-validation
 
 class ValidationReport(NamedTuple):
-    """``delcon`` and ``delcon_nodes`` come from the compiled recursion."""
+    """What ``validate`` prints; ``delcon`` comes from the compiled
+    recursion, and ``quasitree`` is empty on a disconnected graph."""
     state_sum: MultiPoly
     delcon: MultiPoly
     quasitree: dict[tuple[str, ...], MultiPoly]
     equal: bool
     shape_checks_passed: bool
-    breakdown: dict[tuple[str, ...], list]
-    delcon_nodes: int
 
 
 def cross_validate(pg: PackagedRibbonGraph,
@@ -463,40 +462,31 @@ def cross_validate(pg: PackagedRibbonGraph,
     A quasi-tree's term and shape verdict depend only on (Q, B, A), Q with
     its activity minor's deleted and contracted parts, not on the order
     that produced them, so both are computed once per call, by
-    :meth:`~ribbonpoly.packaged.Minor.minor` on one compiled root.  Once
-    the shape checks pass, (B, A) fixes Q, so each minor is evaluated once
-    per distinct (B, A)."""
+    :meth:`~ribbonpoly.packaged.Minor.minor` on one compiled root, and an
+    order's expansion sums its quasi-trees' memoised terms.  Once the shape
+    checks pass, (B, A) fixes Q, so each minor is evaluated once per
+    distinct (B, A)."""
     g, root = pg.graph, Minor.compile(pg)
-    # no memo and a branch on every live edge: 2 * (leaf count) - 1 nodes
-    leaves = _minor_leaves(Counter(), root)
-    ss, dc = pst_state_sum(pg), MultiPoly(leaves)
-    qt: dict[tuple[str, ...], MultiPoly] = {}
-    breakdown: dict[tuple[str, ...], list] = {}
-    connected = root.components() == 1
-    quasi_trees = enumerate_quasi_trees(g) if connected else []
+    ss, dc = pst_state_sum(pg), MultiPoly(_minor_leaves(Counter(), root))
+    quasi_trees = enumerate_quasi_trees(g) if root.components() == 1 else []
     index = {e: k for k, e in enumerate(g.edges)}
     terms: dict[tuple[frozenset, frozenset, frozenset],
                 tuple[MultiPoly, bool]] = {}
-    for order in orders:
-        order = tuple(order)
-        if not connected:
-            continue
-        rows = []
+    qt: dict[tuple[str, ...], MultiPoly] = {}
+    for order in map(tuple, orders) if quasi_trees else ():
+        keys = []
         for q in quasi_trees:
             act = activities(g, q, order)
-            parts = act.deleted_part(), act.contracted_part()
-            key = (q, *parts)
+            key = q, act.deleted_part(), act.contracted_part()
             if key not in terms:   # bridges in Q, plane loops off Q
                 minor = root.minor(*(sum(1 << index[e] for e in part)
-                                     for part in parts))
+                                     for part in key[1:]))
                 base = minor.components() if minor.live else 0
                 terms[key] = _minor_poly(minor), all(
                     minor.step(k, e not in q).components() > base
                     for e, k in index.items() if minor.live >> k & 1)
-            rows.append((tuple(sorted(q)), act, terms[key][0]))
-        qt[order] = MultiPoly.sum(c for _, _, c in rows)
-        breakdown[order] = rows
+            keys.append(key)
+        qt[order] = MultiPoly.sum(terms[key][0] for key in keys)
     equal = ss == dc and all(p == ss for p in qt.values())
     return ValidationReport(ss, dc, qt, equal,
-                            all(ok for _, ok in terms.values()),
-                            breakdown, 2 * sum(leaves.values()) - 1)
+                            all(ok for _, ok in terms.values()))

@@ -289,8 +289,8 @@ def induced_subgraph(g: RibbonGraph, vertices: Iterable[str],
                      edges: Iterable[str]) -> RibbonGraph:
     """Subgraph on the given vertices and edges (all edge ends must land on
     kept vertices)."""
-    vs = [v for v in g.vertices if v in set(vertices)]
-    keep = set(edges)
+    vertices, keep = set(vertices), set(edges)
+    vs = [v for v in g.vertices if v in vertices]
     rot = {v: tuple(end for end in g.rotation.get(v, ()) if end[0] in keep)
            for v in vs}
     placed = sum(len(r) for r in rot.values())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ribbonpoly import invariants
 from ribbonpoly.invariants import cross_validate, pst_quasitree
+from ribbonpoly.poly import MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, activities, connected_components,
                                counts, enumerate_quasi_trees, orientable)
 from packaged_oracle import (_minor_graph, _quasitree_minor, _quasitree_terms,
@@ -48,7 +49,7 @@ def test_one_step_minor_graph_matches_chain(g, seed, data):
 @given(ribbon_graphs(max_edges=5), st.integers(0, 2 ** 16), st.data())
 def test_cross_validate_evaluates_each_minor_once(g, seed, data):
     """Three orders make one ``_minor_poly`` call per distinct (B, A), and
-    every breakdown row is still its own quasi-tree's term."""
+    each order's expansion is still the sum of its quasi-trees' terms."""
     assume(len(connected_components(g)) == 1)
     pg = random_packaging(g, seed)
     orders = [tuple(data.draw(st.permutations(g.edges))) for _ in range(3)]
@@ -73,6 +74,6 @@ def test_cross_validate_evaluates_each_minor_once(g, seed, data):
     for order in orders:
         terms = list(_quasitree_terms(pg, list(order), quasi_trees))
         assert all(pre == minor.xy for _, _, pre, minor in terms)
-        want = {tuple(sorted(q)): real(minor) for q, _, _, minor in terms}
-        assert {q: c for q, _, c in rep.breakdown[order]} == want
+        assert rep.quasitree[order] == MultiPoly.sum(
+            real(minor) for _, _, _, minor in terms)
         assert rep.quasitree[order] == pst_quasitree(pg, order)

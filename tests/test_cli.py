@@ -71,10 +71,18 @@ def test_compute_rejects_malformed_order(theta_file, capsys, method):
 
 
 def test_validate_ok(theta_file, capsys):
-    code, out, _ = run(capsys, "validate", theta_file, "--orders", "3",
-                       "--seed", "1")
-    assert code == 0
-    assert "equal: True  shape-checks: True" in out
+    """The whole text: state sum, deletion-contraction, one expansion per
+    seeded order, and the verdicts."""
+    code, out, err = run(capsys, "validate", theta_file, "--orders", "3",
+                         "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"state-sum:      {THETA_TEXT}",
+        f"del-con:        {THETA_TEXT}",
+        f"quasi-tree f,g,e: {THETA_TEXT}",
+        f"quasi-tree g,e,f: {THETA_TEXT}",
+        f"quasi-tree e,g,f: {THETA_TEXT}",
+        "equal: True  shape-checks: True"]
 
 
 def test_validate_says_it_skips_the_expansion(tmp_path, capsys):

@@ -121,8 +121,13 @@ ANNULUS_RG = "edges: e+\nvertex v1: e.1 e.2\n"  # boundaries b1, b2
     # an element of no block: the side's first directive
     (ANNULUS_RG + "vblock 1: v1\nbblock 0: b2\n", (4, 1),
      "b1 not in any block"),
+    # ... at its keyword when the directive is indented
+    ("edges: e+\nvertex v1: e.1 e.2\n  bblock 0: b2\n", (3, 3),
+     "b1 not in any block"),
+    # a block with no ids: its keyword
+    ("edges: e+\nvertex v1: e.1 e.2\n   vblock 0:\n", (3, 4), "empty block"),
 ], ids=["repeated", "unknown-vertex", "unknown-boundary", "two-blocks",
-        "in-no-block"])
+        "in-no-block", "in-no-block-indented", "empty-block-indented"])
 def test_partition_errors_point_at_the_directive(text, where, words):
     with pytest.raises(ParseError) as exc:
         parse(text)
@@ -154,9 +159,13 @@ def test_partition_errors_point_at_the_directive(text, where, words):
     # e is declared again on a later edges line
     ("edges: e+\nvertex v1: e.1 e.2 f.1 f.2\nedges: f+ e-\n", (3, 11),
      "edge e declared twice"),
+    # a line-level fault points at the line's first word, indented or not
+    ("edges: e+\n   foo: x\n", (2, 4), "unknown directive"),
+    ("edges: e+\n   vertex v1 e.1 e.2\n", (2, 4), "expected ':'"),
 ], ids=["placed-twice", "undeclared-edge", "missing-end", "after-u2028",
         "crlf", "cr", "vertex-declared-twice", "bad-vertex-header",
-        "bad-block-header", "edge-declared-twice"])
+        "bad-block-header", "edge-declared-twice", "unknown-directive",
+        "line-without-colon"])
 def test_graph_errors_point_at_their_token(text, where, words):
     with pytest.raises(ParseError) as exc:
         parse(text)

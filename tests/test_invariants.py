@@ -382,11 +382,7 @@ def test_cross_validate_theta(theta):
     assert report.equal
     assert report.shape_checks_passed
     assert report.state_sum == parse_poly(THETA_POLY)
-    assert report.delcon_nodes == 2 ** 4 - 1
     assert set(report.quasitree) == {("e", "f", "g"), ("g", "f", "e")}
-    for rows in report.breakdown.values():
-        assert sum((c for _, _, c in rows), MultiPoly.zero()) == \
-            report.state_sum
 
 
 def test_cross_validate_small_sample():

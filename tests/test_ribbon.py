@@ -14,7 +14,9 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                activities, certificate,
                                connected_components, contract_edge, counts,
                                delete_edge, dual_correspondences,
-                               enumerate_quasi_trees, euler_genus, isomorphic, orientable, partial_dual,
+                               enumerate_quasi_trees, euler_genus,
+                               induced_subgraph, isomorphic, orientable,
+                               partial_dual,
                                partial_dual_with_map, restrict,
                                trace_boundaries, validate)
 from strategies import ribbon_graphs
@@ -282,6 +284,16 @@ def test_delete_edge(path):
     assert counts(res) == (2, 0, 2, 2)
     with pytest.raises(RibbonGraphError):
         delete_edge(path, "nope")
+
+
+@pytest.mark.parametrize("vertices, edges", [(["v1", "v2"], []),
+                                               (["v2", "v1"], ["f", "g"])])
+def test_induced_subgraph_takes_any_iterable(vertices, edges):
+    """A generator of vertices or edges gives the subgraph a list gives."""
+    g = theta_graph()
+    want = induced_subgraph(g, vertices, edges)
+    assert want.vertices == tuple(v for v in g.vertices if v in vertices)
+    assert induced_subgraph(g, iter(vertices), (e for e in edges)) == want
 
 
 def test_contract_path_edge(path):
