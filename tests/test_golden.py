@@ -14,7 +14,10 @@ computes with ``subset_nullity=False``; and for a few seeded connected
 graphs, their ``pst_delcon`` text and their ``pst_quasitree`` text in sorted
 edge order.  For every graph of both kinds it also holds one SHA-256 over
 the ``activities`` report of each quasi-tree in sorted and one in reversed
-edge order.  The test only reads the file.  To regenerate it
+edge order.  And it holds, for each instance, one SHA-256 over what
+``validate --orders 3 --seed <i>`` prints for the i-th and its exit code,
+and the same, at seed 0, for a disconnected and an edgeless input.  The
+test only reads the file.  To regenerate it
 after an intended output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -23,12 +26,16 @@ after an intended output change, run from the repository root::
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import random
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
+from ribbonpoly import cli
 from ribbonpoly.fileformat import render
 from ribbonpoly.invariants import (_random_partition, corpus,
                                    krushkal_quasitree, pst_delcon,
@@ -44,6 +51,12 @@ from ribbonpoly.ribbon import (ActivityReport, RibbonGraph, activities,
 GOLDEN = Path(__file__).with_name("golden_corpus3.json")
 # (seed, edges, vertices) of the larger packaged graphs
 LARGE = ((1, 6, 2), (2, 7, 3), (3, 8, 2), (4, 8, 3))
+# validate's inputs without a quasi-tree expansion
+VALIDATE_FIXED = {
+    "disconnected": "edges: e+ f- g+\nvertex v1: e.1 f.1 e.2 f.2\n"
+                    "vertex v2: g.1\nvertex v3: g.2\nvertex v4:\n",
+    "edgeless": "edges:\nvertex v1:\nvertex v2:\n",
+}
 
 
 def _sha(text: str) -> str:
@@ -81,6 +94,17 @@ def _activities_sha(g: RibbonGraph) -> list[str]:
                    for q in quasi_trees for rep in [activities(g, q, order)]]
         out.append(_sha(repr(reports)))
     return out
+
+
+def _validate_sha(path: Path, text: str, seed: int) -> str:
+    """One hash over what ``validate --orders 3 --seed <seed>`` prints for
+    the file ``text``, written to ``path``, and its exit code."""
+    path.write_text(text)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["validate", str(path), "--orders", "3",
+                         "--seed", str(seed)])
+    return _sha(f"{out.getvalue()}exit {code}\n")
 
 
 def _graph_invariants(g: RibbonGraph) -> dict:
@@ -144,9 +168,16 @@ def golden() -> dict:
             graphs.append(_partial_duals_sha(g))
             invariants.append(_graph_invariants(g))
             last = g
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.rg"
+        for i, inst in enumerate(instances):
+            inst["validate_sha256"] = _validate_sha(path, inst["instance"], i)
+        fixed = {name: _validate_sha(path, text, 0)
+                 for name, text in VALIDATE_FIXED.items()}
     return {"corpus": "corpus(3, 2024, random_packagings=3)",
             "instances": instances, "partial_duals_sha256": graphs,
-            "graph_invariants": invariants, "large": _large()}
+            "graph_invariants": invariants, "large": _large(),
+            "validate_fixed_sha256": fixed}
 
 
 def test_corpus_outputs_match_golden_file():
