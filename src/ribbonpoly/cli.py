@@ -92,15 +92,16 @@ def _cmd_validate(pg, args) -> int:
     for o in orders:
         rng.shuffle(o)
     rep = cross_validate(pg, orders)
-    ok = rep.equal and rep.shape_checks_passed
-    print(f"state-sum:      {rep.state_sum.canonical_text()}")
-    print(f"del-con:        {rep.delcon.canonical_text()}")
+    text = rep.state_sum.canonical_text()   # reused by every equal line
+    def line(p): return text if p == rep.state_sum else p.canonical_text()
+    print(f"state-sum:      {text}")
+    print(f"del-con:        {line(rep.delcon)}")
     for order, p in rep.quasitree.items():
-        print(f"quasi-tree {','.join(order) or '-'}: {p.canonical_text()}")
+        print(f"quasi-tree {','.join(order) or '-'}: {line(p)}")
     if not rep.quasitree:   # --orders is at least 1: a disconnected graph
         print("quasi-tree:     skipped (graph is not connected)")
     print(f"equal: {rep.equal}  shape-checks: {rep.shape_checks_passed}")
-    return 0 if ok else 1
+    return 0 if rep.equal and rep.shape_checks_passed else 1
 
 
 def _cmd_quasitrees(pg, args) -> int:

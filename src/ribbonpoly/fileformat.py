@@ -64,8 +64,7 @@ def _header_column(code: str, valid) -> int:
     return words[min(bad, len(words) - 1)].start() + 1
 
 
-# a vblock/bblock directive: its line and keyword's column, the column of
-# each id, its weight
+# a vblock/bblock directive: line, keyword column, column per id, weight
 Block = tuple[int, int, dict[str, int], int]
 
 
@@ -189,10 +188,9 @@ def parse(text: str) -> PackagedRibbonGraph:
 
     # no fault is left for validate or PackagedRibbonGraph.build to find
     graph = RibbonGraph(tuple(vertices), rotation, sign)
-    bids = [c.id for c in graph.boundaries]
-    vparts = _partition("vertex", vertices, vblocks)
-    bparts = _partition("boundary", bids, bblocks)
-    return PackagedRibbonGraph(graph, vparts, bparts)
+    return PackagedRibbonGraph(
+        graph, _partition("vertex", vertices, vblocks),
+        _partition("boundary", [c.id for c in graph.boundaries], bblocks))
 
 
 def render(pg: PackagedRibbonGraph) -> str:

@@ -19,12 +19,10 @@ benchmark counts one per node.  On top of these sit the specializations
 polynomial and its quasi-tree expansion, images of the state sum and of
 the expansion of the discrete packaging under one term map, their Butler
 form only the tests' oracle; the classical Tutte polynomial), a
-small-instance corpus generator and a cross-validation driver.  The driver
-runs the recursion on the compiled root, and keeps the expansion's
-definition by ``activities``: it steps each activity minor
-(:meth:`~ribbonpoly.packaged.Minor.minor`) once per distinct quasi-tree
-with deleted and contracted part (Q, B, A), however many edge orders
-produce it, and shape-checks that same compiled minor: a required bridge
+small-instance corpus generator and a cross-validation driver, which
+runs all three on one compiled root and keeps the expansion's definition
+by activities: it walks each quasi-tree's G^Q once, classifies it per edge
+order, and shape-checks each distinct activity minor: a required bridge
 must split it when deleted, a required plane loop when contracted.  The
 string-graph references of these checks and of the prefactor live in the
 tests, as do the recursion on other pivots and the expansion's non-Tutte
@@ -42,9 +40,9 @@ from typing import Iterable, Iterator, NamedTuple
 from .packaged import (Minor, PackagedRibbonGraph, WeightedPartition,
                        packaged_contract, packaged_delete)
 from .poly import HalfExpPoly, HalfMonomial, Monomial, MultiPoly
-from .ribbon import (RibbonGraph, RibbonGraphError, activities, certificate,
+from .ribbon import (RibbonGraph, RibbonGraphError, certificate,
                      connected_components, enumerate_quasi_trees, orientable,
-                     union_find)
+                     preceding, quasi_tree_vertex, union_find)
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +96,12 @@ def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(count.items()))
 
 
-def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
-    """Edge subsets per :func:`_subset_term` key, by a depth-first pass: an
-    edge in joins its ends on the vertex side and makes its darts live, one
-    out joins its sides on the boundary side and splices its ends out of
-    ``t1`` as dancing links do; each side starts at the root's gammas."""
-    root = Minor.compile(pg)
+def _subset_keys(root: Minor) -> Counter:
+    """Edge subsets per :func:`_subset_term` key, by a depth-first pass over
+    the compiled ``root``: an edge in joins its ends on the vertex side and
+    makes its darts live, one out joins its sides on the boundary side and
+    splices its ends out of ``t1`` as dancing links do; each side starts at
+    the root's gammas."""
     # each edge's vertex blocks at its ends, boundary blocks at its sides
     (vlab, blab), darts = root.labels, range(0, len(root.t1), 4)
     vends = [(vlab[d], vlab[d + 2]) for d in darts]
@@ -134,11 +132,13 @@ def _subset_keys(pg: PackagedRibbonGraph) -> Counter:
     return keys
 
 
-def pst_state_sum(pg: PackagedRibbonGraph) -> MultiPoly:
+def pst_state_sum(pg: PackagedRibbonGraph | Minor) -> MultiPoly:
     """Sum over all edge subsets A of x^{n(dual packaging of A^c)} times
-    y^{n(packaging of A)} times the per-component genus variables."""
+    y^{n(packaging of A)} times the per-component genus variables; ``pg``
+    is compiled unless it is a compiled root already."""
+    keys = _subset_keys(pg if isinstance(pg, Minor) else Minor.compile(pg))
     return MultiPoly({Monomial(n2, n1, _family(g2), _family(g1)): c
-                      for (n2, n1, g2, g1), c in _subset_keys(pg).items()})
+                      for (n2, n1, g2, g1), c in keys.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +386,8 @@ def enumerate_connected(max_edges: int) -> Iterator[RibbonGraph]:
                 if any(sorted(tuple(sorted((p[a], p[b]))) for a, b in pairing)
                        < pairing for p in moves):
                     continue
-                slot_end = {}
-                for name, (s1, s2) in zip(names, pairing):
-                    slot_end[s1] = (name, 1)
-                    slot_end[s2] = (name, 2)
+                slot_end = {s: (name, i) for name, ends in zip(names, pairing)
+                            for i, s in enumerate(ends, 1)}
                 rotation = {v: tuple(slot_end[s] for s in grp)
                             for v, grp in zip(vnames, groups)}
                 base = RibbonGraph(tuple(vnames), rotation,
@@ -400,10 +398,9 @@ def enumerate_connected(max_edges: int) -> Iterator[RibbonGraph]:
                     g = RibbonGraph(base.vertices, base.rotation,
                                     dict(zip(names, signs)))
                     cert = certificate(g)
-                    if cert in seen:
-                        continue
-                    seen.add(cert)
-                    yield g
+                    if cert not in seen:
+                        seen.add(cert)
+                        yield g
 
 
 def _random_partition(rng: random.Random,
@@ -411,18 +408,13 @@ def _random_partition(rng: random.Random,
     if not ground:
         return WeightedPartition((), ())
     nblocks = rng.randint(1, min(len(ground), 3))
-    assignment = {}
-    chosen = rng.sample(ground, nblocks)
-    for i, x in enumerate(chosen):
-        assignment[x] = i
+    assignment = {x: i for i, x in enumerate(rng.sample(ground, nblocks))}
     for x in ground:
         if x not in assignment:
             assignment[x] = rng.randrange(nblocks)
-    blocks = []
-    for i in range(nblocks):
-        members = {x for x, j in assignment.items() if j == i}
-        blocks.append((members, rng.randint(0, 2)))
-    return WeightedPartition.build(ground, blocks)
+    return WeightedPartition.build(ground, [
+        ({x for x, j in assignment.items() if j == i}, rng.randint(0, 2))
+        for i in range(nblocks)])
 
 
 def corpus(max_edges: int, seed: int, random_packagings: int = 1
@@ -455,38 +447,37 @@ class ValidationReport(NamedTuple):
 
 def cross_validate(pg: PackagedRibbonGraph,
                    orders: Iterable[Iterable[str]]) -> ValidationReport:
-    """Run all three pipelines, compare exactly, and shape-check every
-    quasi-tree minor.  Deletion-contraction is :func:`_minor_leaves` on the
-    compiled root, not the string-keyed :func:`pst_delcon`.
+    """Run all three pipelines on one compiled root, compare exactly, and
+    shape-check every quasi-tree minor; deletion-contraction is
+    :func:`_minor_leaves`, not the string-keyed :func:`pst_delcon`.
 
-    A quasi-tree's term and shape verdict depend only on (Q, B, A), Q with
-    its activity minor's deleted and contracted parts, not on the order
-    that produced them, so both are computed once per call, by
-    :meth:`~ribbonpoly.packaged.Minor.minor` on one compiled root, and an
-    order's expansion sums its quasi-trees' memoised terms.  Once the shape
-    checks pass, (B, A) fixes Q, so each minor is evaluated once per
-    distinct (B, A)."""
+    G^Q's vertex is walked once per quasi-tree Q and classified once per
+    order (:class:`~ribbonpoly.ribbon.QuasiTreeVertex`).  A quasi-tree's
+    term and shape verdict depend only on (Q, B, A), Q with its activity
+    minor's deleted and contracted parts, so both are computed once per
+    call, by :meth:`~ribbonpoly.packaged.Minor.minor`, and an order's
+    expansion sums its quasi-trees' memoised terms.  Once the shape checks
+    pass, (B, A) fixes Q, so each minor is evaluated once per distinct
+    (B, A)."""
     g, root = pg.graph, Minor.compile(pg)
-    ss, dc = pst_state_sum(pg), MultiPoly(_minor_leaves(Counter(), root))
-    quasi_trees = enumerate_quasi_trees(g) if root.components() == 1 else []
-    index = {e: k for k, e in enumerate(g.edges)}
-    terms: dict[tuple[frozenset, frozenset, frozenset],
-                tuple[MultiPoly, bool]] = {}
-    qt: dict[tuple[str, ...], MultiPoly] = {}
-    for order in map(tuple, orders) if quasi_trees else ():
-        keys = []
-        for q in quasi_trees:
-            act = activities(g, q, order)
-            key = q, act.deleted_part(), act.contracted_part()
-            if key not in terms:   # bridges in Q, plane loops off Q
-                minor = root.minor(*(sum(1 << index[e] for e in part)
-                                     for part in key[1:]))
-                base = minor.components() if minor.live else 0
-                terms[key] = _minor_poly(minor), all(
-                    minor.step(k, e not in q).components() > base
-                    for e, k in index.items() if minor.live >> k & 1)
-            keys.append(key)
-        qt[order] = MultiPoly.sum(terms[key][0] for key in keys)
+    ss, dc = pst_state_sum(root), MultiPoly(_minor_leaves(Counter(), root))
+    vertices = ([quasi_tree_vertex(g, q) for q in enumerate_quasi_trees(g)]
+                if root.components() == 1 else [])
+    # per order and quasi-tree, Q and the dead or twisted edges, which the
+    # activity minor contracts in Q and deletes off it
+    keys = {order: [(v.q, v.dead(before) | v.twisted) for v in vertices]
+            for order in map(tuple, orders) if vertices
+            for before in [preceding(g, order)]}
+    terms: dict[tuple[int, int], tuple[MultiPoly, bool]] = {}
+    for q, fixed in dict.fromkeys(itertools.chain(*keys.values())):
+        minor = root.minor(fixed & ~q, fixed & q)
+        base = minor.components() if minor.live else 0
+        # each live edge must split it: bridges in Q, plane loops off Q
+        terms[q, fixed] = _minor_poly(minor), all(
+            minor.step(k, not q >> k & 1).components() > base
+            for k in range(len(g.edges)) if minor.live >> k & 1)
+    qt = {order: MultiPoly.sum(terms[key][0] for key in ks)
+          for order, ks in keys.items()}
     equal = ss == dc and all(p == ss for p in qt.values())
     return ValidationReport(ss, dc, qt, equal,
                             all(ok for _, ok in terms.values()))

@@ -319,25 +319,26 @@ class Minor(NamedTuple):
         t1[x:x + 4] = -1, -1, -1, -1
         s = 0 if contract else 1   # the side of the rule
         y = x + (2 if contract else 1)
-        labels = list(self.labels)
-        gammas = [list(g) for g in self.gammas]
-        lx, ly = labels[s][x], labels[s][y]
+        labels, gammas = self.labels[s], list(self.gammas[s])
+        lx, ly = labels[x], labels[y]
         ex, ey = self.xy
         if lx != ly:
-            gammas[s][ly] += gammas[s][lx] - 2
-            gammas[s][lx] = None
-            labels[s] = tuple([ly if b == lx else b for b in labels[s]])
+            gammas[ly] += gammas[lx] - 2
+            gammas[lx] = None
+            labels = tuple([ly if b == lx else b for b in labels])
         elif contract:
             ey += 1
         else:
             ex += 1
-        gammas[s][ly] += 1 - len(lone)
-        for a in lone:
-            gammas[1 - s][labels[1 - s][a]] -= 1
-        return Minor(self.kernel, self.live & ~(1 << k), tuple(t1),
-                     (labels[0], labels[1]),
-                     (tuple(gammas[0]), tuple(gammas[1])),
-                     self.isolated + len(lone), (ex, ey))
+        gammas[ly] += 1 - len(lone)
+        other = list(self.gammas[1 - s]) if lone else self.gammas[1 - s]
+        for a in lone:   # only a lone orbit changes the other side's gammas
+            other[self.labels[1 - s][a]] -= 1
+        mine = labels, tuple(gammas)
+        theirs = self.labels[1 - s], tuple(other)
+        (vl, vg), (bl, bg) = (mine, theirs) if contract else (theirs, mine)
+        return Minor(self.kernel, self.live & ~(1 << k), tuple(t1), (vl, bl),
+                     (vg, bg), self.isolated + len(lone), (ex, ey))
 
     def minor(self, deleted: int, contracted: int) -> "Minor":
         """Delete the live edges of the mask ``deleted`` and contract those

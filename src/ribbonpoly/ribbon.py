@@ -471,10 +471,8 @@ def contract_edge(g: RibbonGraph, e: str) -> tuple[RibbonGraph, dict[str, str]]:
 
 def enumerate_quasi_trees(g: RibbonGraph) -> list[frozenset[str]]:
     """All spanning edge subsets Q with one boundary component, by size,
-    then in combination order: those whose G^Q has one vertex, as in
-    :func:`activities`: the orbit of ``t1`` and the new ``t2`` (``t0`` on
-    Q's darts, ``d ^ 1`` elsewhere) through dart 0 covers every dart (of
-    which one vertex without edge ends has none)."""
+    then in combination order: those whose G^Q has one vertex, as the walk
+    of :func:`quasi_tree_vertex` finds, without its other bookkeeping."""
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree enumeration requires a connected graph")
     edges = g.edges
@@ -505,17 +503,45 @@ class ActivityReport(NamedTuple):
     external_live_nonorientable: frozenset[str]
     twisted: frozenset[str]
 
-    def contracted_part(self) -> frozenset[str]:
-        return self.internal_dead | self.internal_live_nonorientable
 
-    def deleted_part(self) -> frozenset[str]:
-        return self.external_dead | self.external_live_nonorientable
+class QuasiTreeVertex(NamedTuple):
+    """G^Q's one vertex (:func:`quasi_tree_vertex`), which no edge order
+    changes: masks over ``edges`` of Q, of the edges with exactly one end
+    between each edge's two ends, and of the edges twisted in G^Q."""
+    edges: tuple[str, ...]
+    q: int
+    between: tuple[int, ...]
+    twisted: int
+
+    def dead(self, before: list[int]) -> int:
+        """The edges dead in the order whose :func:`preceding` is ``before``:
+        f kills e iff f precedes e and is between e's ends."""
+        return sum(1 << k for k, b in enumerate(self.between) if b & before[k])
+
+    def report(self, before: list[int]) -> ActivityReport:
+        """The activity classes in that order."""
+        dead, tw, out = self.dead(before), self.twisted, ~self.q
+        def named(m): return frozenset(e for k, e in enumerate(self.edges)
+                                       if m >> k & 1)
+        return ActivityReport(*(named(c & side)   # D D* O O* N N*
+                                for c in (dead, ~dead & ~tw, ~dead & tw)
+                                for side in (self.q, out)), named(tw))
 
 
-def activities(g: RibbonGraph, q: Iterable[str],
-               order: Iterable[str]) -> ActivityReport:
-    """The activity classes of every edge relative to the quasi-tree ``q``
-    and the total ``order``, read off G^Q on the kernel without building it.
+def preceding(g: RibbonGraph, order: Iterable[str]) -> list[int]:
+    """Per edge, the mask of the edges before it in the total ``order``."""
+    order = list(order)
+    if set(order) != set(g.sign) or len(order) != len(g.sign):
+        raise RibbonGraphError("order must be a total order on the edges")
+    index = {e: k for k, e in enumerate(g.edges)}
+    before, earlier = [0] * len(order), 0
+    for e in order:
+        before[index[e]], earlier = earlier, earlier | 1 << index[e]
+    return before
+
+
+def quasi_tree_vertex(g: RibbonGraph, q: Iterable[str]) -> QuasiTreeVertex:
+    """G^Q's one vertex for the quasi-tree ``q``, walked on the kernel.
 
     G^Q swaps ``t0`` and ``t2`` on the darts of Q, so its one vertex is the
     orbit of ``t1`` and the new ``t2`` through dart 0, and every edge is a
@@ -523,25 +549,19 @@ def activities(g: RibbonGraph, q: Iterable[str],
     has that one vertex: the orbit covers every dart, and G has no vertex
     without edge ends unless it is one edgeless vertex.  An edge is twisted
     in G^Q iff the new ``t0`` of the dart where the walk enters one end is
-    the dart where it enters the other.
-    Edge f kills e iff f precedes e in the order and exactly one end of f
-    lies between the two ends of e: with ``P[i]`` the XOR of the edge bits
-    of the first ``i`` ends along the walk, f's bit is set in
-    ``P[hi] ^ P[lo + 1]``."""
+    the dart where it enters the other.  With ``P[i]`` the XOR of the edge
+    bits of the first ``i`` ends along the walk, the edges with one end
+    between the ends ``lo`` < ``hi`` of an edge are ``P[hi] ^ P[lo + 1]``."""
     qset = frozenset(q)
-    order = list(order)
-    if set(order) != set(g.sign) or len(order) != len(g.sign):
-        raise RibbonGraphError("order must be a total order on the edges")
     unknown = qset - set(g.sign)
     if unknown:
         raise RibbonGraphError(f"unknown edge {sorted(unknown)[0]}")
-    edges = g.edges
+    edges, kern = g.edges, g.kernel
     mask = sum(1 << k for k, e in enumerate(edges) if e in qset)
-    kern = g.kernel
     t0, t1 = kern.t0, kern.t1
     seen = bytearray(len(t0))
     first: dict[int, tuple[int, int]] = {}  # edge -> (parity, entering dart)
-    between = [0] * len(edges)  # the edges with one end inside each loop
+    between = [0] * len(edges)
     twisted = parity = cur = 0  # parity: XOR of the bits of the ends so far
     while t0:
         k = cur >> 2
@@ -564,17 +584,16 @@ def activities(g: RibbonGraph, q: Iterable[str],
             break
     if not all(seen) or bool(t0) + sum(not r for r in kern.rotations) != 1:
         raise RibbonGraphError("not a quasi-tree")
-    index = {e: k for k, e in enumerate(edges)}
-    sets: list[set[str]] = [set() for _ in range(6)]  # D D* O O* N N*
-    earlier = 0
-    for e in order:
-        k = index[e]
-        kind = 0 if between[k] & earlier else 4 if twisted >> k & 1 else 2
-        sets[kind + (not mask >> k & 1)].add(e)
-        earlier |= 1 << k
-    return ActivityReport(*map(frozenset, sets),
-                          frozenset(e for k, e in enumerate(edges)
-                                    if twisted >> k & 1))
+    return QuasiTreeVertex(edges, mask, tuple(between), twisted)
+
+
+def activities(g: RibbonGraph, q: Iterable[str],
+               order: Iterable[str]) -> ActivityReport:
+    """The activity classes of every edge relative to the quasi-tree ``q``
+    and the total ``order``: the walk of G^Q's vertex, then the order's
+    classification; ``cross_validate`` walks once for all its orders."""
+    before = preceding(g, order)
+    return quasi_tree_vertex(g, q).report(before)
 
 
 # ---------------------------------------------------------------------------

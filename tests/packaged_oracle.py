@@ -164,6 +164,16 @@ def _quasitree_minor(pg: PackagedRibbonGraph, deleted: Iterable[str],
     return cur
 
 
+def contracted_part(act: ActivityReport) -> frozenset[str]:
+    """A: the edges an activity minor contracts, D and N."""
+    return act.internal_dead | act.internal_live_nonorientable
+
+
+def deleted_part(act: ActivityReport) -> frozenset[str]:
+    """B: the edges an activity minor deletes, D* and N*."""
+    return act.external_dead | act.external_live_nonorientable
+
+
 def activities_oracle(g: RibbonGraph, q: Iterable[str],
                       order: Iterable[str]) -> ActivityReport:
     """:func:`ribbonpoly.ribbon.activities` on the named partial dual G^Q:
@@ -304,8 +314,8 @@ def minor_shape_check(pg: PackagedRibbonGraph, q: Iterable[str],
     """In the activity minor, internal live orientable edges must be bridges
     and external live orientable edges plane loops."""
     act = activities(pg.graph, frozenset(q), list(order))
-    return _minor_shape_ok(act, _minor_graph(pg.graph, act.deleted_part(),
-                                             act.contracted_part()))
+    return _minor_shape_ok(act, _minor_graph(pg.graph, deleted_part(act),
+                                             contracted_part(act)))
 
 
 def _minor_shape_ok(act: ActivityReport, mg: RibbonGraph) -> bool:
@@ -350,9 +360,9 @@ def krushkal_quasitree_terms(g: RibbonGraph, order: Iterable[str],
     gd, _, _ = g.duality
     for q in enumerate_quasi_trees(g):
         act = activities(g, q, order)
-        xs, ga = _krushkal_side(g, act.contracted_part(),
+        xs, ga = _krushkal_side(g, contracted_part(act),
                                 act.internal_live_orientable, subset_nullity)
-        ys, gb = _krushkal_side(gd, act.deleted_part(),
+        ys, gb = _krushkal_side(gd, deleted_part(act),
                                 act.external_live_orientable, subset_nullity)
         yield q, HalfExpPoly((HalfMonomial(i, i2, 2 * j + ga, 2 * j2 + gb),
                               c * c2) for (i, j), c in xs.items()
@@ -497,7 +507,7 @@ def _quasitree_terms(pg: PackagedRibbonGraph, order: list[str],
     term = _activity_terms(pg)
     for q in quasi_trees:
         act = activities(pg.graph, q, order)
-        yield (q, act, *term(act.deleted_part(), act.contracted_part()))
+        yield (q, act, *term(deleted_part(act), contracted_part(act)))
 
 
 def enumerate_connected_unpruned(max_edges: int) -> Iterator[RibbonGraph]:

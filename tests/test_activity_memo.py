@@ -1,19 +1,23 @@
 """The one-step activity minor graph against the chain of string minors,
-and the (B, A) memo of ``cross_validate``: B is an activity minor's deleted
-part, A its contracted part."""
+the (B, A) memo of ``cross_validate`` (B is an activity minor's deleted
+part, A its contracted part), and its one compile per call and one walk of
+G^Q per quasi-tree."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ribbonpoly import invariants
+from ribbonpoly import invariants, ribbon
+from ribbonpoly.packaged import Minor
 from ribbonpoly.invariants import cross_validate, pst_quasitree
 from ribbonpoly.poly import MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, activities, connected_components,
                                counts, enumerate_quasi_trees, orientable)
 from packaged_oracle import (_minor_graph, _quasitree_minor, _quasitree_terms,
-                             classify_edge)
+                             classify_edge, contracted_part, deleted_part)
 from strategies import ribbon_graphs
 from test_caches import random_packaging
 
@@ -39,7 +43,7 @@ def test_one_step_minor_graph_matches_chain(g, seed, data):
         order = data.draw(st.permutations(g.edges))
         for q in enumerate_quasi_trees(g):
             act = activities(g, q, order)
-            parts.append((act.deleted_part(), act.contracted_part()))
+            parts.append((deleted_part(act), contracted_part(act)))
     for deleted, contracted in parts:
         assert (shape(_minor_graph(g, deleted, contracted))
                 == shape(_quasitree_minor(pg, deleted, contracted).graph))
@@ -54,7 +58,7 @@ def test_cross_validate_evaluates_each_minor_once(g, seed, data):
     pg = random_packaging(g, seed)
     orders = [tuple(data.draw(st.permutations(g.edges))) for _ in range(3)]
     quasi_trees = enumerate_quasi_trees(g)
-    keys = {(act.deleted_part(), act.contracted_part())
+    keys = {(deleted_part(act), contracted_part(act))
             for order in orders for q in quasi_trees
             for act in [activities(g, q, order)]}
     real = invariants._minor_poly
@@ -77,3 +81,24 @@ def test_cross_validate_evaluates_each_minor_once(g, seed, data):
         assert rep.quasitree[order] == MultiPoly.sum(
             real(minor) for _, _, _, minor in terms)
         assert rep.quasitree[order] == pst_quasitree(pg, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ribbon_graphs(max_edges=5), st.integers(0, 2 ** 16), st.data())
+def test_cross_validate_compiles_once_and_walks_each_quasi_tree_once(
+        g, seed, data):
+    """Three orders make one ``Minor.compile`` call and one
+    ``quasi_tree_vertex`` walk per quasi-tree, not one per (quasi-tree,
+    order); a disconnected graph walks none."""
+    pg = random_packaging(g, seed)
+    orders = [tuple(data.draw(st.permutations(g.edges))) for _ in range(3)]
+    connected = len(connected_components(g)) == 1
+    compiles = mock.Mock(wraps=Minor.compile)
+    walks = mock.Mock(wraps=ribbon.quasi_tree_vertex)
+    with mock.patch.object(Minor, "compile", compiles), \
+            mock.patch.object(invariants, "quasi_tree_vertex", walks):
+        rep = cross_validate(pg, orders)
+    assert compiles.call_count == 1
+    assert walks.call_count == (len(enumerate_quasi_trees(g)) if connected
+                                else 0)
+    assert rep.equal and rep.shape_checks_passed

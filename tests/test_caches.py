@@ -14,7 +14,8 @@ from ribbonpoly.ribbon import (RibbonGraph, connected_components,
                                dual_correspondences, enumerate_quasi_trees,
                                trace_boundaries)
 from packaged_oracle import (_minor_shape_ok, _quasitree_minor,
-                             _quasitree_terms, minor_shape_check)
+                             _quasitree_terms, contracted_part, deleted_part,
+                             minor_shape_check)
 from strategies import ribbon_graphs
 
 
@@ -65,8 +66,8 @@ def test_cross_validate_shape_verdicts_match_minor_shape_check(g, seed, data):
     for order in orders:
         for q, act, _, _ in _quasitree_terms(pg, list(order), quasi_trees):
             ok = minor_shape_check(pg, q, order)
-            minor = _quasitree_minor(pg, act.deleted_part(),
-                                     act.contracted_part())
+            minor = _quasitree_minor(pg, deleted_part(act),
+                                     contracted_part(act))
             assert _minor_shape_ok(act, minor.graph) == ok
             verdicts.append(ok)
     assert cross_validate(pg, orders).shape_checks_passed == all(verdicts)

@@ -25,7 +25,8 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                enumerate_quasi_trees, euler_genus, restrict)
 from packaged_oracle import (_activity_terms, _quasitree_minor,
                              _quasitree_terms, _terminal,
-                             classical_tutte_oracle, delcon,
+                             classical_tutte_oracle, contracted_part, delcon,
+                             deleted_part,
                              enumerate_connected_unpruned,
                              krushkal_quasitree_oracle, krushkal_substitution,
                              packaged_isomorphic, shape)
@@ -136,12 +137,12 @@ def test_quasitree_breakdown(theta):
 def test_quasitree_minor_operation_order_irrelevant(theta):
     for q, act, _, _ in _quasitree_terms(theta, ["e", "f", "g"],
                                          enumerate_quasi_trees(theta.graph)):
-        m1 = _quasitree_minor(theta, act.deleted_part(),
-                              act.contracted_part())
+        m1 = _quasitree_minor(theta, deleted_part(act),
+                              contracted_part(act))
         m2 = theta
-        for e in sorted(act.contracted_part()):
+        for e in sorted(contracted_part(act)):
             m2, _ = packaged_contract(m2, e)
-        for e in sorted(act.deleted_part()):
+        for e in sorted(deleted_part(act)):
             m2, _ = packaged_delete(m2, e)
         assert packaged_isomorphic(m1, m2)
 
@@ -181,7 +182,7 @@ def assert_walk_matches_activities(pg: PackagedRibbonGraph,
         q = names(q)
         reached[q] += 1
         act = activities(g, q, order)
-        assert (b, a) == (act.deleted_part(), act.contracted_part())
+        assert (b, a) == (deleted_part(act), contracted_part(act))
         want_pre, want_minor = term(b, a)
         assert (minor.xy, minor.live) == (want_pre, want_minor.live)
     assert reached == Counter(enumerate_quasi_trees(g))
@@ -286,9 +287,9 @@ def _krushkal_by_substitution(g: RibbonGraph, order: list[str],
         act = activities(g, q, order)
         term = HalfExpPoly.const(1)
         for h, kept, live, var, half in (
-                (g, act.contracted_part(), act.internal_live_orientable,
+                (g, contracted_part(act), act.internal_live_orientable,
                  HalfExpPoly.alpha(), HalfExpPoly.a_half),
-                (gd, act.deleted_part(), act.external_live_orientable,
+                (gd, deleted_part(act), act.external_live_orientable,
                  HalfExpPoly.beta(), HalfExpPoly.b_half)):
             sub = restrict(h, kept)
             name = {v: min(c) for c in connected_components(sub) for v in c}

@@ -18,8 +18,9 @@ from ribbonpoly.packaged import (PackagedRibbonGraph, PackagingGraph,
                                  WeightedPartition, quotient)
 from ribbonpoly.poly import HalfMonomial, Monomial
 from ribbonpoly.ribbon import (ActivityReport, BoundaryComponent, Isomorphism,
-                               activities, enumerate_quasi_trees,
-                               isomorphisms, trace_boundaries)
+                               QuasiTreeVertex, activities,
+                               enumerate_quasi_trees, isomorphisms,
+                               quasi_tree_vertex, trace_boundaries)
 
 
 def _theta() -> PackagedRibbonGraph:
@@ -46,6 +47,7 @@ RECORDS = [
     (PackagingGraph, _packaging),
     (BoundaryComponent, lambda: trace_boundaries(_theta().graph)[0]),
     (ActivityReport, _activities),
+    (QuasiTreeVertex, lambda: quasi_tree_vertex(_theta().graph, {"f"})),
     (Isomorphism, lambda: next(isomorphisms(_theta().graph, _theta().graph))),
     (Multigraph, lambda: underlying_multigraph(_theta().graph)),
     (ValidationReport,

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import rg
 from packaged_oracle import (EdgeKind, activities_oracle, classify_edge,
-                             interlaced, is_loop)
+                             contracted_part, deleted_part, interlaced,
+                             is_loop)
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                activities, certificate,
                                connected_components, contract_edge, counts,
@@ -17,7 +18,8 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                enumerate_quasi_trees, euler_genus,
                                induced_subgraph, isomorphic, orientable,
                                partial_dual,
-                               partial_dual_with_map, restrict,
+                               partial_dual_with_map, preceding,
+                               quasi_tree_vertex, restrict,
                                trace_boundaries, validate)
 from strategies import ribbon_graphs
 from test_bollobas_riordan import walk_orbits
@@ -410,6 +412,44 @@ def test_activities_fixtures():
 def test_activities_rejects_non_quasitree():
     with pytest.raises(RibbonGraphError):
         activities(theta_graph(), {"e"}, ["e", "f", "g"])
+
+
+@pytest.mark.parametrize("q, order, message", [
+    ({"f"}, ["e", "f"], "order must be a total order on the edges"),
+    ({"f"}, ["e", "f", "f"], "order must be a total order on the edges"),
+    ({"f"}, ["e", "f", "g", "zz"], "order must be a total order on the edges"),
+    ({"zz"}, ["e", "f", "f"], "order must be a total order on the edges"),
+    ({"zz", "f"}, ["e", "f", "g"], "unknown edge zz"),
+    ({"e"}, ["e", "f", "g"], "not a quasi-tree"),
+], ids=["short", "repeat", "extra", "order-first", "unknown", "not-quasi-tree"])
+def test_activities_error_paths(q, order, message):
+    """Each of the three errors, the order checked before the edges, as
+    the walk of G^Q and the classification by the order are split."""
+    with pytest.raises(RibbonGraphError) as ex:
+        activities(theta_graph(), q, order)
+    assert str(ex.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=3), st.data())
+def test_one_walk_per_quasi_tree_classifies_every_order(g, data):
+    """The split route, one ``quasi_tree_vertex`` walk per quasi-tree and
+    one classification per order, gives under three random orders the
+    report of ``activities`` and of the named G^Q, and its dead and twisted
+    edges are the report's contracted and deleted parts."""
+    assume(len(connected_components(g)) == 1)
+    orders = [data.draw(st.permutations(g.edges)) for _ in range(3)]
+    for q in enumerate_quasi_trees(g):
+        v = quasi_tree_vertex(g, q)
+        for order in orders:
+            before = preceding(g, order)
+            rep = v.report(before)
+            assert rep == activities(g, q, order) \
+                == activities_oracle(g, q, order)
+            fixed = v.dead(before) | v.twisted
+            assert fixed == sum(1 << k for k, e in enumerate(g.edges)
+                                if e in contracted_part(rep)
+                                | deleted_part(rep))
 
 
 def test_single_edge_is_always_live(mobius):
