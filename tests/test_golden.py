@@ -16,8 +16,12 @@ edge order.  For every graph of both kinds it also holds one SHA-256 over
 the ``activities`` report of each quasi-tree in sorted and one in reversed
 edge order.  And it holds, for each instance, one SHA-256 over what
 ``validate --orders 3 --seed <i>`` prints for the i-th and its exit code,
-and the same, at seed 0, for a disconnected and an edgeless input.  The
-test only reads the file.  To regenerate it
+and the same, at seed 0, for a disconnected and an edgeless input.  For
+each graph and for the edgeless input it holds one SHA-256 over what
+``specialize --format structured`` prints and its exit code for each
+target (2 for ``surface-tutte`` on a non-orientable graph), and for each
+larger graph one over ``compute --method statesum --format structured``'s.
+The test only reads the file.  To regenerate it
 after an intended output change, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -32,7 +36,7 @@ import json
 import random
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from ribbonpoly import cli
@@ -96,15 +100,31 @@ def _activities_sha(g: RibbonGraph) -> list[str]:
     return out
 
 
-def _validate_sha(path: Path, text: str, seed: int) -> str:
-    """One hash over what ``validate --orders 3 --seed <seed>`` prints for
-    the file ``text``, written to ``path``, and its exit code."""
+def _cli_sha(path: Path, text: str, *runs: list[str]) -> str:
+    """One hash over what each of ``runs``, a command and its options,
+    prints on the file ``text``, written to ``path``, and its exit code;
+    standard error is dropped."""
     path.write_text(text)
     out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main(["validate", str(path), "--orders", "3",
-                         "--seed", str(seed)])
-    return _sha(f"{out.getvalue()}exit {code}\n")
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        for cmd, *opts in runs:
+            print(f"exit {cli.main([cmd, str(path), *opts])}")
+    return _sha(out.getvalue())
+
+
+def _validate_sha(path: Path, text: str, seed: int) -> str:
+    """One hash over what ``validate --orders 3 --seed <seed>`` prints for
+    the file ``text`` and its exit code."""
+    return _cli_sha(path, text, ["validate", "--orders", "3",
+                                 "--seed", str(seed)])
+
+
+def _specialize_sha(path: Path, text: str) -> str:
+    """One hash over what ``specialize --format structured`` prints for the
+    file ``text`` and its exit code, for each target in turn."""
+    return _cli_sha(path, text, *(
+        ["specialize", "--target", t, "--format", "structured"]
+        for t in ("krushkal", "surface-tutte", "classical-tutte")))
 
 
 def _graph_invariants(g: RibbonGraph) -> dict:
@@ -156,6 +176,7 @@ def golden() -> dict:
     instances = []
     graphs = []
     invariants = []
+    discrete = []   # each graph's first instance, its discrete packaging
     last = None
     for g, pg in corpus(3, 2024, random_packagings=3):
         instances.append({
@@ -167,6 +188,7 @@ def golden() -> dict:
         if g is not last:
             graphs.append(_partial_duals_sha(g))
             invariants.append(_graph_invariants(g))
+            discrete.append(instances[-1]["instance"])
             last = g
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "instance.rg"
@@ -174,10 +196,19 @@ def golden() -> dict:
             inst["validate_sha256"] = _validate_sha(path, inst["instance"], i)
         fixed = {name: _validate_sha(path, text, 0)
                  for name, text in VALIDATE_FIXED.items()}
+        for inv, text in zip(invariants, discrete):
+            inv["specialize_sha256"] = _specialize_sha(path, text)
+        edgeless = _specialize_sha(path, VALIDATE_FIXED["edgeless"])
+        large = _large()
+        for inst in large:
+            inst["statesum_sha256"] = _cli_sha(
+                path, inst["instance"],
+                ["compute", "--method", "statesum", "--format", "structured"])
     return {"corpus": "corpus(3, 2024, random_packagings=3)",
             "instances": instances, "partial_duals_sha256": graphs,
-            "graph_invariants": invariants, "large": _large(),
-            "validate_fixed_sha256": fixed}
+            "graph_invariants": invariants, "large": large,
+            "validate_fixed_sha256": fixed,
+            "specialize_edgeless_sha256": edgeless}
 
 
 def test_corpus_outputs_match_golden_file():
