@@ -1,32 +1,24 @@
 """Evaluation pipelines for the packaged invariant polynomial.
 
-Three routes compute the same polynomial: a state sum over edge subsets, a
-deletion-contraction recursion, and a quasi-tree expansion.  The state sum
-builds up both sides of each subset A's term, G|A and G*|A^c, as block
-partitions in one depth-first pass, which splices the edges off A out of
-one corner map in place and walks each A on it, without the dual graph;
-it shares only :meth:`~ribbonpoly.packaged.Minor.compile` with the other two
-(``tests/test_minor.py`` checks it) and stays the independent pipeline.  The
-recursion steps compiled minors (:class:`~ribbonpoly.packaged.Minor`),
-each of which carries the x/y exponents its steps gathered, and adds one
-monomial per leaf to one counter; the expansion walks the same steps in
-reverse edge order to each quasi-tree's activity minor, which contracts a
-set A and deletes a set B, and runs the recursion on it from its nullity
-prefactor, the minor's x/y.  Only ``compute --method delcon`` runs it on
-string-keyed packaged graphs (:func:`pst_delcon`), whose calls the
-benchmark counts one per node.  On top of these sit the specializations
-(surface version for orientable graphs; the four-variable alpha/beta/a/b
-polynomial and its quasi-tree expansion, images of the state sum and of
-the expansion of the discrete packaging under one term map, their Butler
-form only the tests' oracle; the classical Tutte polynomial), a
-small-instance corpus generator and a cross-validation driver, which
-runs all three on one compiled root and keeps the expansion's definition
-by activities: it walks each quasi-tree's G^Q once, classifies it per edge
-order, and shape-checks each distinct activity minor: a required bridge
-must split it when deleted, a required plane loop when contracted.  The
-string-graph references of these checks and of the prefactor live in the
-tests, as do the recursion on other pivots and the expansion's non-Tutte
-contrast, which reads the whole graph's nullity in place of n(A).
+Three routes compute the same polynomial.  The state sum builds up both
+sides of each edge subset A's term, G|A and G*|A^c, as block partitions in
+one depth-first pass that splices the edges off A out of one corner map in
+place and walks A on it from one dart of each ``t0`` pair, without the dual
+graph; the last edge's node scores both of its subsets.  It shares only
+:meth:`~ribbonpoly.packaged.Minor.compile` with the other two routes
+(``tests/test_minor.py`` checks it).  The recursion steps compiled minors
+(:class:`~ribbonpoly.packaged.Minor`), each carrying the x/y exponents its
+steps gathered, and adds one monomial per leaf to one counter; only
+``compute --method delcon`` runs it on string-keyed packaged graphs
+(:func:`pst_delcon`), whose calls the benchmark counts one per node.  The
+quasi-tree expansion walks the same steps in reverse edge order to each
+quasi-tree's activity minor and runs the recursion on it from its nullity
+prefactor, the minor's x/y.  On these sit the specializations (the surface
+version for orientable graphs; the four-variable alpha/beta/a/b polynomial
+and its quasi-tree expansion, term maps of the packaged ones; the classical
+Tutte polynomial, by a subset pass of the same shape), a corpus generator
+and :func:`cross_validate`.  The tests hold the string-graph references,
+the recursion on other pivots and the non-Tutte contrast.
 """
 
 from __future__ import annotations
@@ -48,12 +40,12 @@ from .ribbon import (RibbonGraph, RibbonGraphError, certificate,
 # ---------------------------------------------------------------------------
 # state sum
 
-def _add_edge(side: tuple, i: int, j: int) -> tuple:
+def _add_edge(side: tuple, pair: tuple[int, int]) -> tuple:
     """``side`` (each block's component, named by one of its blocks; each
-    component's gamma; the nullity) with an edge between blocks ``i`` and
-    ``j``: it adds 1 to the gamma, after joining two components of gammas a
-    and b into one of a + b - 2, and 1 to the nullity if it joins none."""
-    comp, gamma, null = side
+    component's gamma; the nullity) with an edge between the blocks of
+    ``pair``: it adds 1 to the gamma, after joining two components of gammas
+    a and b into one of a + b - 2, and 1 to the nullity if it joins none."""
+    (comp, gamma, null), (i, j) = side, pair
     a, b = comp[i], comp[j]
     gamma = gamma.copy()
     if a == b:
@@ -65,24 +57,26 @@ def _add_edge(side: tuple, i: int, j: int) -> tuple:
 
 def _subset_term(root: Minor, mask: int, sides: tuple, walk: tuple) -> tuple:
     """The exponents of the state-sum term of the edge subset ``mask``:
-    (n2, n1, gammas2, gammas1), where 1 is the vertex side at the subset and
-    2 the boundary side at its complement, from their built-up ``sides``;
-    each emptied vertex and each boundary walk, traced on the pass's
-    spliced ``walk``, takes 1 from its component's gamma on both sides."""
+    (n2, n1, gammas2, gammas1), 1 the vertex side at the subset and 2 the
+    boundary side at its complement, from their built-up ``sides``.  Each
+    emptied vertex, and each boundary walk traced on the spliced ``walk``
+    from ``live``'s one dart per ``t0`` pair, takes 1 from its component's
+    gamma on both sides."""
     (vcomp, vgamma, n1), (bcomp, bgamma, n2) = sides
     vgamma, bgamma = vgamma.copy(), bgamma.copy()
     vlab, blab = root.labels
-    t0, (t1, live, empty, marks), stamp = root.kernel.t0, walk, mask + 1
+    t0, (t1, live, empty, marks) = root.kernel.t0, walk
     for d in empty:
         vgamma[vcomp[vlab[d]]] -= 1
         bgamma[bcomp[blab[d]]] -= 1
     for d in live:
-        if marks[d] != stamp:   # a walk not yet traced at this subset
+        if marks[d] != mask:   # a walk not yet traced at this subset
             vgamma[vcomp[vlab[d]]] -= 1
             bgamma[bcomp[blab[d]]] -= 1
-            while marks[d] != stamp:
-                marks[d] = marks[t0[d]] = stamp
-                d = t1[t0[d]]
+            while marks[d] != mask:   # both darts of each pair it crosses
+                e = t0[d]
+                marks[d] = marks[e] = mask
+                d = t1[e]
     return (n2, n1, tuple(sorted(bgamma.values())),
             tuple(sorted(vgamma.values())))
 
@@ -98,37 +92,50 @@ def _family(gammas: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 def _subset_keys(root: Minor) -> Counter:
     """Edge subsets per :func:`_subset_term` key, by a depth-first pass over
-    the compiled ``root``: an edge in joins its ends on the vertex side and
-    makes its darts live, one out joins its sides on the boundary side and
-    splices its ends out of ``t1`` as dancing links do; each side starts at
-    the root's gammas."""
+    the compiled ``root`` from the root's gammas: an edge k in joins its
+    ends on the vertex side and makes live its darts 4k and 4k + 1, one per
+    ``t0`` pair; one out joins its sides on the boundary side and splices
+    its ends out of ``t1`` as dancing links do.  The last edge's node
+    scores its two subsets itself."""
     # each edge's vertex blocks at its ends, boundary blocks at its sides
     (vlab, blab), darts = root.labels, range(0, len(root.t1), 4)
     vends = [(vlab[d], vlab[d + 2]) for d in darts]
     bends = [(blab[d], blab[d + 1]) for d in darts]
-    walk = t1, live, empty, marks = list(root.t1), [], [], [0] * len(root.t1)
-    keys: Counter = Counter()
+    walk = t1, live, empty, marks = list(root.t1), [], [], [-1] * len(root.t1)
+    keys, last = Counter(), len(vends) - 1
 
     def visit(k: int, mask: int, vside: tuple, bside: tuple) -> None:
-        if k == len(vends):
-            keys[_subset_term(root, mask, (vside, bside), walk)] += 1
-            return
-        live.extend(range(4 * k, 4 * k + 4))
-        visit(k + 1, mask | 1 << k, _add_edge(vside, *vends[k]), bside)
-        del live[-4:]
-        n = len(empty)
-        for d in (4 * k, 4 * k + 2):   # the L darts of k's two ends
-            p, q = t1[d], t1[d + 1]
-            t1[p], t1[q] = q, p
-            if p == d + 1:   # the last end at its vertex
-                empty.append(d)
-        visit(k + 1, mask, vside, _add_edge(bside, *bends[k]))
+        x, inside, vin = 4 * k, mask | 1 << k, _add_edge(vside, vends[k])
+        live.append(x)
+        live.append(x + 1)
+        if k < last:
+            visit(k + 1, inside, vin, bside)
+        else:
+            keys[_subset_term(root, inside, (vin, bside), walk)] += 1
+        live.pop()
+        live.pop()
+        n, bout = len(empty), _add_edge(bside, bends[k])
+        p, q = t1[x], t1[x + 1]   # splice end 2k out, then end 2k + 1
+        t1[p], t1[q] = q, p
+        if p == x + 1:   # the last end at its vertex
+            empty.append(x)
+        p, q = t1[x + 2], t1[x + 3]
+        t1[p], t1[q] = q, p
+        if p == x + 3:
+            empty.append(x + 2)
+        if k < last:
+            visit(k + 1, mask, vside, bout)
+        else:
+            keys[_subset_term(root, mask, (vside, bout), walk)] += 1
         del empty[n:]
-        for d in (4 * k + 2, 4 * k):
-            t1[t1[d]], t1[t1[d + 1]] = d, d + 1
+        t1[t1[x + 2]], t1[t1[x + 3]] = x + 2, x + 3
+        t1[t1[x]], t1[t1[x + 1]] = x, x + 1
 
-    visit(0, 0, *((tuple(range(len(gs))), dict(enumerate(gs)), 0)
-                  for gs in root.gammas))
+    sides = tuple((tuple(range(len(gs))), dict(enumerate(gs)), 0)
+                  for gs in root.gammas)
+    if not vends:   # the one subset of an edgeless graph
+        return Counter([_subset_term(root, 0, sides, walk)])
+    visit(0, 0, *sides)
     return keys
 
 
@@ -155,12 +162,10 @@ def _leaf(pg: PackagedRibbonGraph, ex: int = 0, ey: int = 0) -> Monomial:
 def pst_delcon(pg: PackagedRibbonGraph, _counter: list | None = None,
                _path: tuple[Counter, int, int] | None = None
                ) -> MultiPoly | None:
-    """Deletion-contraction recursion, pivoting on each node's first edge
-    (the result is pivot-independent; the tests try other pivots).
-
-    Each node is one call.  ``_path`` is the leaf counter of the top call
-    and the x/y exponents gathered on the way to this node; a call below
-    the top adds its leaves there and returns ``None``."""
+    """Deletion-contraction recursion, one call per node, pivoting on each
+    node's first edge (the tests try other pivots).  ``_path`` is the top
+    call's leaf counter and the x/y exponents gathered on the way to this
+    node; a call below the top adds its leaves there and returns ``None``."""
     if _counter is not None:
         _counter[0] += 1
     leaves, ex, ey = _path or (Counter(), 0, 0)
@@ -202,15 +207,12 @@ def _minor_poly(m: Minor) -> MultiPoly:
 def _quasitree_walk(pg: PackagedRibbonGraph, order: Iterable[str]):
     """Yield (Q, minor) per quasi-tree Q, an edge mask, where ``minor`` is
     Q's compiled activity minor under ``order``, its prefactor in its
-    ``xy``.  Its contracted part is A = Q - live, its deleted part B the
-    edges neither in Q nor live.
-
-    Deletion-contraction in reverse edge order (Gordon and Traldi's
-    resolution tree): a bridge of the current minor joins Q, a plane loop
-    stays off Q, both live; any other edge is contracted into A and Q or
-    deleted into B.  Only a non-loop's deletion or a loop's contraction can
-    split, so one is tried.
-    """
+    ``xy``: A = Q - live contracted, B the edges neither in Q nor live
+    deleted.  Deletion-contraction in reverse edge order (Gordon and
+    Traldi's resolution tree): a bridge of the current minor joins Q, a
+    plane loop stays off Q, both live; any other edge is contracted into A
+    and Q or deleted into B.  Only a non-loop's deletion or a loop's
+    contraction can split, so one is tried."""
     g, order, root = pg.graph, list(order), Minor.compile(pg)
     if root.components() != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
@@ -294,19 +296,21 @@ class Multigraph(NamedTuple):
 
 def _tutte_keys(n: int, ends: list[tuple[int, int]]) -> Counter:
     """How many edge subsets A of the multigraph on vertices 0 .. n-1 with
-    edges ``ends`` give each (k(A) - k, n(A)), by one depth-first pass:
-    n(A) is the nullity of the :func:`_add_edge` side and k(A) the number
-    of its gammas."""
-    k_h = len(set(union_find(n, ends)))
-    keys: Counter = Counter()
+    edges ``ends`` give each (k(A) - k, n(A)), by one depth-first pass whose
+    last edge's node scores its two subsets: n(A) is the nullity of the
+    :func:`_add_edge` side and k(A) the number of its gammas."""
+    if not ends:   # the empty subset alone
+        return Counter({(0, 0): 1})
+    k_h, keys, last = len(set(union_find(n, ends))), Counter(), len(ends) - 1
 
     def visit(k: int, side: tuple) -> None:
-        if k == len(ends):
-            _, comps, null = side
-            keys[len(comps) - k_h, null] += 1
-            return
-        visit(k + 1, _add_edge(side, *ends[k]))
-        visit(k + 1, side)
+        joined = _add_edge(side, ends[k])
+        if k < last:
+            visit(k + 1, joined)
+            visit(k + 1, side)
+        else:
+            keys[len(joined[1]) - k_h, joined[2]] += 1
+            keys[len(side[1]) - k_h, side[2]] += 1
 
     visit(0, (tuple(range(n)), dict.fromkeys(range(n), 0), 0))
     return keys
@@ -336,8 +340,6 @@ MAX_VERTICES = 4
 def _cyclic_partitions(slots: int):
     """Distribute slot indices 0..slots-1 into 1..MAX_VERTICES nonempty
     ordered groups (cyclic order as listed)."""
-    if slots == 0:
-        return
     for v in range(1, MAX_VERTICES + 1):
         for cuts in itertools.combinations(range(1, slots), v - 1):
             bounds = (0,) + cuts + (slots,)
@@ -448,17 +450,15 @@ class ValidationReport(NamedTuple):
 def cross_validate(pg: PackagedRibbonGraph,
                    orders: Iterable[Iterable[str]]) -> ValidationReport:
     """Run all three pipelines on one compiled root, compare exactly, and
-    shape-check every quasi-tree minor; deletion-contraction is
-    :func:`_minor_leaves`, not the string-keyed :func:`pst_delcon`.
-
-    G^Q's vertex is walked once per quasi-tree Q and classified once per
-    order (:class:`~ribbonpoly.ribbon.QuasiTreeVertex`).  A quasi-tree's
-    term and shape verdict depend only on (Q, B, A), Q with its activity
-    minor's deleted and contracted parts, so both are computed once per
-    call, by :meth:`~ribbonpoly.packaged.Minor.minor`, and an order's
-    expansion sums its quasi-trees' memoised terms.  Once the shape checks
-    pass, (B, A) fixes Q, so each minor is evaluated once per distinct
-    (B, A)."""
+    shape-check every quasi-tree minor: a required bridge must split it
+    when deleted, a required plane loop when contracted.  The recursion is
+    :func:`_minor_leaves`, not :func:`pst_delcon`.  G^Q's vertex is walked
+    once per quasi-tree Q and classified once per order
+    (:class:`~ribbonpoly.ribbon.QuasiTreeVertex`).  A quasi-tree's term and
+    shape verdict depend only on Q and its activity minor's deleted and
+    contracted parts (B, A), so each is computed once per call, by
+    :meth:`~ribbonpoly.packaged.Minor.minor`, and an order's expansion sums
+    them; once the shape checks pass, (B, A) fixes Q."""
     g, root = pg.graph, Minor.compile(pg)
     ss, dc = pst_state_sum(root), MultiPoly(_minor_leaves(Counter(), root))
     vertices = ([quasi_tree_vertex(g, q) for q in enumerate_quasi_trees(g)]

@@ -1,11 +1,13 @@
 """The compiled subset pass against the string-keyed subset sums it
 replaces: packagings and boundary traces of restricted subgraphs,
 per-subset union-finds, one :func:`subset_walks` call per subset, and the
-classical Tutte polynomial as a sum of products of powers."""
+classical Tutte polynomial as a sum of products of powers; the kernel
+layout the pass's walks rely on; and both passes at benchmark size."""
 
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from unittest import mock
 
@@ -14,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ribbonpoly import invariants
-from ribbonpoly.invariants import (Multigraph, _subset_keys, _subset_term,
-                                   _tutte_keys, classical_tutte, krushkal,
-                                   pst_state_sum)
+from ribbonpoly.invariants import (Multigraph, _random_partition,
+                                   _subset_keys, _subset_term, _tutte_keys,
+                                   classical_tutte, krushkal, pst_state_sum,
+                                   underlying_multigraph)
 from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
                                  component_gamma_values)
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
@@ -156,6 +159,69 @@ def test_spliced_walks_equal_one_subset_walks_call_per_subset(g, seed):
     with mock.patch.object(invariants, "_subset_term", both):
         assert _subset_keys(Minor.compile(pg)) == want
     assert sum(want.values()) == 2 ** len(g.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ribbon_graphs(max_edges=6, max_vertices=4, min_edges=1))
+@example(rg({"v1": [("e", 1), ("f", 1), ("e", 2), ("f", 2)]},
+            {"e": -1, "f": 1}))
+@example(rg({"v1": [("e", 1)], "v2": [("e", 2)]}, {"e": -1}))
+def test_t0_pairs_split_each_edges_first_two_darts(g):
+    """The subset pass makes live only darts 4k and 4k + 1 of an edge k in
+    the subset and counts on every boundary walk to cross one of them: so
+    ``t0`` must pair each edge's four darts among themselves, with 4k and
+    4k + 1 in different pairs, whatever the edge's sign."""
+    t0 = g.kernel.t0
+    for k, e in enumerate(g.edges):
+        darts = range(4 * k, 4 * k + 4)
+        assert sorted(t0[d] for d in darts) == list(darts), e
+        assert all(t0[t0[d]] == d != t0[d] for d in darts), e
+        assert t0[4 * k] != 4 * k + 1, (e, g.sign[e])
+
+
+def seeded_instance(seed: int, m: int, nv: int) -> PackagedRibbonGraph:
+    """``m`` edges, every third one twisted, their ends shuffled across
+    ``nv`` vertices, one isolated vertex more, and seeded weighted
+    partitions of the vertices and of the boundary components."""
+    rng = random.Random(seed)
+    ends = [(f"e{i + 1}", j) for i in range(m) for j in (1, 2)]
+    rng.shuffle(ends)
+    at = [rng.randrange(nv) for _ in ends]
+    rotation = {f"v{k + 1}": [x for x, a in zip(ends, at) if a == k]
+                for k in range(nv)}
+    rotation["iso"] = []
+    g = rg(rotation, {f"e{i + 1}": -1 if i % 3 == 0 else 1
+                      for i in range(m)})
+    return PackagedRibbonGraph.build(
+        g, _random_partition(rng, list(g.vertices)),
+        _random_partition(rng, [c.id for c in g.boundaries]))
+
+
+@pytest.mark.parametrize("seed, m, nv", [(1, 9, 2), (2, 10, 3), (3, 11, 2)])
+def test_subset_passes_at_benchmark_size(seed, m, nv):
+    """At the benchmark's 9-11 edges, past the Hypothesis graphs' 6: each
+    ``_subset_term`` of the pass, once per subset, equals the leaf that
+    builds the subset's corner map afresh, and the Tutte pass equals one
+    union-find per subset."""
+    pg = seeded_instance(seed, m, nv)
+    g = pg.graph
+    assert len(g.edges) == m and {-1, 1} <= set(g.sign.values())
+    assert not g.rotation["iso"] and any(pg.vparts.weights + pg.bparts.weights)
+    masks: Counter = Counter()
+
+    def both(root, mask, sides, walk):
+        term = _subset_term(root, mask, sides, walk)
+        assert term == subset_walks_term(root, mask, sides), mask
+        masks[mask] += 1
+        return term
+
+    with mock.patch.object(invariants, "_subset_term", both):
+        _subset_keys(Minor.compile(pg))
+    assert masks == Counter(range(2 ** m))
+    h = underlying_multigraph(g)
+    idx = {v: i for i, v in enumerate(h.vertices)}
+    ends = [(idx[u], idx[w]) for _, u, w in h.edges]
+    assert _tutte_keys(len(idx), ends) == tutte_keys(len(idx), ends)
 
 
 @settings(max_examples=60, deadline=None)
