@@ -1,6 +1,6 @@
 """Polynomial invariants of ribbon graphs on surfaces and pseudo-surfaces.
 
-Subpackages:
+Modules:
 
 * :mod:`ribbonpoly.ribbon` -- signed rotation systems, boundary tracing,
   duality, partial duality, contraction, quasi-trees and activities.

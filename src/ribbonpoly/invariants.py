@@ -407,8 +407,6 @@ def enumerate_connected(max_edges: int) -> Iterator[RibbonGraph]:
 
 def _random_partition(rng: random.Random,
                       ground: list[str]) -> WeightedPartition:
-    if not ground:
-        return WeightedPartition((), ())
     nblocks = rng.randint(1, min(len(ground), 3))
     assignment = {x: i for i, x in enumerate(rng.sample(ground, nblocks))}
     for x in ground:

@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .ribbon import (Kernel, RibbonGraph, RibbonGraphError, _boundary_targets,
-                     contract_edge, delete_edge, induced_subgraph,
-                     trace_boundaries, union_find)
+                     contract_edge, delete_edge, dual_correspondences,
+                     induced_subgraph, trace_boundaries, union_find)
 
 
 class PackagingError(ValueError):
@@ -169,7 +169,7 @@ def component_gamma_values(sub: RibbonGraph, pk: PackagingGraph) -> list[int]:
 
 def packaged_dual(pg: PackagedRibbonGraph) -> PackagedRibbonGraph:
     """Dual graph with both partitions transported across the duality."""
-    gd, b_to_v, v_to_b = pg.graph.duality
+    gd, b_to_v, v_to_b = dual_correspondences(pg.graph)
     return PackagedRibbonGraph.build(gd, pg.bparts.relabel(b_to_v),
                                      pg.vparts.relabel(v_to_b))
 

@@ -45,7 +45,7 @@ class RibbonGraph:
     """A signed rotation system.
 
     Instances are never mutated after construction, so derived kernel data
-    (end -> vertex, the integer kernel, boundary trace, dual) is computed on
+    (end -> vertex, the integer kernel, boundary trace) is computed on
     first use and kept on the instance.  Cached dicts are shared: callers
     must not mutate them.  The cache needs an instance ``__dict__``, so
     this is a frozen dataclass where the library's other records are
@@ -60,7 +60,8 @@ class RibbonGraph:
               rotation: dict[str, Iterable[End]],
               sign: dict[str, int]) -> "RibbonGraph":
         vs = tuple(vertices)
-        rot = {v: tuple((str(e), int(i)) for e, i in rotation.get(v, ())) for v in vs}
+        rot = {v: tuple((str(e), int(i)) for e, i in rotation.get(v, ()))
+               for v in (*vs, *rotation)}
         g = RibbonGraph(vs, rot, dict(sign))
         faults = validate(g)
         if faults:
@@ -130,11 +131,6 @@ class RibbonGraph:
     @cached_property
     def boundary_of_dart(self) -> dict[Dart, str]:
         return {d: c.id for c in self.boundaries for d in c.visits}
-
-    @cached_property
-    def duality(self) -> tuple[RibbonGraph, dict[str, str], dict[str, str]]:
-        """:func:`dual_correspondences` of this graph."""
-        return dual_correspondences(self)
 
     def endpoints(self, e: str) -> tuple[str, str]:
         """Vertices of the two ends of ``e`` (equal for a loop)."""
@@ -607,6 +603,12 @@ class Isomorphism(NamedTuple):
 
 
 def isomorphisms(g1: RibbonGraph, g2: RibbonGraph) -> Iterator[Isomorphism]:
+    """Every isomorphism from ``g1`` to ``g2``: a vertex bijection that
+    carries each rotation onto a turn of its image's, reversed where
+    ``flip`` is 1, with the ends and edges it carries, such that an edge's
+    sign changes iff one of its two ends is reflected.  Vertices of ``g1``
+    are placed in falling degree, ties in vertex order, each onto the unused
+    vertices of ``g2`` in order, turn by turn, unreflected first."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.sign) != len(g2.sign):
         return
     deg1 = sorted(len(g1.rotation.get(v, ())) for v in g1.vertices)
@@ -615,70 +617,34 @@ def isomorphisms(g1: RibbonGraph, g2: RibbonGraph) -> Iterator[Isomorphism]:
         return
     verts1 = sorted(g1.vertices, key=lambda v: -len(g1.rotation.get(v, ())))
 
-    def extend(idx, vmap, emap, endmap, flips):
+    def extend(idx, vmap, emap, endmap, flip):
         if idx == len(verts1):
-            yield Isomorphism(dict(vmap), dict(endmap), dict(emap), dict(flips))
+            yield Isomorphism(vmap, endmap, emap, flip)
             return
         v1 = verts1[idx]
         rot1 = g1.rotation.get(v1, ())
+        n = len(rot1)
         for v2 in g2.vertices:
-            if v2 in vmap.values():
-                continue
             rot2 = g2.rotation.get(v2, ())
-            if len(rot1) != len(rot2):
+            if len(rot2) != n or v2 in vmap.values():
                 continue
-            n = len(rot1)
-            alignments = [(0, 0)] if n == 0 else [(o, fl) for o in range(n)
-                                                 for fl in (0, 1)]
-            for off, fl in alignments:
-                new_emap = dict(emap)
-                new_endmap = dict(endmap)
-                ok = True
-                for p in range(n):
-                    end1 = rot1[p]
-                    end2 = rot2[(off + p) % n] if not fl else rot2[(off - p) % n]
-                    if end1 in new_endmap:
-                        if new_endmap[end1] != end2:
-                            ok = False
-                            break
-                        continue
-                    if end2 in new_endmap.values():
-                        ok = False
-                        break
-                    e1, e2 = end1[0], end2[0]
-                    if e1 in new_emap:
-                        if new_emap[e1] != e2:
-                            ok = False
-                            break
-                    elif e2 in new_emap.values():
-                        ok = False
-                        break
-                    else:
-                        new_emap[e1] = e2
-                    new_endmap[end1] = end2
-                if not ok:
+            for off, fl in itertools.product(range(n), (0, 1)) if n else [(0, 0)]:
+                ends = [rot2[(off - p if fl else off + p) % n] for p in range(n)]
+                # each edge at v1 -> its image; an edge met before keeps its own
+                image: dict[str, str] = {}
+                if any(image.setdefault(e1, emap.get(e1, e2)) != e2
+                       for (e1, _), (e2, _) in zip(rot1, ends)):
                     continue
-                new_flips = dict(flips)
-                new_flips[v1] = fl
-                # check signs of edges with both ends now mapped
-                sign_ok = True
-                for e1, e2 in new_emap.items():
-                    if (e1, 1) in new_endmap and (e1, 2) in new_endmap:
-                        if {new_endmap[(e1, 1)], new_endmap[(e1, 2)]} != \
-                                {(e2, 1), (e2, 2)}:
-                            sign_ok = False
-                            break
-                        u, w = g1.endpoints(e1)
-                        if u in new_flips and w in new_flips:
-                            parity = 0 if u == w else new_flips[u] ^ new_flips[w]
-                            want = g1.sign[e1] * (-1 if parity else 1)
-                            if g2.sign[e2] != want:
-                                sign_ok = False
-                                break
-                if not sign_ok:
-                    continue
-                yield from extend(idx + 1, {**vmap, v1: v2}, new_emap,
-                                  new_endmap, new_flips)
+                edges = {**emap, **image}
+                flips = {**flip, v1: fl}
+                if len(set(edges.values())) == len(edges) and all(
+                        g2.sign[e2] == g1.sign[e1] * (-1) ** (flips[u] ^ flips[w])
+                        for e1, e2 in image.items()
+                        for u, w in [g1.endpoints(e1)]
+                        if u in flips and w in flips):
+                    yield from extend(idx + 1, {**vmap, v1: v2}, edges,
+                                      {**endmap, **dict(zip(rot1, ends))},
+                                      flips)
 
     yield from extend(0, {}, {}, {}, {})
 

@@ -57,7 +57,7 @@ from ribbonpoly.poly import HalfExpPoly, HalfMonomial, MultiPoly
 from ribbonpoly.ribbon import (ActivityReport, Dart, Isomorphism, Kernel,
                                RibbonGraph, RibbonGraphError, activities,
                                certificate, connected_components,
-                               enumerate_quasi_trees,
+                               dual_correspondences, enumerate_quasi_trees,
                                isomorphisms, partial_dual, restrict,
                                trace_boundaries, union_find)
 
@@ -237,7 +237,7 @@ def component_gamma(pg: PackagedRibbonGraph, side: str,
         parts = pg.vparts
         elem = {v: v for v in g.vertices}
     elif side == "boundary":
-        gd, b_to_v, _ = pg.graph.duality
+        gd, b_to_v, _ = dual_correspondences(pg.graph)
         g = gd
         parts = pg.bparts
         elem = {v: b for b, v in b_to_v.items()}
@@ -258,7 +258,7 @@ def restricted_packagings(pg: PackagedRibbonGraph,
     aset = set(a)
     g = pg.graph
     first = quotient(restrict(g, aset), pg.vparts, {v: v for v in g.vertices})
-    gd, b_to_v, _ = g.duality
+    gd, b_to_v, _ = dual_correspondences(g)
     elem = {v: b for b, v in b_to_v.items()}
     second = quotient(restrict(gd, set(g.sign) - aset), pg.bparts, elem)
     return first, second
@@ -357,7 +357,7 @@ def krushkal_quasitree_terms(g: RibbonGraph, order: Iterable[str],
     order = list(order)
     if len(connected_components(g)) != 1:
         raise RibbonGraphError("quasi-tree expansion requires a connected graph")
-    gd, _, _ = g.duality
+    gd, _, _ = dual_correspondences(g)
     for q in enumerate_quasi_trees(g):
         act = activities(g, q, order)
         xs, ga = _krushkal_side(g, contracted_part(act),

@@ -11,8 +11,7 @@ from ribbonpoly.invariants import _random_partition, cross_validate
 from ribbonpoly.packaged import (PackagedRibbonGraph, packaged_contract,
                                  packaged_delete)
 from ribbonpoly.ribbon import (RibbonGraph, connected_components,
-                               dual_correspondences, enumerate_quasi_trees,
-                               trace_boundaries)
+                               enumerate_quasi_trees, trace_boundaries)
 from packaged_oracle import (_minor_shape_ok, _quasitree_minor,
                              _quasitree_terms, contracted_part, deleted_part,
                              minor_shape_check)
@@ -36,7 +35,6 @@ def assert_caches_fresh(g: RibbonGraph) -> None:
     assert g.boundary_of_dart == {d: c.id for c in comps for d in c.visits}
     assert g.end_vertex == {end: v for v in f.vertices
                             for end in f.rotation[v]}
-    assert g.duality == dual_correspondences(f)
     assert g.kernel == f.kernel
 
 

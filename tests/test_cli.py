@@ -283,20 +283,22 @@ def test_parser_is_shared_and_options_do_not_leak(theta_file, capsys):
     assert out.strip() == THETA_TEXT
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "{theta}", "--orders", "0"],
-    ["validate", "{theta}", "--orders", "-1"],
-    ["corpus", "--max-edges", "-1"],
-    ["corpus", "--max-edges", "1", "--random", "-1"],
-])
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "{theta}", "--orders", "0"], "must be at least"),
+    (["validate", "{theta}", "--orders", "-1"], "must be at least"),
+    (["corpus", "--max-edges", "-1"], "must be at least"),
+    (["corpus", "--max-edges", "1", "--random", "-1"], "must be at least"),
+    (["validate", "{theta}", "--orders", "abc"], "invalid int value"),
+], ids=[f"argv{i}" for i in range(5)])
 def test_counts_below_their_minimum_are_usage_errors(theta_file, capsys,
-                                                     argv):
+                                                     argv, message):
     """``validate --orders 0`` would validate no quasi-tree expansion and
-    still report equality; a negative corpus bound would be read as 0."""
+    still report equality; a negative corpus bound would be read as 0; a
+    count that is not an integer is refused as well."""
     code, out, err = run(capsys, *[a.format(theta=theta_file) for a in argv])
     assert code == 2
     assert out == ""
-    assert "must be at least" in err
+    assert message in err
 
 
 def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):

@@ -22,7 +22,8 @@ from ribbonpoly.packaged import (PackagedRibbonGraph, WeightedPartition,
 from ribbonpoly.poly import HalfExpPoly, Monomial, MultiPoly, parse_poly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError, activities,
                                certificate, connected_components,
-                               enumerate_quasi_trees, euler_genus, restrict)
+                               dual_correspondences, enumerate_quasi_trees,
+                               euler_genus, restrict)
 from packaged_oracle import (_activity_terms, _quasitree_minor,
                              _quasitree_terms, _terminal,
                              classical_tutte_oracle, contracted_part, delcon,
@@ -281,7 +282,7 @@ def _krushkal_by_substitution(g: RibbonGraph, order: list[str],
     """The quasi-tree expansion by expanding each Tutte factor, ``tutte``
     of the multigraph between the components, in x-1, y-1 and substituting
     x = alpha+1, y = a+1 (beta+1, b+1 on the dual side)."""
-    gd = g.duality[0]
+    gd = dual_correspondences(g)[0]
     total = HalfExpPoly.zero()
     for q in enumerate_quasi_trees(g):
         act = activities(g, q, order)

@@ -49,6 +49,23 @@ def test_partition_rejects_overlap_and_gaps():
         WeightedPartition.build(["a", "b"], [({"a"}, 0)])
     with pytest.raises(PackagingError):
         WeightedPartition.build(["a"], [({"a"}, -1)])
+    with pytest.raises(PackagingError, match="empty block"):
+        WeightedPartition.build(["a"], [({"a"}, 0), (set(), 0)])
+
+
+def test_block_index_of_a_missing_element_is_a_key_error():
+    wp = WeightedPartition.build(["a", "b"], [({"a", "b"}, 1)])
+    assert wp.block_index("b") == 0
+    with pytest.raises(KeyError):
+        wp.block_index("c")
+
+
+def test_build_rejects_a_vertex_partition_that_misses_a_vertex():
+    g = rg({"v1": [("e", 1)], "v2": [("e", 2)]}, {"e": 1})
+    with pytest.raises(PackagingError, match="vertex partition"):
+        PackagedRibbonGraph.build(
+            g, WeightedPartition.discrete(["v1"]),
+            WeightedPartition.discrete(c.id for c in g.boundaries))
 
 
 # ---------------------------------------------------------------------------

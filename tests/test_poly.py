@@ -100,6 +100,10 @@ def test_basic_arithmetic():
     q = MultiPoly.x() + MultiPoly.y(2)
     assert q + q * (-1) == MultiPoly.zero()
     assert (q - q).canonical_text() == "0"
+    assert q and not q - q
+    assert repr(q) == f"MultiPoly({q.canonical_text()!r})"
+    with pytest.raises(PolyError, match="negative power"):
+        q ** -1
 
 
 def test_large_coefficients_stay_exact():
@@ -265,6 +269,11 @@ def test_substitute_reports_the_first_missing_rule():
     with pytest.raises(PolyError, match=r"^no substitution rule for alpha$"):
         h.substitute(a=1)
     assert h.substitute(a=0) == MultiPoly.zero()
+    with pytest.raises(PolyError, match=r"^no substitution rule for b$"):
+        HalfExpPoly({HalfMonomial(eb2=1): 1}).substitute(a=1)
+    with pytest.raises(PolyError, match=r"^negative beta exponent under "):
+        HalfExpPoly({HalfMonomial(ebeta=-1): 1}).substitute(
+            alpha=MultiPoly.x(), beta=MultiPoly.y())
 
 
 def merged(*term_lists):
@@ -322,6 +331,12 @@ def test_parse_rejects_a_dangling_exponent():
             parse_poly(text)
     with pytest.raises(PolyError, match=r"^bad exponent -$"):
         parse_poly("x^--1")
+
+
+def test_parse_rejects_an_empty_term():
+    for text in ("", "x + * + y"):
+        with pytest.raises(PolyError, match=r"^empty term$"):
+            parse_poly(text)
 
 
 def test_parse_checks_each_half_term():

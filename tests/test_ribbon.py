@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -16,7 +17,8 @@ from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
                                connected_components, contract_edge, counts,
                                delete_edge, dual_correspondences,
                                enumerate_quasi_trees, euler_genus,
-                               induced_subgraph, isomorphic, orientable,
+                               induced_subgraph, isomorphic, isomorphisms,
+                               orientable,
                                partial_dual,
                                partial_dual_with_map, preceding,
                                quasi_tree_vertex, restrict,
@@ -38,25 +40,35 @@ def test_validate_accepts_good_graph():
     assert validate(theta_graph()) == []
 
 
-def test_validate_reports_end_placed_twice():
-    g = RibbonGraph(("v1",), {"v1": (("e", 1), ("e", 1), ("e", 2))},
-                    {"e": 1})
-    assert any("placed twice" in fault for fault in validate(g))
-
-
-def test_validate_reports_missing_end():
-    g = RibbonGraph(("v1",), {"v1": (("e", 1),)}, {"e": 1})
-    assert any("missing end" in fault for fault in validate(g))
-
-
-def test_validate_reports_bad_sign():
-    g = RibbonGraph(("v1",), {"v1": (("e", 1), ("e", 2))}, {"e": 2})
-    assert any("sign" in fault for fault in validate(g))
+@pytest.mark.parametrize("vertices, rotation, sign, fault", [
+    (("v1",), {"v1": (("e", 1), ("e", 1), ("e", 2))}, {"e": 1},
+     "end e.1 placed twice"),
+    (("v1",), {"v1": (("e", 1),)}, {"e": 1}, "edge e is missing end e.2"),
+    (("v1",), {"v1": (("e", 1), ("e", 2))}, {"e": 2},
+     "edge e has sign 2, expected +1 or -1"),
+    (("v1", "v1"), {"v1": ()}, {}, "duplicate vertex identifier"),
+    (("v1",), {"v1": (("e", 1), ("e", 2), ("f", 1))}, {"e": 1},
+     "end f.1 references undeclared edge f"),
+], ids=["end_placed_twice", "missing_end", "bad_sign", "duplicate_vertex",
+        "undeclared_edge"])
+def test_validate_reports_faults(vertices, rotation, sign, fault):
+    assert fault in validate(RibbonGraph(vertices, rotation, sign))
 
 
 def test_build_raises_on_fault():
     with pytest.raises(RibbonGraphError):
         rg({"v1": [("e", 1)]}, {"e": 1})
+
+
+@pytest.mark.parametrize("rotation", [
+    {"v1": [("e", 1), ("e", 2)], "v2": []},
+    {"v1": [("e", 1)], "v2": [("e", 2)]},
+])
+def test_build_rejects_the_rotation_of_an_unlisted_vertex(rotation):
+    """The rotation is validated, not dropped with its vertex."""
+    with pytest.raises(RibbonGraphError,
+                       match="rotation given for unknown vertex v2"):
+        RibbonGraph.build(["v1"], rotation, {"e": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +196,8 @@ def test_dual_of_theta_is_single_vertex():
 
 def test_dual_involution_and_correspondences():
     for g in [theta_graph(), rg({"v1": [("e", 1), ("e", 2)]}, {"e": -1})]:
-        gd, _, _ = g.duality
-        gdd, _, _ = gd.duality
+        gd, _, _ = dual_correspondences(g)
+        gdd, _, _ = dual_correspondences(gd)
         assert isomorphic(gdd, g)
 
 
@@ -211,7 +223,7 @@ def test_partial_dual_single_edge_involution():
 
 def test_partial_dual_all_edges_is_dual():
     g = theta_graph()
-    assert isomorphic(partial_dual(g, set(g.edges)), g.duality[0])
+    assert isomorphic(partial_dual(g, set(g.edges)), dual_correspondences(g)[0])
 
 
 def test_partial_dual_order_independence():
@@ -244,6 +256,16 @@ def test_partial_dual_unknown_edge():
         partial_dual(theta_graph(), {"zz"})
 
 
+@pytest.mark.parametrize("subgraph, message", [
+    (lambda g: restrict(g, {"f", "zz"}), "unknown edge zz"),
+    (lambda g: induced_subgraph(g, ["v1"], ["e", "f"]),
+     "induced subgraph drops an edge end"),
+], ids=["restrict", "induced_subgraph"])
+def test_subgraph_errors(subgraph, message):
+    with pytest.raises(RibbonGraphError, match=message):
+        subgraph(theta_graph())
+
+
 @settings(max_examples=80, deadline=None)
 @given(ribbon_graphs(max_edges=4), st.data())
 def test_partial_dual_rebuilds_only_the_vertices_at_its_edges(g, data):
@@ -269,7 +291,7 @@ def test_partial_dual_rebuilds_only_the_vertices_at_its_edges(g, data):
 @settings(max_examples=60, deadline=None)
 @given(ribbon_graphs())
 def test_boundary_count_duality(g):
-    gd, _, _ = g.duality
+    gd, _, _ = dual_correspondences(g)
     edges = g.edges
     for r in range(len(edges) + 1):
         for combo in itertools.combinations(edges, r):
@@ -487,7 +509,7 @@ def test_activities_match_named_partial_dual(g, data):
 def test_activity_duality(g):
     if len(connected_components(g)) != 1:
         return
-    gd, _, _ = g.duality
+    gd, _, _ = dual_correspondences(g)
     order = list(g.edges)
     live_keys = ["internal_dead", "external_dead", "internal_live_orientable",
                  "external_live_orientable", "internal_live_nonorientable",
@@ -531,6 +553,68 @@ def test_reflection_with_sign_flip_is_isomorphism():
     g2 = rg({"u": [("b", 1), ("a", 1)], "w": [("a", 2), ("b", 2)]},
             {"a": -1, "b": -1})
     assert isomorphic(g1, g2)
+
+
+def test_isomorphisms_need_equal_degree_sequences():
+    """Two vertices and two edges each, degrees (3, 1) against (2, 2)."""
+    g1 = rg({"u": [("a", 1), ("a", 2), ("b", 1)], "w": [("b", 2)]},
+            {"a": 1, "b": 1})
+    g2 = rg({"u": [("a", 1), ("b", 1)], "w": [("a", 2), ("b", 2)]},
+            {"a": 1, "b": 1})
+    assert list(isomorphisms(g1, g2)) == []
+
+
+def _flag_isomorphisms(g: RibbonGraph, h: RibbonGraph) -> int:
+    """The number of darts ``d`` of ``h`` such that sending dart 0 of the
+    connected ``g`` to ``d`` extends, breadth-first over ``t0``, ``t1`` and
+    ``t2 = d ^ 1``, to a bijection of darts that commutes with all three:
+    the isomorphisms of the graph-encoded maps (Lins, "Graph-encoded maps",
+    JCTB 1982), counted without rotations, reflections or signs."""
+    a, b = g.kernel, h.kernel
+
+    def extends(d: int) -> bool:
+        image, queue = {0: d}, [0]
+        for x in queue:   # grows while it is read
+            y = image[x]
+            for s, t in ((a.t0[x], b.t0[y]), (a.t1[x], b.t1[y]),
+                         (x ^ 1, y ^ 1)):
+                if s not in image:
+                    image[s] = t
+                    queue.append(s)
+                elif image[s] != t:
+                    return False
+        return len(set(image.values())) == len(image) == len(b.t0)
+
+    return sum(map(extends, range(len(b.t0))))
+
+
+def _random_connected(rng: random.Random, m: int, nv: int) -> RibbonGraph:
+    while True:
+        ends = [(f"e{k}", i) for k in range(m) for i in (1, 2)]
+        rng.shuffle(ends)
+        cuts = sorted(rng.randint(0, 2 * m) for _ in range(nv - 1))
+        rotation = {f"v{j}": ends[lo:hi] for j, (lo, hi)
+                    in enumerate(zip([0, *cuts], [*cuts, 2 * m]))}
+        g = rg(rotation, {f"e{k}": rng.choice((1, -1)) for k in range(m)})
+        if len(connected_components(g)) == 1:
+            return g
+
+
+def test_isomorphisms_count_the_flag_isomorphisms(graphs4):
+    """On every corpus graph with an edge, against itself and its double
+    dual, and on seeded pairs of connected graphs of one size, the search
+    yields one record per flag isomorphism."""
+    pairs = [(g, h) for g in graphs4 if g.sign
+             for h in (g, dual_correspondences(dual_correspondences(g)[0])[0])]
+    rng = random.Random(1982)
+    for _ in range(2000):
+        m = rng.randint(1, 4)
+        nv = rng.randint(1, min(m + 1, 4))
+        pairs.append((_random_connected(rng, m, nv),
+                      _random_connected(rng, m, nv)))
+    assert len(pairs) == 3176
+    for g, h in pairs:
+        assert sum(1 for _ in isomorphisms(g, h)) == _flag_isomorphisms(g, h)
 
 
 def _scrambled(g: RibbonGraph, data) -> RibbonGraph:

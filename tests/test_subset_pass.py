@@ -24,8 +24,9 @@ from ribbonpoly.packaged import (Minor, PackagedRibbonGraph,
                                  component_gamma_values)
 from ribbonpoly.poly import HalfExpPoly, MultiPoly
 from ribbonpoly.ribbon import (RibbonGraph, RibbonGraphError,
-                               connected_components, enumerate_quasi_trees,
-                               euler_genus, restrict, trace_boundaries)
+                               connected_components, dual_correspondences,
+                               enumerate_quasi_trees, euler_genus, restrict,
+                               trace_boundaries)
 from packaged_oracle import (classical_tutte_oracle, nullity,
                              restricted_packagings, subset_walks,
                              subset_walks_term, tutte_keys)
@@ -64,7 +65,7 @@ def reference_record(pg: PackagedRibbonGraph, aset: frozenset) -> tuple:
     (g*|A^c, boundary partition) and (g|A, vertex partition), and the
     sorted gamma values of their components by re-tracing each one."""
     g = pg.graph
-    gd = g.duality[0]
+    gd = dual_correspondences(g)[0]
     pk1, pk2 = restricted_packagings(pg, aset)
     gammas2 = component_gamma_values(restrict(gd, set(g.sign) - aset), pk2)
     gammas1 = component_gamma_values(restrict(g, aset), pk1)
@@ -84,7 +85,7 @@ def reference_term(pg: PackagedRibbonGraph, aset: frozenset) -> MultiPoly:
 
 
 def reference_krushkal(g: RibbonGraph) -> HalfExpPoly:
-    gd = g.duality[0]
+    gd = dual_correspondences(g)[0]
     k = len(connected_components(g))
     kd = len(connected_components(gd))
     total = HalfExpPoly.zero()
